@@ -49,10 +49,6 @@ class CouplingGraph:
             raise IndexError(f"qubit {q} outside 0..{self.num_qubits - 1}")
 
     @cached_property
-    def _undirected(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(e) for e in self.edges)
-
-    @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Sorted undirected adjacency lists, indexed by vertex."""
         adj: list[set[int]] = [set() for _ in range(self.num_qubits)]
@@ -79,6 +75,23 @@ class CouplingGraph:
         return tuple(rows)
 
     @cached_property
+    def adjacency_matrix(self) -> tuple[tuple[bool, ...], ...]:
+        """n x n: whether a CNOT between the two qubits is legal in some
+        orientation.  Unchecked table for hot loops; see :meth:`is_legal_cnot`."""
+        rows = [[False] * self.num_qubits for _ in range(self.num_qubits)]
+        for a, b in self.edges:
+            rows[a][b] = rows[b][a] = True
+        return tuple(tuple(row) for row in rows)
+
+    @cached_property
+    def intermediates_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """n x n: interior vertices on a shortest path, ``max(distance - 1, 0)``,
+        or -1 where no path exists.  Unchecked table for hot loops; see
+        :meth:`intermediates`."""
+        return tuple(tuple(max(d - 1, 0) if d >= 0 else -1 for d in row)
+                     for row in self.distances)
+
+    @cached_property
     def is_connected(self) -> bool:
         return self.num_qubits > 0 and all(d >= 0 for d in self.distances[0])
 
@@ -99,7 +112,7 @@ class CouplingGraph:
         self._check_index(target)
         if self.directed and respect_direction:
             return (control, target) in self.edges
-        return frozenset((control, target)) in self._undirected
+        return self.adjacency_matrix[control][target]
 
     def distance(self, a: int, b: int) -> int:
         self._check_index(a)

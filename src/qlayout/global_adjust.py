@@ -13,15 +13,25 @@ limits) are ranked by the estimated SWAP cost of whatever is still
 illegal; the identity relabeling is always ranked as a fallback, last, so
 a relabeling that removes every illegal CNOT beats doing nothing even
 when the estimate rounds to zero.
+
+The search runs on plain arrays: the CNOTs stay as (control, target)
+pairs of the input, the accumulated relabeling is one dense permutation
+that a transposition updates in place (and undoes on backtrack), and
+legality and distances are read from the graph's precomputed tables.  A
+candidate is checked only against the passed CNOTs on the two qubits it
+exchanges; every other passed CNOT keeps its wires.  The search visits
+the same nodes in the same order as a relabel-the-whole-list search, at a
+fraction of the cost per node.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .coupling import CouplingGraph
 from .ir import Circuit, GateKind, QubitMapping
-from .routing import _residual_intermediates, estimate_cost
+from .routing import _first_illegal, _residual_intermediates, estimate_cost
 
 
 @dataclass(frozen=True)
@@ -36,26 +46,59 @@ class SearchLimits:
         return self.max_depth if self.max_depth is not None else 2 * graph.num_qubits
 
 
-def candidate_mappings(ill: tuple[int, int], graph: CouplingGraph,
-                       prefix: Sequence[tuple[int, int]]) -> list[QubitMapping]:
-    """Transpositions that legalize ``ill`` without breaking ``prefix``.
+def _legalizing_swaps(ill: tuple[int, int], graph: CouplingGraph,
+                      cnots: Sequence[tuple[int, int]], passed: Sequence[list[int]],
+                      end: int, perm: list[int],
+                      inverse: list[int]) -> Iterator[tuple[int, int]]:
+    """Wire pairs (moved, nbr) whose transposition legalizes ``ill`` and
+    keeps every CNOT in ``cnots[:end]`` legal.
 
+    Those CNOTs must all be legal already, read through the dense
+    relabeling ``perm`` (``inverse`` is its inverse); ``passed[q]`` lists,
+    in ascending order, the indices of the CNOTs that touch input qubit q.
     Control-side swaps (control with each neighbour of the target) come
     first, then target-side, each in ascending neighbour order.
     """
+    adjacent = graph.adjacency_matrix
     control, target = ill
-    seen: dict[QubitMapping, None] = {}
     for fixed, moved in ((target, control), (control, target)):
         for nbr in graph.adjacent(fixed):
             if nbr == moved:
                 continue
-            m = QubitMapping.swap(moved, nbr)
-            if m in seen:
-                continue
-            if all(graph.is_legal_cnot(m(c), m(t), respect_direction=False)
-                   for c, t in prefix):
-                seen[m] = None
-    return list(seen)
+            a, b = inverse[moved], inverse[nbr]
+            perm[a], perm[b] = nbr, moved
+            ok = all(adjacent[perm[cnots[i][0]]][perm[cnots[i][1]]]
+                     for q in (a, b) for i in passed[q][:bisect_left(passed[q], end)])
+            perm[a], perm[b] = moved, nbr
+            if ok:
+                yield moved, nbr
+
+
+def _cnot_index(cnots: Sequence[tuple[int, int]], num_qubits: int) -> list[list[int]]:
+    """Per qubit, the ascending indices of the CNOTs that touch it."""
+    touching: list[list[int]] = [[] for _ in range(num_qubits)]
+    for i, (c, t) in enumerate(cnots):
+        touching[c].append(i)
+        touching[t].append(i)
+    return touching
+
+
+def candidate_mappings(ill: tuple[int, int], graph: CouplingGraph,
+                       prefix: Sequence[tuple[int, int]]) -> list[QubitMapping]:
+    """Transpositions that legalize ``ill`` without breaking ``prefix``.
+
+    ``prefix`` holds the CNOTs before ``ill``; they must all be legal on the
+    undirected view.  Control-side swaps (control with each neighbour of
+    the target) come first, then target-side, each in ascending neighbour
+    order.
+    """
+    prefix = [(c, t) for c, t in prefix]
+    if not all(graph.is_legal_cnot(c, t, respect_direction=False) for c, t in prefix):
+        raise ValueError("every CNOT of prefix must already be legal")
+    identity = list(range(graph.num_qubits))
+    return [QubitMapping.swap(moved, nbr) for moved, nbr in _legalizing_swaps(
+        tuple(ill), graph, prefix, _cnot_index(prefix, graph.num_qubits), len(prefix),
+        identity, list(identity))]
 
 
 def global_adjust(circuit: Circuit, graph: CouplingGraph,
@@ -70,42 +113,48 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
     """
     limits = limits or SearchLimits()
     max_depth = limits.depth_for(graph)
-    cnots = [(g.qubits[0], g.qubits[1]) for g in circuit.gates
-             if g.kind is GateKind.CNOT]
+    cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
+    width = max(circuit.num_qubits, graph.num_qubits)
+    passed = _cnot_index(cnots, width)
+    perm = list(range(width))  # input qubit -> wire, the accumulated relabeling
+    inverse = list(range(width))
 
-    explored: list[tuple[QubitMapping, float]] = []
-    budget = [limits.max_nodes]
+    best: tuple[tuple[int, ...], float] | None = None
+    budget = limits.max_nodes
 
-    def first_illegal(cs: Sequence[tuple[int, int]]) -> int:
-        for i, (c, t) in enumerate(cs):
-            if not graph.is_legal_cnot(c, t, respect_direction=False):
-                return i
-        return -1
+    def offer(cost: float) -> None:
+        nonlocal best
+        if best is None or cost < best[1]:
+            best = (tuple(perm), cost)
 
-    def search(cs: list[tuple[int, int]], accumulated: QubitMapping, depth: int) -> None:
-        i = first_illegal(cs)
+    def search(start: int, depth: int) -> None:
+        # cnots[:start] are legal under perm, so the scan starts there
+        nonlocal budget
+        i = _first_illegal(cnots, graph, start, perm)
         if i < 0:
-            explored.append((accumulated, 0.0))
+            offer(0.0)
             return
-        if depth >= max_depth or budget[0] <= 0:
-            explored.append((accumulated, estimate_cost(_residual_intermediates(cs, graph))))
+        if depth >= max_depth or budget <= 0:
+            offer(estimate_cost(_residual_intermediates(cnots, graph, i, perm)))
             return
-        budget[0] -= 1
-        candidates = candidate_mappings(cs[i], graph, cs[:i])
-        if not candidates:
-            explored.append((accumulated, estimate_cost(_residual_intermediates(cs, graph))))
+        budget -= 1
+        c, t = cnots[i]
+        swaps = list(_legalizing_swaps((perm[c], perm[t]), graph, cnots, passed, i,
+                                       perm, inverse))
+        if not swaps:
+            offer(estimate_cost(_residual_intermediates(cnots, graph, i, perm)))
             return
-        for m in candidates:
-            if budget[0] <= 0:
+        for moved, nbr in swaps:
+            if budget <= 0:
                 break
-            search([(m(c), m(t)) for c, t in cs], accumulated.then(m), depth + 1)
+            a, b = inverse[moved], inverse[nbr]
+            perm[a], perm[b], inverse[moved], inverse[nbr] = nbr, moved, b, a
+            search(i + 1, depth + 1)
+            perm[a], perm[b], inverse[moved], inverse[nbr] = moved, nbr, a, b
 
-    search(cnots, QubitMapping.identity(), 0)
-    explored.append((QubitMapping.identity(),
-                     estimate_cost(_residual_intermediates(cnots, graph))))
-
-    best_map, best_cost = explored[0]
-    for mapping, cost in explored[1:]:
-        if cost < best_cost:
-            best_map, best_cost = mapping, cost
-    return best_map, best_cost
+    search(0, 0)
+    # every transposition has been undone: perm is the identity fallback
+    offer(estimate_cost(_residual_intermediates(cnots, graph, 0, perm)))
+    assert best is not None
+    wires, cost = best
+    return QubitMapping(tuple(enumerate(wires))), cost

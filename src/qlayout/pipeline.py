@@ -22,6 +22,7 @@ from .merge import merge_single_qubit_runs
 from .routing import (
     DEFAULT_LOOKAHEAD,
     LegalityError,
+    _check_lookahead,
     fix_directions,
     naive_route,
     route_circuit,
@@ -39,8 +40,7 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lookahead < 1:
-            raise ValueError("lookahead must be at least 1")
+        _check_lookahead(self.lookahead)
         if not (0 < self.tolerance < 1):
             raise ValueError("tolerance must be in (0, 1)")
 

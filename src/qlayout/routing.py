@@ -8,11 +8,22 @@ relabeling is applied to the rest of the program, which is what makes the
 choice of which endpoint to move matter for everything downstream.
 
 That choice is a binary tree over the remaining illegal CNOTs.  The top
-``lookahead`` levels (default 4) are searched exactly; below the horizon
-the cost of the residue is estimated by :func:`estimate_cost`.  Search
-costs are accounted in flat units: 34 per intermediate vertex on the path
-(one SWAP: 3 CNOTs + 4 direction-fix H), plus 4 when the control side is
-the one displaced, anticipating the orientation repair of the final CNOT.
+``lookahead`` levels (default 4, at most :data:`MAX_LOOKAHEAD`) are
+searched exactly; below the horizon the cost of the residue is estimated
+by :func:`estimate_cost`.  Search costs are accounted in flat units: 34
+per intermediate vertex on the path (one SWAP: 3 CNOTs + 4 direction-fix
+H), plus 4 when the control side is the one displaced, anticipating the
+orientation repair of the final CNOT.
+
+The search runs on plain arrays.  The remaining CNOTs stay as the input's
+(control, target) pairs and every relabeling is a dense permutation
+``perm[q]``: a branch composes its chain onto the permutation and scans
+the CNOTs through it, instead of rewriting them.  Legality and
+intermediate-vertex counts are read from the coupling graph's precomputed
+tables.  The router itself keeps one running wire permutation and builds
+each output gate once, when it is emitted.  The complexity is unchanged
+(each leaf still scores the whole residue); the constant factors are
+lower.
 
 Orientation (on directed graphs) is repaired afterwards by
 :func:`fix_directions`, and :func:`naive_route` provides the classic
@@ -22,7 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import lru_cache
+from itertools import islice, repeat
+from operator import mul
+from typing import Iterator, Sequence
 
 from .coupling import CouplingGraph, DisconnectedGraphError
 from .ir import Circuit, Gate, GateKind, QubitMapping, cx, h
@@ -34,6 +48,9 @@ SWAP_COST = 34
 CONTROL_MOVE_COST = 4
 
 DEFAULT_LOOKAHEAD = 4
+
+#: deepest accepted lookahead: the exact search doubles in cost per level
+MAX_LOOKAHEAD = 12
 
 
 class LegalityError(RuntimeError):
@@ -76,68 +93,122 @@ def estimate_cost(intermediate_counts: Sequence[int]) -> float:
     n = len(intermediate_counts)
     if n == 0:
         return 0.0
-    return sum(((n - i) / n) ** 2 * m * SWAP_COST
-               for i, m in enumerate(intermediate_counts, start=1))
+    # Term by term (w_i * m_i) * 34, summed in order, as the formula reads:
+    # a different association or summation can flip a near-tie.
+    return sum(map(mul, map(mul, _damping(n), intermediate_counts), repeat(SWAP_COST, n)))
+
+
+@lru_cache(maxsize=16)
+def _damping(n: int) -> tuple[float, ...]:
+    """The weights ((n - i) / n)^2, i = 1..n, of :func:`estimate_cost`."""
+    return tuple(((n - i) / n) ** 2 for i in range(1, n + 1))
+
+
+def _check_lookahead(lookahead: int) -> None:
+    if not 1 <= lookahead <= MAX_LOOKAHEAD:
+        raise ValueError(f"lookahead must be between 1 and {MAX_LOOKAHEAD} "
+                         f"(MAX_LOOKAHEAD), got {lookahead}")
+
+
+def _stops(ill: tuple[int, int], path: Sequence[int], mover: Mover) -> list[int]:
+    """Wires the mover's state visits: its own, then the path's interior
+    toward the other endpoint."""
+    inter = list(path[1:-1])
+    return [ill[0]] + inter if mover is Mover.CONTROL else [ill[1]] + inter[::-1]
+
+
+def _search_cost(stops: Sequence[int], mover: Mover) -> int:
+    return SWAP_COST * (len(stops) - 1) + (CONTROL_MOVE_COST if mover is Mover.CONTROL else 0)
 
 
 def _chain(ill: tuple[int, int], path: Sequence[int], mover: Mover) -> SwapChain:
-    inter = list(path[1:-1])
-    stops = [ill[0]] + inter if mover is Mover.CONTROL else [ill[1]] + inter[::-1]
-    swaps = tuple(zip(stops, stops[1:]))
-    relabel = {stops[0]: stops[-1]}
+    stops = _stops(ill, path, mover)
+    relabel = {stops[0]: stops[-1]} | dict(zip(stops[1:], stops))
+    return SwapChain(mover, tuple(path), tuple(zip(stops, stops[1:])),
+                     QubitMapping.from_dict(relabel), _search_cost(stops, mover))
+
+
+def _relabeled(perm: Sequence[int], stops: Sequence[int]) -> list[int]:
+    """Dense ``perm`` followed by the relabeling of the chain along
+    ``stops``: the first stop's state lands on the last stop and every
+    other stop's state moves back one stop."""
+    step = list(range(len(perm)))
+    step[stops[0]] = stops[-1]
     for prev, cur in zip(stops, stops[1:]):
-        relabel[cur] = prev
-    cost = SWAP_COST * len(inter) + (CONTROL_MOVE_COST if mover is Mover.CONTROL else 0)
-    return SwapChain(mover, tuple(path), swaps, QubitMapping.from_dict(relabel), cost)
+        step[cur] = prev
+    return [step[q] for q in perm]
 
 
-def _first_illegal(cnots: Sequence[tuple[int, int]], graph: CouplingGraph) -> int:
-    for i, (c, t) in enumerate(cnots):
-        if not graph.is_legal_cnot(c, t, respect_direction=False):
+def _repairs(ill: tuple[int, int], graph: CouplingGraph,
+             perm: Sequence[int]) -> Iterator[tuple[Mover, int, list[int]]]:
+    """Both SWAP chains that repair ``ill``, control moved first, as
+    (mover, search cost, ``perm`` followed by the chain's relabeling)."""
+    path = graph.shortest_path(*ill)
+    for mover in (Mover.CONTROL, Mover.TARGET):
+        stops = _stops(ill, path, mover)
+        yield mover, _search_cost(stops, mover), _relabeled(perm, stops)
+
+
+def _first_illegal(cnots: Sequence[tuple[int, int]], graph: CouplingGraph,
+                   start: int = 0, perm: Sequence[int] | None = None) -> int:
+    """Index of the first CNOT at or after ``start`` that is not an edge of
+    the undirected view, each qubit q read as ``perm[q]``; -1 if none."""
+    adjacent = graph.adjacency_matrix
+    p = range(graph.num_qubits) if perm is None else perm
+    for i in range(start, len(cnots)):
+        c, t = cnots[i]
+        if not adjacent[p[c]][p[t]]:
             return i
     return -1
 
 
-def _residual_intermediates(cnots: Sequence[tuple[int, int]],
-                            graph: CouplingGraph) -> list[int]:
-    return [graph.intermediates(c, t) for c, t in cnots
-            if not graph.is_legal_cnot(c, t, respect_direction=False)]
+def _residual_intermediates(cnots: Sequence[tuple[int, int]], graph: CouplingGraph,
+                            start: int = 0, perm: Sequence[int] | None = None) -> list[int]:
+    """Intermediate-vertex counts of the illegal CNOTs at or after
+    ``start``, in order, each qubit q read as ``perm[q]``."""
+    adjacent, between = graph.adjacency_matrix, graph.intermediates_matrix
+    p = range(graph.num_qubits) if perm is None else perm
+    counts = [between[a][b] for c, t in islice(cnots, start, None)
+              if not adjacent[(a := p[c])][(b := p[t])]]
+    if not graph.is_connected and -1 in counts:
+        raise DisconnectedGraphError("no path between the qubits of an illegal CNOT")
+    return counts
 
 
-def _choose_chain(ill: tuple[int, int], rest: Sequence[tuple[int, int]],
-                  graph: CouplingGraph, lookahead: int) -> tuple[SwapChain, float]:
+def _choose_chain(ill: tuple[int, int], cnots: Sequence[tuple[int, int]], start: int,
+                  perm: Sequence[int], graph: CouplingGraph,
+                  lookahead: int) -> tuple[SwapChain, float]:
     """Best first-level SwapChain for ``ill`` by exact search of the top
     ``lookahead`` levels of the control/target decision tree.
 
-    Leaves below the horizon add the estimated cost of their residue.  The
-    control branch is explored before the target branch at every level, and
-    ties keep the earlier-explored leaf.
+    The CNOTs after ``ill`` are ``cnots[start:]`` read through the dense
+    relabeling ``perm``; a branch composes its chain onto ``perm`` instead
+    of rewriting them.  Leaves below the horizon add the estimated cost of
+    their residue.  The control branch is explored before the target
+    branch at every level, and ties keep the earlier-explored leaf.
     """
-    best_cost = [float("inf")]
-    best_first: list[SwapChain | None] = [None]
+    best_cost = float("inf")
+    best_mover: Mover | None = None
 
-    def descend(ill: tuple[int, int], rest: Sequence[tuple[int, int]],
-                acc: float, first: SwapChain | None, depth: int) -> None:
-        path = graph.shortest_path(ill[0], ill[1])
-        for mover in (Mover.CONTROL, Mover.TARGET):
-            chain = _chain(ill, path, mover)
-            cost = acc + chain.search_cost
-            lead = first if first is not None else chain
-            m = chain.relabeling
-            mapped = [(m(c), m(t)) for c, t in rest]
-            j = _first_illegal(mapped, graph)
+    def descend(ill: tuple[int, int], start: int, perm: Sequence[int], acc: float,
+                lead: Mover | None, depth: int) -> None:
+        nonlocal best_cost, best_mover
+        for mover, step_cost, moved in _repairs(ill, graph, perm):
+            cost = acc + step_cost
+            first = mover if lead is None else lead
+            j = _first_illegal(cnots, graph, start, moved)
             if j >= 0 and depth < lookahead:
-                descend(mapped[j], mapped[j + 1:], cost, lead, depth + 1)
+                c, t = cnots[j]
+                descend((moved[c], moved[t]), j + 1, moved, cost, first, depth + 1)
                 continue
             if j >= 0:
-                cost += estimate_cost(_residual_intermediates(mapped[j:], graph))
-            if cost < best_cost[0]:
-                best_cost[0] = cost
-                best_first[0] = lead
+                cost += estimate_cost(_residual_intermediates(cnots, graph, j, moved))
+            if cost < best_cost:
+                best_cost, best_mover = cost, first
 
-    descend(ill, rest, 0.0, None, 1)
-    assert best_first[0] is not None
-    return best_first[0], best_cost[0]
+    descend(ill, start, perm, 0.0, None, 1)
+    assert best_mover is not None
+    return _chain(ill, graph.shortest_path(*ill), best_mover), best_cost
 
 
 def lookahead_choose(ill: tuple[int, int], rest: Sequence[tuple[int, int]],
@@ -145,7 +216,12 @@ def lookahead_choose(ill: tuple[int, int], rest: Sequence[tuple[int, int]],
                      lookahead: int = DEFAULT_LOOKAHEAD) -> tuple[QubitMapping, float]:
     """Relabeling of the chosen repair for ``ill`` and its search cost
     (exact over the horizon, estimated below it)."""
-    chain, cost = _choose_chain(tuple(ill), list(rest), graph, lookahead)
+    _check_lookahead(lookahead)
+    rest = [(c, t) for c, t in rest]
+    n = graph.num_qubits
+    if not all(0 <= q < n for pair in rest for q in pair):
+        raise IndexError(f"a CNOT in rest touches a qubit outside 0..{n - 1}")
+    chain, cost = _choose_chain(tuple(ill), rest, 0, range(n), graph, lookahead)
     return chain.relabeling, cost
 
 
@@ -163,34 +239,35 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
 
     Each repair relabels the rest of the program (the triggering CNOT
     included); the returned mapping is the composition of every repair, so
-    original qubit q ends the program on wire ``final_mapping(q)``.
+    original qubit q ends the program on wire ``final_mapping(q)``.  The
+    relabelings are kept as one running wire permutation, and each output
+    gate is built once, when it is emitted.
     """
-    if lookahead < 1:
-        raise ValueError("lookahead must be at least 1")
+    _check_lookahead(lookahead)
     if not graph.is_connected:
         raise DisconnectedGraphError("coupling graph is not connected")
-    pending = list(circuit.gates)
+    adjacent = graph.adjacency_matrix
+    cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
+    wire = list(range(max(circuit.num_qubits, graph.num_qubits)))
     out: list[Gate] = []
-    total = QubitMapping.identity()
     search_cost = 0
     swaps = 0
-    k = 0
-    while k < len(pending):
-        g = pending[k]
-        if g.kind is GateKind.CNOT and not graph.is_legal_cnot(
-                g.qubits[0], g.qubits[1], respect_direction=False):
-            rest = [(x.qubits[0], x.qubits[1]) for x in pending[k + 1:]
-                    if x.kind is GateKind.CNOT]
-            chain, _ = _choose_chain((g.qubits[0], g.qubits[1]), rest, graph, lookahead)
-            out.extend(chain.gates())
-            pending[k:] = [x.relabeled(chain.relabeling) for x in pending[k:]]
-            total = total.then(chain.relabeling)
-            search_cost += chain.search_cost
-            swaps += len(chain.swaps)
-            continue  # pending[k] is the same CNOT relabeled, now legal
-        out.append(g)
-        k += 1
-    return RouteResult(circuit.with_gates(out), total, search_cost, swaps)
+    k = 0  # CNOTs seen so far; cnots[k:] are the ones after the current gate
+    for g in circuit.gates:
+        if g.kind is GateKind.CNOT:
+            k += 1
+            c, t = g.qubits
+            while not adjacent[wire[c]][wire[t]]:
+                chain, _ = _choose_chain((wire[c], wire[t]), cnots, k, wire, graph, lookahead)
+                out.extend(chain.gates())
+                step = chain.relabeling.as_dict()
+                wire = [step.get(w, w) for w in wire]
+                search_cost += chain.search_cost
+                swaps += len(chain.swaps)
+        qubits = tuple(wire[q] for q in g.qubits)
+        out.append(g if qubits == g.qubits else Gate(g.kind, qubits, g.params, g.clbit))
+    final = QubitMapping(tuple(enumerate(wire)))
+    return RouteResult(circuit.with_gates(out), final, search_cost, swaps)
 
 
 def local_adjust(circuit: Circuit, graph: CouplingGraph,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .coupling import CouplingGraph
 from .ir import Circuit, GateKind, QubitMapping, single_qubit_matrix
-from .routing import Mover, _chain, _first_illegal
+from .routing import _first_illegal, _repairs
 
 MAX_QUBITS = 16
 
@@ -168,25 +168,20 @@ def brute_force_route_cost(circuit: Circuit, graph: CouplingGraph) -> int:
     is measured against; cost units match the router's accounting
     (34 per intermediate vertex, +4 per displaced control).
     """
-    cnots = [(g.qubits[0], g.qubits[1]) for g in circuit.gates
-             if g.kind is GateKind.CNOT]
+    cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
     illegal = sum(1 for c, t in cnots
                   if not graph.is_legal_cnot(c, t, respect_direction=False))
     if illegal > MAX_ORACLE_ILLEGAL:
         raise ValueError(f"{illegal} illegal CNOTs exceeds the oracle cap "
                          f"of {MAX_ORACLE_ILLEGAL}")
 
-    def best(cs: list[tuple[int, int]]) -> int:
-        i = _first_illegal(cs, graph)
+    def best(start: int, perm: list[int]) -> int:
+        # the CNOTs from ``start`` on, read through the relabeling ``perm``
+        i = _first_illegal(cnots, graph, start, perm)
         if i < 0:
             return 0
-        path = graph.shortest_path(cs[i][0], cs[i][1])
-        rest = cs[i + 1:]
-        costs = []
-        for mover in (Mover.CONTROL, Mover.TARGET):
-            chain = _chain(cs[i], path, mover)
-            m = chain.relabeling
-            costs.append(chain.search_cost + best([(m(c), m(t)) for c, t in rest]))
-        return min(costs)
+        c, t = cnots[i]
+        return min(cost + best(i + 1, moved)
+                   for _, cost, moved in _repairs((perm[c], perm[t]), graph, perm))
 
-    return best(cnots)
+    return best(0, list(range(graph.num_qubits)))

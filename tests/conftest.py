@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 import qlayout as ql
+from qlayout.coupling import CouplingGraph
 from qlayout.ir import Gate, GateKind
 
 finite_angles = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi,
@@ -45,6 +46,25 @@ def circuits(draw, max_qubits: int = 5, max_gates: int = 12,
                               min_size=1, max_size=n))
             gates.append(ql.barrier(*sorted(qs)))
     return ql.Circuit(n, n_cl, tuple(gates))
+
+
+@st.composite
+def connected_graphs(draw, min_qubits: int = 3, max_qubits: int = 7):
+    """Random connected coupling graphs, directed or not: a random spanning
+    tree plus random extra edges, each in a random orientation, on shuffled
+    vertex labels."""
+    n = draw(st.integers(min_value=min_qubits, max_value=max_qubits))
+    label = draw(st.permutations(range(n)))
+    edges = set()
+    for v in range(1, n):
+        u = draw(st.integers(min_value=0, max_value=v - 1))
+        edges.add((u, v) if draw(st.booleans()) else (v, u))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    for a, b in draw(st.lists(st.tuples(vertex, vertex), max_size=n)):
+        if a != b:
+            edges.add((a, b))
+    return CouplingGraph(n, frozenset((label[a], label[b]) for a, b in edges),
+                         directed=draw(st.booleans()))
 
 
 def random_unitary_circuit(rng: np.random.Generator, n: int, n_gates: int) -> ql.Circuit:

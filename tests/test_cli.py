@@ -72,6 +72,14 @@ class TestTranspileCommand:
                      "--coupling", str(graph),
                      "--out", str(workdir / "x.qasm")]) == 2
 
+    def test_lookahead_above_bound_exits_1(self, workdir, capsys):
+        assert main(["transpile", "--qasm", str(workdir / "in.qasm"),
+                     "--coupling", "layout:linear:5",
+                     "--out", str(workdir / "x.qasm"), "--lookahead", "40"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "12" in err
+        assert not (workdir / "x.qasm").exists()
+
     def test_baseline_mode(self, workdir):
         out = workdir / "base.qasm"
         assert main(["transpile", "--qasm", str(workdir / "in.qasm"),

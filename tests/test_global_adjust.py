@@ -3,8 +3,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import qlayout as ql
+from conftest import connected_graphs
 from qlayout.coupling import CouplingGraph, make_layout
 from qlayout.global_adjust import SearchLimits, candidate_mappings, global_adjust
 from qlayout.ir import QubitMapping
@@ -61,6 +64,25 @@ class TestCandidateMappings:
                 break
         assert set(candidate_mappings((c, t), g, prefix)) == set(
             all_legalizing_transpositions((c, t), g, prefix))
+
+    @given(data=st.data())
+    def test_matches_transposition_oracle_on_arbitrary_graphs(self, data):
+        g = data.draw(connected_graphs())
+        n = g.num_qubits
+        illegal = [(c, t) for c in range(n) for t in range(n)
+                   if c != t and not g.is_legal_cnot(c, t, respect_direction=False)]
+        assume(illegal)
+        ill = data.draw(st.sampled_from(illegal))
+        edge = st.sampled_from(sorted(g.edges))
+        prefix = data.draw(st.lists(st.tuples(edge, st.booleans()).map(
+            lambda e: e[0][::-1] if e[1] else e[0]), max_size=8))
+        cands = candidate_mappings(ill, g, prefix)
+        assert len(set(cands)) == len(cands)
+        assert set(cands) == set(all_legalizing_transpositions(ill, g, prefix))
+
+    def test_illegal_prefix_rejected(self):
+        with pytest.raises(ValueError, match="prefix"):
+            candidate_mappings((0, 3), make_layout("linear", 4), prefix=[(0, 2)])
 
 
 class TestGlobalAdjust:

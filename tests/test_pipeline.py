@@ -5,7 +5,7 @@ import pytest
 import qlayout as ql
 from qlayout.coupling import CouplingGraph, DisconnectedGraphError, make_layout
 from qlayout.pipeline import PipelineConfig, check_legal, transpile, transpile_baseline
-from qlayout.routing import LegalityError
+from qlayout.routing import MAX_LOOKAHEAD, LegalityError
 
 
 # directed chain: relabeling 1<->3 legalizes cx(1,4) without any new gate
@@ -81,6 +81,9 @@ class TestTranspile:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(lookahead=0)
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_LOOKAHEAD}"):
+            PipelineConfig(lookahead=MAX_LOOKAHEAD + 1)
+        assert PipelineConfig(lookahead=MAX_LOOKAHEAD).lookahead == MAX_LOOKAHEAD
         with pytest.raises(ValueError):
             PipelineConfig(tolerance=0.0)
 

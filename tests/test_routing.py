@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlayout as ql
+from conftest import circuits, connected_graphs
 from qlayout.coupling import CouplingGraph, DisconnectedGraphError, make_layout
-from qlayout.ir import GateKind, QubitMapping
+from qlayout.ir import Gate, GateKind, QubitMapping
 from qlayout.routing import (
+    MAX_LOOKAHEAD,
     LegalityError,
     Mover,
     SWAP_COST,
@@ -51,6 +53,13 @@ class TestEstimateCost:
         bumped = list(ms)
         bumped[idx] += 1
         assert estimate_cost(bumped) >= estimate_cost(ms)
+
+    @given(ms=st.lists(st.integers(min_value=0, max_value=60), max_size=80))
+    def test_bitwise_equal_to_reference_formula(self, ms):
+        n = len(ms)
+        reference = sum(((n - i) / n) ** 2 * m * SWAP_COST
+                        for i, m in enumerate(ms, start=1)) if n else 0.0
+        assert estimate_cost(ms).hex() == float(reference).hex()
 
 
 class TestLookaheadChoose:
@@ -134,6 +143,45 @@ class TestRouteCircuit:
         c = ql.Circuit(3, 0, (ql.cx(0, 2), ql.u1(0.7, 2)))
         result = route_circuit(c, CHAIN3)
         assert ql.equivalent(c, result.circuit, result.final_mapping, 1e-12)
+
+    def test_lookahead_bounds(self):
+        c = ql.Circuit(5, 0, (ql.cx(0, 4), ql.cx(1, 3), ql.cx(0, 2)))
+        assert route_circuit(c, CHAIN5, lookahead=MAX_LOOKAHEAD).swaps_emitted > 0
+        for bad in (0, MAX_LOOKAHEAD + 1):
+            with pytest.raises(ValueError, match=f"between 1 and {MAX_LOOKAHEAD}"):
+                route_circuit(c, CHAIN5, lookahead=bad)
+            with pytest.raises(ValueError, match="MAX_LOOKAHEAD"):
+                lookahead_choose((0, 2), [], CHAIN3, lookahead=bad)
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_output_legal_and_final_mapping_replays(self, data):
+        g = data.draw(connected_graphs())
+        circ = data.draw(circuits(max_qubits=g.num_qubits, max_gates=16)).widened(g.num_qubits)
+        result = route_circuit(circ, g)
+        out = result.circuit.gates
+        # Replay: every output gate is either the next input gate on the
+        # wires its qubits occupy now, or the first CNOT of a SWAP triple,
+        # which exchanges the states of two adjacent wires.
+        wire = list(range(g.num_qubits))
+        k = swaps = 0
+        for x in circ.gates:
+            while True:
+                expected = Gate(x.kind, tuple(wire[q] for q in x.qubits), x.params, x.clbit)
+                if out[k] == expected:
+                    k += 1
+                    break
+                a, b = out[k].qubits
+                assert out[k:k + 3] == (ql.cx(a, b), ql.cx(b, a), ql.cx(a, b))
+                wire = [b if w == a else a if w == b else w for w in wire]
+                k += 3
+                swaps += 1
+        assert k == len(out)
+        assert swaps == result.swaps_emitted
+        assert QubitMapping(tuple(enumerate(wire))) == result.final_mapping
+        for gate in out:
+            if gate.kind is GateKind.CNOT:
+                assert g.is_legal_cnot(*gate.qubits, respect_direction=False)
 
 
 class TestLookaheadVersusOracle:
