@@ -5,6 +5,21 @@ Accepted grammar: the ``OPENQASM 2.0;`` header, an optional
 and statements built from u1/u2/u3/cx/h/measure/barrier.  Angle arguments
 are arithmetic over float literals and ``pi`` (e.g. ``pi/2``, ``3*pi/4``).
 
+Reading takes one regex scan: ``findall`` returns the tokens as plain
+strings, comments and whitespace dropped, and the parser walks that list
+with an integer index.  A token's kind is read from its first character.
+No position is kept per token; when an error is raised, the text is
+scanned again up to the failing token to find its line and column.
+
+Errors: malformed input, an unsupported gate or statement, an unknown
+register and an out-of-range index raise :class:`QasmError`, a
+``ValueError`` whose ``line`` and ``column`` (both from 1) are repeated at
+the head of its message.  The position is that of the offending token;
+running out of tokens is reported just past the last one, and a missing
+``qreg`` at 1:1.  The first error in reading order is the one raised,
+except that a character which starts no token is reported first,
+wherever it stands.
+
 Emitted text parses back to a structurally equal circuit: angles are
 printed with ``repr``, the shortest decimal that round-trips the double
 exactly.
@@ -14,17 +29,10 @@ from __future__ import annotations
 import math
 import re
 
-from .ir import Circuit, Gate, GateKind
+from .ir import _PARAM_COUNT, SINGLE_QUBIT_KINDS, Circuit, Gate, GateKind
 
-_GATE_KINDS = {
-    "u1": GateKind.U1,
-    "u2": GateKind.U2,
-    "u3": GateKind.U3,
-    "h": GateKind.H,
-    "cx": GateKind.CNOT,
-}
-
-_N_ANGLES = {"u1": 1, "u2": 2, "u3": 3, "h": 0, "cx": 0}
+#: gate statements by name: the unitary kinds, spelled as ``emit_qasm`` prints them
+_GATE_KINDS = {k.value: k for k in SINGLE_QUBIT_KINDS | {GateKind.CNOT}}
 
 
 class QasmError(ValueError):
@@ -36,134 +44,45 @@ class QasmError(ValueError):
         self.column = column
 
 
+# A token is one match of the group; a comment matches outside it and
+# comes back as "".  Whitespace matches nothing, so the scan steps over it,
+# and ``\S`` makes any character that starts no token a one-character
+# token of its own.
 _TOKEN_RE = re.compile(
-    r"""(?P<comment>//[^\n]*)
-      | (?P<ws>\s+)
-      | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_.]*)
-      | (?P<string>"[^"\n]*")
-      | (?P<arrow>->)
-      | (?P<sym>[()\[\],;*/+-])
+    r"""//[^\n]*
+      | ( \d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?
+        | [A-Za-z_][A-Za-z0-9_.]*
+        | "[^"\n]*"
+        | ->
+        | [()\[\],;*/+-]
+        | \S )
     """,
     re.VERBOSE,
 )
 
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_ONE_CHAR_TOKENS = _NAME_START | frozenset("()[],;*/+-")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QasmError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        tok = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, tok, line, col))
-        newlines = tok.count("\n")
-        if newlines:
-            line += newlines
-            col = len(tok) - tok.rfind("\n")
-        else:
-            col += len(tok)
-        pos = m.end()
-    return tokens
+def _is_stray(tok: str) -> bool:
+    """A character that starts no token: what the ``\\S`` alternative caught."""
+    return len(tok) == 1 and tok not in _ONE_CHAR_TOKENS and not tok.isdecimal()
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def _here(self) -> tuple[int, int]:
-        if self.pos < len(self.tokens):
-            t = self.tokens[self.pos]
-            return t.line, t.column
-        if self.tokens:
-            t = self.tokens[-1]
-            return t.line, t.column + len(t.text)
-        return 1, 1
-
-    def error(self, message: str) -> QasmError:
-        return QasmError(message, *self._here())
-
-    def peek(self, ahead: int = 0) -> _Token | None:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
-
-    def next(self, expect: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise self.error("unexpected end of input" + (f", expected {expect!r}" if expect else ""))
-        if expect is not None and tok.text != expect:
-            raise self.error(f"expected {expect!r}, found {tok.text!r}")
-        self.pos += 1
-        return tok
-
-    def accept(self, text: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok.text == text:
-            self.pos += 1
-            return True
-        return False
-
-    # expression := term (('+'|'-') term)*
-    # term       := factor (('*'|'/') factor)*
-    # factor     := ['-'|'+'] (number | 'pi' | '(' expression ')')
-    def expression(self) -> float:
-        value = self.term()
-        while True:
-            if self.accept("+"):
-                value += self.term()
-            elif self.accept("-"):
-                value -= self.term()
-            else:
-                return value
-
-    def term(self) -> float:
-        value = self.factor()
-        while True:
-            if self.accept("*"):
-                value *= self.factor()
-            elif self.accept("/"):
-                tok = self.peek()
-                divisor = self.factor()
-                if divisor == 0:
-                    raise QasmError("division by zero in angle", tok.line, tok.column)
-                value /= divisor
-            else:
-                return value
-
-    def factor(self) -> float:
-        if self.accept("-"):
-            return -self.factor()
-        if self.accept("+"):
-            return self.factor()
-        if self.accept("("):
-            value = self.expression()
-            self.next(")")
-            return value
-        tok = self.peek()
-        if tok is None:
-            raise self.error("unexpected end of angle expression")
-        if tok.kind == "number":
-            self.pos += 1
-            return float(tok.text)
-        if tok.text == "pi":
-            self.pos += 1
-            return math.pi
-        raise QasmError(f"expected a number or 'pi', found {tok.text!r}", tok.line, tok.column)
+def _error(text: str, index: int, message: str) -> QasmError:
+    """``message`` at the ``index``-th token of ``text``, or just past the
+    last token when there are fewer; (1, 1) when there are none."""
+    offset = None
+    tokens = (m for m in _TOKEN_RE.finditer(text) if m.lastindex)
+    for k, m in enumerate(tokens):
+        if k == index:
+            offset = m.start()
+            break
+        offset = m.end()
+    if offset is None:
+        return QasmError(message, 1, 1)
+    return QasmError(message, text.count("\n", 0, offset) + 1,
+                     offset - text.rfind("\n", 0, offset))
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -172,119 +91,194 @@ def parse_qasm(text: str) -> Circuit:
     Raises :class:`QasmError` with line/column on malformed input,
     unsupported gates, and out-of-range register indices.
     """
-    p = _Parser(_tokenize(text))
-    p.next("OPENQASM")
-    version = p.next()
-    if version.text != "2.0":
-        raise QasmError(f"unsupported version {version.text!r}", version.line, version.column)
-    p.next(";")
+    toks = list(filter(None, _TOKEN_RE.findall(text)))
+    try:
+        return _parse(text, toks)
+    except (ValueError, RecursionError):
+        # A stray character is reported in preference to any other error,
+        # wherever it stands.  A parse that succeeds has matched every token
+        # against a valid form, so it cannot contain one.
+        stray = next((k for k, t in enumerate(toks) if _is_stray(t)), None)
+        if stray is None:
+            raise
+        raise _error(text, stray, f"unexpected character {toks[stray]!r}") from None
 
-    qreg: tuple[str, int] | None = None
-    creg: tuple[str, int] | None = None
+
+def _parse(text: str, toks: list[str]) -> Circuit:
+    n = len(toks)
+    toks.append("")  # end of input: equal to no expected token
+
+    def fail(i: int, message: str) -> QasmError:
+        return _error(text, i, message)
+
+    def unexpected(i: int, message: str) -> QasmError:
+        """``message`` about ``toks[i]``, or end of input if there is none."""
+        return fail(i, "unexpected end of input" if i >= n else message)
+
+    def expect(i: int, want: str) -> int:
+        """Check that ``toks[i]`` is ``want``; the index after it."""
+        if toks[i] != want:
+            raise fail(i, f"expected {want!r}, found {toks[i]!r}" if i < n
+                       else f"unexpected end of input, expected {want!r}")
+        return i + 1
+
+    # expression := term (('+'|'-') term)*
+    # term       := factor (('*'|'/') factor)*
+    # factor     := ['-'|'+'] (number | 'pi' | '(' expression ')')
+    # Each returns the value and the index of the first token after it.
+    def expression(i: int) -> tuple[float, int]:
+        value, i = term(i)
+        while True:
+            op = toks[i]
+            if op == "+":
+                rhs, i = term(i + 1)
+                value += rhs
+            elif op == "-":
+                rhs, i = term(i + 1)
+                value -= rhs
+            else:
+                return value, i
+
+    def term(i: int) -> tuple[float, int]:
+        value, i = factor(i)
+        while True:
+            op = toks[i]
+            if op == "*":
+                rhs, i = factor(i + 1)
+                value *= rhs
+            elif op == "/":
+                divisor, j = factor(i + 1)
+                if divisor == 0:
+                    raise fail(i + 1, "division by zero in angle")
+                value /= divisor
+                i = j
+            else:
+                return value, i
+
+    def factor(i: int) -> tuple[float, int]:
+        tok = toks[i]
+        if tok == "-":
+            value, i = factor(i + 1)
+            return -value, i
+        if tok == "+":
+            return factor(i + 1)
+        if tok == "(":
+            value, i = expression(i + 1)
+            return value, expect(i, ")")
+        if i >= n:
+            raise fail(i, "unexpected end of angle expression")
+        if tok[0].isdecimal() or tok[0] == ".":
+            return float(tok), i + 1
+        if tok == "pi":
+            return math.pi, i + 1
+        raise fail(i, f"expected a number or 'pi', found {tok!r}")
+
+    def index(i: int, name: str, size: int) -> int:
+        """The integer at ``toks[i]``, closed by ``]``, below ``size``."""
+        idx = toks[i]
+        if "." in idx or not idx[:1].isdecimal():
+            raise unexpected(i, "register index must be an integer")
+        expect(i + 1, "]")
+        k = int(idx)
+        if k >= size:
+            raise fail(i, f"index {k} out of range for {name}[{size}]")
+        return k
+
+    def qubit(i: int) -> int:
+        """The operand ``name[index]`` at ``toks[i:i + 4]``."""
+        if toks[i] != qname:
+            raise unexpected(i, f"unknown quantum register {toks[i]!r}")
+        return index(expect(i + 1, "["), qname, qsize)
+
+    def qubits(i: int) -> tuple[list[int], int]:
+        """A comma-separated list of operands from ``toks[i]``; the index after."""
+        out = [qubit(i)]
+        i += 4
+        while toks[i] == ",":
+            out.append(qubit(i + 1))
+            i += 5
+        return out, i
+
+    expect(0, "OPENQASM")
+    if toks[1] != "2.0":
+        raise unexpected(1, f"unsupported version {toks[1]!r}")
+    i = expect(2, ";")
+
+    qname = cname = None  # the registers' names, None until declared
+    qsize = csize = 0
     gates: list[Gate] = []
-
-    def qubit_index() -> int:
-        name = p.next()
-        if qreg is None or name.text != qreg[0]:
-            raise QasmError(f"unknown quantum register {name.text!r}", name.line, name.column)
-        p.next("[")
-        idx = p.next()
-        if idx.kind != "number" or "." in idx.text:
-            raise QasmError("register index must be an integer", idx.line, idx.column)
-        p.next("]")
-        i = int(idx.text)
-        if i >= qreg[1]:
-            raise QasmError(f"index {i} out of range for {qreg[0]}[{qreg[1]}]", idx.line, idx.column)
-        return i
-
-    while p.peek() is not None:
-        tok = p.next()
-        if tok.text == "include":
-            fname = p.next()
-            if fname.text != '"qelib1.inc"':
-                raise QasmError(f"unsupported include {fname.text}", fname.line, fname.column)
-            p.next(";")
-        elif tok.text in ("qreg", "creg"):
-            name = p.next()
-            if name.kind != "name":
-                raise QasmError("expected a register name", name.line, name.column)
-            p.next("[")
-            size = p.next()
-            if size.kind != "number" or "." in size.text:
-                raise QasmError("register size must be an integer", size.line, size.column)
-            p.next("]")
-            p.next(";")
-            if tok.text == "qreg":
-                if qreg is not None:
-                    raise QasmError("only one qreg is supported", tok.line, tok.column)
-                qreg = (name.text, int(size.text))
-            else:
-                if creg is not None:
-                    raise QasmError("only one creg is supported", tok.line, tok.column)
-                creg = (name.text, int(size.text))
-        elif tok.text == "measure":
-            q = qubit_index()
-            p.next("->")
-            cname = p.next()
-            if creg is None or cname.text != creg[0]:
-                raise QasmError(f"unknown classical register {cname.text!r}", cname.line, cname.column)
-            p.next("[")
-            idx = p.next()
-            if idx.kind != "number" or "." in idx.text:
-                raise QasmError("register index must be an integer", idx.line, idx.column)
-            p.next("]")
-            c = int(idx.text)
-            if c >= creg[1]:
-                raise QasmError(f"index {c} out of range for {creg[0]}[{creg[1]}]", idx.line, idx.column)
-            p.next(";")
-            gates.append(Gate(GateKind.MEASURE, (q,), clbit=c))
-        elif tok.text == "barrier":
-            if qreg is None:
-                raise QasmError("barrier before qreg declaration", tok.line, tok.column)
-            nxt, after = p.peek(), p.peek(1)
-            qubits: list[int]
-            if nxt is not None and nxt.text == qreg[0] and after is not None and after.text == ";":
-                p.next()  # bare register name: every qubit
-                qubits = list(range(qreg[1]))
-            else:
-                qubits = [qubit_index()]
-                while p.accept(","):
-                    qubits.append(qubit_index())
-            p.next(";")
-            gates.append(Gate(GateKind.BARRIER, tuple(qubits)))
-        elif tok.kind == "name":
-            kind = _GATE_KINDS.get(tok.text)
-            if kind is None:
-                raise QasmError(f"unsupported gate {tok.text!r}", tok.line, tok.column)
+    while i < n:
+        tok, start = toks[i], i
+        kind = _GATE_KINDS.get(tok)
+        if kind is not None:
             params: list[float] = []
-            if _N_ANGLES[tok.text] > 0:
-                p.next("(")
-                params.append(p.expression())
-                while p.accept(","):
-                    params.append(p.expression())
-                p.next(")")
-                if len(params) != _N_ANGLES[tok.text]:
-                    raise QasmError(
-                        f"{tok.text} takes {_N_ANGLES[tok.text]} angle(s), got {len(params)}",
-                        tok.line, tok.column)
-            qubits = [qubit_index()]
-            while p.accept(","):
-                qubits.append(qubit_index())
-            p.next(";")
+            i += 1
+            n_angles = _PARAM_COUNT[kind]
+            if n_angles:
+                value, i = expression(expect(i, "("))
+                params.append(value)
+                while toks[i] == ",":
+                    value, i = expression(i + 1)
+                    params.append(value)
+                i = expect(i, ")")
+                if len(params) != n_angles:
+                    raise fail(start, f"{tok} takes {n_angles} angle(s), got {len(params)}")
+            operands, i = qubits(i)
+            i = expect(i, ";")
             if kind is GateKind.CNOT:
-                if len(qubits) != 2:
-                    raise QasmError("cx takes two qubits", tok.line, tok.column)
-                if qubits[0] == qubits[1]:
-                    raise QasmError("cx control and target must differ", tok.line, tok.column)
-            elif len(qubits) != 1:
-                raise QasmError(f"{tok.text} takes one qubit", tok.line, tok.column)
-            gates.append(Gate(kind, tuple(qubits), tuple(params)))
+                if len(operands) != 2:
+                    raise fail(start, "cx takes two qubits")
+                if operands[0] == operands[1]:
+                    raise fail(start, "cx control and target must differ")
+            elif len(operands) != 1:
+                raise fail(start, f"{tok} takes one qubit")
+            gates.append(Gate(kind, tuple(operands), tuple(params)))
+        elif tok == "measure":
+            q = qubit(i + 1)
+            i = expect(i + 5, "->")
+            if toks[i] != cname:
+                raise unexpected(i, f"unknown classical register {toks[i]!r}")
+            c = index(expect(i + 1, "["), cname, csize)
+            i = expect(i + 4, ";")
+            gates.append(Gate(GateKind.MEASURE, (q,), clbit=c))
+        elif tok == "barrier":
+            if qname is None:
+                raise fail(i, "barrier before qreg declaration")
+            if toks[i + 1] == qname and toks[i + 2] == ";":  # bare name: every qubit
+                operands, i = list(range(qsize)), i + 2
+            else:
+                operands, i = qubits(i + 1)
+            i = expect(i, ";")
+            gates.append(Gate(GateKind.BARRIER, tuple(operands)))
+        elif tok == "qreg" or tok == "creg":
+            name = toks[i + 1]
+            if name[:1] not in _NAME_START:
+                raise unexpected(i + 1, "expected a register name")
+            i = expect(i + 2, "[")
+            size = toks[i]
+            if "." in size or not size[:1].isdecimal():
+                raise unexpected(i, "register size must be an integer")
+            i = expect(expect(i + 1, "]"), ";")
+            if tok == "qreg":
+                if qname is not None:
+                    raise fail(start, "only one qreg is supported")
+                qname, qsize = name, int(size)
+            elif cname is not None:
+                raise fail(start, "only one creg is supported")
+            else:
+                cname, csize = name, int(size)
+        elif tok == "include":
+            if toks[i + 1] != '"qelib1.inc"':
+                raise unexpected(i + 1, f"unsupported include {toks[i + 1]}")
+            i = expect(i + 2, ";")
+        elif tok[0] in _NAME_START:
+            raise fail(i, f"unsupported gate {tok!r}")
         else:
-            raise QasmError(f"unexpected {tok.text!r}", tok.line, tok.column)
+            raise fail(i, f"unexpected {tok!r}")
 
-    if qreg is None:
+    if qname is None:
         raise QasmError("missing qreg declaration", 1, 1)
-    return Circuit(qreg[1], creg[1] if creg else 0, tuple(gates))
+    return Circuit(qsize, csize, tuple(gates))
 
 
 def emit_qasm(circuit: Circuit) -> str:
