@@ -12,7 +12,8 @@ No position is kept per token; when an error is raised, the text is
 scanned again up to the failing token to find its line and column.
 
 Errors: malformed input, an unsupported gate or statement, an unknown
-register and an out-of-range index raise :class:`QasmError`, a
+register, an out-of-range index and an angle that evaluates to an
+infinity or NaN (``1e999``, ``1e308*10``) raise :class:`QasmError`, a
 ``ValueError`` whose ``line`` and ``column`` (both from 1) are repeated at
 the head of its message.  The position is that of the offending token;
 running out of tokens is reported just past the last one, and a missing
@@ -232,6 +233,12 @@ def _parse(text: str, toks: list[str]) -> Circuit:
                     raise fail(start, "cx control and target must differ")
             elif len(operands) != 1:
                 raise fail(start, f"{tok} takes one qubit")
+            if not all(map(math.isfinite, params)):
+                i = start + 2  # walk the angles again to the first non-finite one
+                for value in params:
+                    if not math.isfinite(value):
+                        raise fail(i, f"non-finite angle in {tok} gate")
+                    i = expression(i)[1] + 1
             gates.append(Gate(kind, tuple(operands), tuple(params)))
         elif tok == "measure":
             q = qubit(i + 1)

@@ -52,6 +52,19 @@ class TestParse:
         c = ql.parse_qasm(HEADER + f"u1({text}) q[0];")
         assert c.gates[0].params[0] == pytest.approx(value, abs=0, rel=1e-15)
 
+    @pytest.mark.parametrize("gate,column", [
+        ("u1(1e999)", 4),
+        ("u1(1e308*10)", 4),
+        ("u2(1e999,1e999)", 4),
+        ("u3(0,pi,-0*1e999)", 9),
+        ("u3(1,2,1e999/1e999)", 8),
+    ])
+    def test_non_finite_angle_carries_position(self, gate, column):
+        # the error names the first non-finite angle's first token
+        with pytest.raises(QasmError, match="non-finite angle in u[123] gate") as err:
+            ql.parse_qasm(HEADER + f"{gate} q[0];")
+        assert (err.value.line, err.value.column) == (4, column)
+
     def test_unsupported_gate_rejected(self):
         with pytest.raises(QasmError, match="unsupported gate 'ccx'"):
             ql.parse_qasm(HEADER + "ccx q[0],q[1],q[0];")
