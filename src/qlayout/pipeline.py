@@ -23,6 +23,7 @@ from .routing import (
     DEFAULT_LOOKAHEAD,
     LegalityError,
     _check_lookahead,
+    fit_to_graph,
     fix_directions,
     naive_route,
     route_circuit,
@@ -92,13 +93,10 @@ def transpile(circuit: Circuit, graph: CouplingGraph,
     """Rewrite ``circuit`` to satisfy ``graph``; verify legality before
     returning.  The circuit is widened to the graph's qubit count."""
     config = config or PipelineConfig()
-    if circuit.num_qubits > graph.num_qubits:
-        raise ValueError(f"circuit uses {circuit.num_qubits} qubits but the "
-                         f"layout has only {graph.num_qubits}")
+    work = fit_to_graph(circuit, graph)
     if not graph.is_connected:
         raise DisconnectedGraphError("coupling graph is not connected")
     start = time.perf_counter()
-    work = circuit.widened(graph.num_qubits)
     stages = {"input": gate_counts(work)}
 
     initial = QubitMapping.identity()
@@ -139,13 +137,10 @@ def transpile_baseline(circuit: Circuit, graph: CouplingGraph,
                        do_merge: bool = True) -> TranspileResult:
     """Swap-there-and-back baseline under the same contract as
     :func:`transpile`: legal output, identity mappings."""
-    if circuit.num_qubits > graph.num_qubits:
-        raise ValueError(f"circuit uses {circuit.num_qubits} qubits but the "
-                         f"layout has only {graph.num_qubits}")
+    work = fit_to_graph(circuit, graph)
     if not graph.is_connected:
         raise DisconnectedGraphError("coupling graph is not connected")
     start = time.perf_counter()
-    work = circuit.widened(graph.num_qubits)
     stages = {"input": gate_counts(work)}
     work = naive_route(work, graph)
     stages["naive_route"] = gate_counts(work)

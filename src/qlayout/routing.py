@@ -233,6 +233,17 @@ class RouteResult:
     swaps_emitted: int
 
 
+def fit_to_graph(circuit: Circuit, graph: CouplingGraph) -> Circuit:
+    """``circuit`` on a register as wide as ``graph``, so that SWAPs may
+    move states onto any wire; a circuit wider than the graph is an error."""
+    if circuit.num_qubits > graph.num_qubits:
+        raise ValueError(f"circuit uses {circuit.num_qubits} qubits but the "
+                         f"layout has only {graph.num_qubits}")
+    if circuit.num_qubits == graph.num_qubits:
+        return circuit
+    return circuit.widened(graph.num_qubits)
+
+
 def route_circuit(circuit: Circuit, graph: CouplingGraph,
                   lookahead: int = DEFAULT_LOOKAHEAD) -> RouteResult:
     """Insert SWAP chains until no CNOT is illegal on the undirected view.
@@ -241,14 +252,16 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
     included); the returned mapping is the composition of every repair, so
     original qubit q ends the program on wire ``final_mapping(q)``.  The
     relabelings are kept as one running wire permutation, and each output
-    gate is built once, when it is emitted.
+    gate is built once, when it is emitted.  The output is as wide as the
+    graph (see :func:`fit_to_graph`).
     """
     _check_lookahead(lookahead)
+    circuit = fit_to_graph(circuit, graph)
     if not graph.is_connected:
         raise DisconnectedGraphError("coupling graph is not connected")
     adjacent = graph.adjacency_matrix
     cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
-    wire = list(range(max(circuit.num_qubits, graph.num_qubits)))
+    wire = list(range(graph.num_qubits))
     out: list[Gate] = []
     search_cost = 0
     swaps = 0
@@ -305,8 +318,10 @@ def naive_route(circuit: Circuit, graph: CouplingGraph) -> Circuit:
 
     Every illegal CNOT is wrapped in SWAPs that walk the control's state
     next to the target and immediately undo themselves, so no relabeling
-    persists (the final mapping is the identity).
+    persists (the final mapping is the identity).  The output is as wide
+    as the graph (see :func:`fit_to_graph`).
     """
+    circuit = fit_to_graph(circuit, graph)
     if not graph.is_connected:
         raise DisconnectedGraphError("coupling graph is not connected")
     out: list[Gate] = []

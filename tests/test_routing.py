@@ -17,6 +17,7 @@ from qlayout.routing import (
     SWAP_COST,
     estimate_cost,
     fix_directions,
+    local_adjust,
     lookahead_choose,
     naive_route,
     route_circuit,
@@ -26,6 +27,8 @@ from qlayout.sim import brute_force_route_cost
 
 CHAIN3 = make_layout("linear", 3)
 CHAIN5 = make_layout("linear", 5)
+# undirected star: the only path between two leaves runs through wire 4
+STAR5 = CouplingGraph(5, frozenset({(4, 0), (4, 1), (4, 2), (4, 3)}))
 
 
 def cnot_kinds(circuit):
@@ -153,12 +156,26 @@ class TestRouteCircuit:
             with pytest.raises(ValueError, match="MAX_LOOKAHEAD"):
                 lookahead_choose((0, 2), [], CHAIN3, lookahead=bad)
 
+    def test_narrow_circuit_widened_to_the_graph(self):
+        # the chain for cx(0, 1) moves a state onto wire 4, outside the
+        # circuit's own two-qubit register
+        c = ql.Circuit(2, 0, (ql.cx(0, 1),))
+        result = route_circuit(c, STAR5)
+        assert result.circuit.num_qubits == 5 and result.swaps_emitted == 1
+        assert local_adjust(c, STAR5) == (result.circuit, result.final_mapping)
+
+    def test_circuit_wider_than_graph_rejected(self):
+        with pytest.raises(ValueError, match="uses 4 qubits but the layout has only 3"):
+            route_circuit(ql.Circuit(4, 0, (ql.cx(0, 3),)), CHAIN3)
+
     @settings(deadline=None)
     @given(data=st.data())
     def test_output_legal_and_final_mapping_replays(self, data):
+        # the circuit may be narrower than the graph
         g = data.draw(connected_graphs())
-        circ = data.draw(circuits(max_qubits=g.num_qubits, max_gates=16)).widened(g.num_qubits)
+        circ = data.draw(circuits(max_qubits=g.num_qubits, max_gates=16))
         result = route_circuit(circ, g)
+        assert result.circuit.num_qubits == g.num_qubits
         out = result.circuit.gates
         # Replay: every output gate is either the next input gate on the
         # wires its qubits occupy now, or the first CNOT of a SWAP triple,
@@ -277,3 +294,12 @@ class TestNaiveRoute:
         g = CouplingGraph(4, frozenset({(0, 1), (2, 3)}))
         with pytest.raises(DisconnectedGraphError):
             naive_route(ql.Circuit(4, 0, (ql.cx(0, 3),)), g)
+
+    def test_narrow_circuit_widened_to_the_graph(self):
+        routed = naive_route(ql.Circuit(2, 0, (ql.cx(0, 1),)), STAR5)
+        assert routed.num_qubits == 5
+        assert ql.equivalent(ql.Circuit(5, 0, (ql.cx(0, 1),)), routed, tol=1e-9)
+
+    def test_circuit_wider_than_graph_rejected(self):
+        with pytest.raises(ValueError, match="uses 4 qubits but the layout has only 3"):
+            naive_route(ql.Circuit(4, 0, (ql.cx(0, 3),)), CHAIN3)
