@@ -90,7 +90,8 @@ def parse_qasm(text: str) -> Circuit:
     """Parse source text into a :class:`Circuit`.
 
     Raises :class:`QasmError` with line/column on malformed input,
-    unsupported gates, and out-of-range register indices.
+    unsupported gates, out-of-range register indices and non-finite
+    angles; the module docstring gives the whole contract.
     """
     toks = list(filter(None, _TOKEN_RE.findall(text)))
     try:
