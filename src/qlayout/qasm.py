@@ -5,20 +5,16 @@ Accepted grammar: the ``OPENQASM 2.0;`` header, an optional
 and statements built from u1/u2/u3/cx/h/measure/barrier.  Angle arguments
 are arithmetic over float literals and ``pi`` (e.g. ``pi/2``, ``3*pi/4``).
 
-Reading takes one regex scan: ``findall`` returns the tokens as plain
-strings, comments and whitespace dropped, and the parser walks that list
-with an integer index.  A token's kind is read from its first character.
-No position is kept per token; when an error is raised, the text is
-scanned again up to the failing token to find its line and column.
+Reading is one regex scan: ``findall`` returns the tokens as strings,
+comments and whitespace dropped, and the parser walks that list with an
+index, reading a token's kind from its first character.  No position is
+tracked; an error scans the text again up to its token to find one.
 
-Errors: malformed input, an unsupported gate or statement, an unknown
-register, an out-of-range index and an angle that evaluates to an
-infinity or NaN (``1e999``, ``1e308*10``) raise :class:`QasmError`, a
-``ValueError`` whose ``line`` and ``column`` (both from 1) are repeated at
-the head of its message.  The position is that of the offending token;
-running out of tokens is reported just past the last one, and a missing
-``qreg`` at 1:1.  The first error in reading order is the one raised,
-except that a character which starts no token is reported first,
+Malformed input, including an angle that is infinite or NaN, raises
+:class:`QasmError`: a ``ValueError`` carrying the 1-based ``line`` and
+``column`` of the offending token, or of the point just past the last
+token when the input runs out.  The first error in reading order is
+raised, except that a character which starts no token is reported
 wherever it stands.
 
 Emitted text parses back to a structurally equal circuit: angles are
@@ -29,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import islice
 
 from .ir import _PARAM_COUNT, SINGLE_QUBIT_KINDS, Circuit, Gate, GateKind
 
@@ -45,10 +42,9 @@ class QasmError(ValueError):
         self.column = column
 
 
-# A token is one match of the group; a comment matches outside it and
-# comes back as "".  Whitespace matches nothing, so the scan steps over it,
-# and ``\S`` makes any character that starts no token a one-character
-# token of its own.
+# A token is one match of the group; a comment matches outside it and comes
+# back as "".  Whitespace matches nothing, so the scan steps over it, and ``\S``
+# makes any character that starts no token a one-character token of its own.
 _TOKEN_RE = re.compile(
     r"""//[^\n]*
       | ( \d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?
@@ -62,154 +58,153 @@ _TOKEN_RE = re.compile(
 )
 
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_ONE_CHAR_TOKENS = _NAME_START | frozenset("()[],;*/+-")
 
 
 def _is_stray(tok: str) -> bool:
     """A character that starts no token: what the ``\\S`` alternative caught."""
-    return len(tok) == 1 and tok not in _ONE_CHAR_TOKENS and not tok.isdecimal()
+    return len(tok) == 1 and not (tok in _NAME_START or tok in "()[],;*/+-" or tok.isdecimal())
+
+
+class _Reject(Exception):
+    """``(index, message)``: a parse failure at a token, before its position is known."""
 
 
 def _error(text: str, index: int, message: str) -> QasmError:
     """``message`` at the ``index``-th token of ``text``, or just past the
     last token when there are fewer; (1, 1) when there are none."""
-    offset = None
-    tokens = (m for m in _TOKEN_RE.finditer(text) if m.lastindex)
-    for k, m in enumerate(tokens):
-        if k == index:
-            offset = m.start()
-            break
-        offset = m.end()
-    if offset is None:
+    tokens = list(islice((m for m in _TOKEN_RE.finditer(text) if m.lastindex), index + 1))
+    if not tokens:
         return QasmError(message, 1, 1)
+    offset = tokens[index].start() if index < len(tokens) else tokens[-1].end()
     return QasmError(message, text.count("\n", 0, offset) + 1,
                      offset - text.rfind("\n", 0, offset))
 
 
 def parse_qasm(text: str) -> Circuit:
-    """Parse source text into a :class:`Circuit`.
-
-    Raises :class:`QasmError` with line/column on malformed input,
-    unsupported gates, out-of-range register indices and non-finite
-    angles; the module docstring gives the whole contract.
-    """
+    """Parse source text into a :class:`Circuit`; malformed input raises
+    :class:`QasmError` with line/column, as the module docstring sets out."""
     toks = list(filter(None, _TOKEN_RE.findall(text)))
-    try:
-        return _parse(text, toks)
-    except (ValueError, RecursionError):
-        # A stray character is reported in preference to any other error,
-        # wherever it stands.  A parse that succeeds has matched every token
-        # against a valid form, so it cannot contain one.
-        stray = next((k for k, t in enumerate(toks) if _is_stray(t)), None)
-        if stray is None:
-            raise
-        raise _error(text, stray, f"unexpected character {toks[stray]!r}") from None
-
-
-def _parse(text: str, toks: list[str]) -> Circuit:
-    n = len(toks)
     toks.append("")  # end of input: equal to no expected token
+    try:
+        return _parse(toks)
+    except (_Reject, ValueError, RecursionError) as exc:
+        # A stray character is reported before any other error, wherever it
+        # stands.  A parse that succeeds matched every token, so has none.
+        stray = next((k for k, t in enumerate(toks) if _is_stray(t)), None)
+        if stray is not None:
+            raise _error(text, stray, f"unexpected character {toks[stray]!r}") from None
+        if isinstance(exc, _Reject):
+            raise _error(text, *exc.args) from None
+        raise
 
-    def fail(i: int, message: str) -> QasmError:
-        return _error(text, i, message)
 
-    def unexpected(i: int, message: str) -> QasmError:
-        """``message`` about ``toks[i]``, or end of input if there is none."""
-        return fail(i, "unexpected end of input" if i >= n else message)
+# Each function below takes the index of its first token and returns the index
+# after its last.  The "" that ends the token list stands for the end of input.
 
-    def expect(i: int, want: str) -> int:
-        """Check that ``toks[i]`` is ``want``; the index after it."""
-        if toks[i] != want:
-            raise fail(i, f"expected {want!r}, found {toks[i]!r}" if i < n
-                       else f"unexpected end of input, expected {want!r}")
-        return i + 1
+def _unexpected(toks: list[str], i: int, message: str) -> _Reject:
+    """``message`` about ``toks[i]``, or end of input if there is none."""
+    return _Reject(i, message if toks[i] else "unexpected end of input")
 
-    # expression := term (('+'|'-') term)*
-    # term       := factor (('*'|'/') factor)*
-    # factor     := ['-'|'+'] (number | 'pi' | '(' expression ')')
-    # Each returns the value and the index of the first token after it.
-    def expression(i: int) -> tuple[float, int]:
-        value, i = term(i)
-        while True:
-            op = toks[i]
-            if op == "+":
-                rhs, i = term(i + 1)
-                value += rhs
-            elif op == "-":
-                rhs, i = term(i + 1)
-                value -= rhs
-            else:
-                return value, i
 
-    def term(i: int) -> tuple[float, int]:
-        value, i = factor(i)
-        while True:
-            op = toks[i]
-            if op == "*":
-                rhs, i = factor(i + 1)
-                value *= rhs
-            elif op == "/":
-                divisor, j = factor(i + 1)
-                if divisor == 0:
-                    raise fail(i + 1, "division by zero in angle")
-                value /= divisor
-                i = j
-            else:
-                return value, i
+def _expect(toks: list[str], i: int, want: str) -> int:
+    if toks[i] != want:
+        raise _Reject(i, f"expected {want!r}, found {toks[i]!r}" if toks[i]
+                      else f"unexpected end of input, expected {want!r}")
+    return i + 1
 
-    def factor(i: int) -> tuple[float, int]:
-        tok = toks[i]
-        if tok == "-":
-            value, i = factor(i + 1)
-            return -value, i
-        if tok == "+":
-            return factor(i + 1)
-        if tok == "(":
-            value, i = expression(i + 1)
-            return value, expect(i, ")")
-        if i >= n:
-            raise fail(i, "unexpected end of angle expression")
-        if tok[0].isdecimal() or tok[0] == ".":
-            return float(tok), i + 1
-        if tok == "pi":
-            return math.pi, i + 1
-        raise fail(i, f"expected a number or 'pi', found {tok!r}")
 
-    def index(i: int, name: str, size: int) -> int:
-        """The integer at ``toks[i]``, closed by ``]``, below ``size``."""
-        idx = toks[i]
-        if "." in idx or not idx[:1].isdecimal():
-            raise unexpected(i, "register index must be an integer")
-        expect(i + 1, "]")
-        k = int(idx)
-        if k >= size:
-            raise fail(i, f"index {k} out of range for {name}[{size}]")
-        return k
+# expression := term (('+'|'-') term)*
+# term       := factor (('*'|'/') factor)*
+# factor     := ['-'|'+'] (number | 'pi' | '(' expression ')')
+def _expression(toks: list[str], i: int) -> tuple[float, int]:
+    value, i = _term(toks, i)
+    while True:
+        op = toks[i]
+        if op == "+":
+            rhs, i = _term(toks, i + 1)
+            value += rhs
+        elif op == "-":
+            rhs, i = _term(toks, i + 1)
+            value -= rhs
+        else:
+            return value, i
 
-    def qubit(i: int) -> int:
-        """The operand ``name[index]`` at ``toks[i:i + 4]``."""
-        if toks[i] != qname:
-            raise unexpected(i, f"unknown quantum register {toks[i]!r}")
-        return index(expect(i + 1, "["), qname, qsize)
 
-    def qubits(i: int) -> tuple[list[int], int]:
-        """A comma-separated list of operands from ``toks[i]``; the index after."""
-        out = [qubit(i)]
-        i += 4
-        while toks[i] == ",":
-            out.append(qubit(i + 1))
-            i += 5
-        return out, i
+def _term(toks: list[str], i: int) -> tuple[float, int]:
+    value, i = _factor(toks, i)
+    while True:
+        op = toks[i]
+        if op == "*":
+            rhs, i = _factor(toks, i + 1)
+            value *= rhs
+        elif op == "/":
+            divisor, j = _factor(toks, i + 1)
+            if divisor == 0:
+                raise _Reject(i + 1, "division by zero in angle")
+            value /= divisor
+            i = j
+        else:
+            return value, i
 
-    expect(0, "OPENQASM")
+
+def _factor(toks: list[str], i: int) -> tuple[float, int]:
+    tok = toks[i]
+    if tok == "-":
+        value, i = _factor(toks, i + 1)
+        return -value, i
+    if tok == "+":
+        return _factor(toks, i + 1)
+    if tok == "(":
+        value, i = _expression(toks, i + 1)
+        return value, _expect(toks, i, ")")
+    if not tok:
+        raise _Reject(i, "unexpected end of angle expression")
+    if tok[0].isdecimal() or tok[0] == ".":
+        return float(tok), i + 1
+    if tok == "pi":
+        return math.pi, i + 1
+    raise _Reject(i, f"expected a number or 'pi', found {tok!r}")
+
+
+def _index(toks: list[str], i: int, name: str, size: int) -> int:
+    """The integer at ``toks[i]``, closed by ``]``, below ``size``."""
+    idx = toks[i]
+    if "." in idx or not idx[:1].isdecimal():
+        raise _unexpected(toks, i, "register index must be an integer")
+    _expect(toks, i + 1, "]")
+    k = int(idx)
+    if k >= size:
+        raise _Reject(i, f"index {k} out of range for {name}[{size}]")
+    return k
+
+
+def _qubit(toks: list[str], i: int, qreg: tuple[str, int] | None) -> int:
+    """The operand ``name[index]`` at ``toks[i:i + 4]``."""
+    if qreg is None or toks[i] != qreg[0]:
+        raise _unexpected(toks, i, f"unknown quantum register {toks[i]!r}")
+    return _index(toks, _expect(toks, i + 1, "["), *qreg)
+
+
+def _qubits(toks: list[str], i: int, qreg: tuple[str, int] | None) -> tuple[list[int], int]:
+    """A comma-separated list of operands."""
+    out = [_qubit(toks, i, qreg)]
+    i += 4
+    while toks[i] == ",":
+        out.append(_qubit(toks, i + 1, qreg))
+        i += 5
+    return out, i
+
+
+def _parse(toks: list[str]) -> Circuit:
+    _expect(toks, 0, "OPENQASM")
     if toks[1] != "2.0":
-        raise unexpected(1, f"unsupported version {toks[1]!r}")
-    i = expect(2, ";")
+        raise _unexpected(toks, 1, f"unsupported version {toks[1]!r}")
+    i = _expect(toks, 2, ";")
 
-    qname = cname = None  # the registers' names, None until declared
-    qsize = csize = 0
+    qreg: tuple[str, int] | None = None  # (name, size) once declared
+    creg: tuple[str, int] | None = None
     gates: list[Gate] = []
-    while i < n:
+    while toks[i]:
         tok, start = toks[i], i
         kind = _GATE_KINDS.get(tok)
         if kind is not None:
@@ -217,76 +212,74 @@ def _parse(text: str, toks: list[str]) -> Circuit:
             i += 1
             n_angles = _PARAM_COUNT[kind]
             if n_angles:
-                value, i = expression(expect(i, "("))
+                value, i = _expression(toks, _expect(toks, i, "("))
                 params.append(value)
                 while toks[i] == ",":
-                    value, i = expression(i + 1)
+                    value, i = _expression(toks, i + 1)
                     params.append(value)
-                i = expect(i, ")")
+                i = _expect(toks, i, ")")
                 if len(params) != n_angles:
-                    raise fail(start, f"{tok} takes {n_angles} angle(s), got {len(params)}")
-            operands, i = qubits(i)
-            i = expect(i, ";")
+                    raise _Reject(start, f"{tok} takes {n_angles} angle(s), got {len(params)}")
+            operands, i = _qubits(toks, i, qreg)
+            i = _expect(toks, i, ";")
             if kind is GateKind.CNOT:
                 if len(operands) != 2:
-                    raise fail(start, "cx takes two qubits")
+                    raise _Reject(start, "cx takes two qubits")
                 if operands[0] == operands[1]:
-                    raise fail(start, "cx control and target must differ")
+                    raise _Reject(start, "cx control and target must differ")
             elif len(operands) != 1:
-                raise fail(start, f"{tok} takes one qubit")
+                raise _Reject(start, f"{tok} takes one qubit")
             if not all(map(math.isfinite, params)):
                 i = start + 2  # walk the angles again to the first non-finite one
                 for value in params:
                     if not math.isfinite(value):
-                        raise fail(i, f"non-finite angle in {tok} gate")
-                    i = expression(i)[1] + 1
+                        raise _Reject(i, f"non-finite angle in {tok} gate")
+                    i = _expression(toks, i)[1] + 1
             gates.append(Gate(kind, tuple(operands), tuple(params)))
         elif tok == "measure":
-            q = qubit(i + 1)
-            i = expect(i + 5, "->")
-            if toks[i] != cname:
-                raise unexpected(i, f"unknown classical register {toks[i]!r}")
-            c = index(expect(i + 1, "["), cname, csize)
-            i = expect(i + 4, ";")
+            q = _qubit(toks, i + 1, qreg)
+            i = _expect(toks, i + 5, "->")
+            if creg is None or toks[i] != creg[0]:
+                raise _unexpected(toks, i, f"unknown classical register {toks[i]!r}")
+            c = _index(toks, _expect(toks, i + 1, "["), *creg)
+            i = _expect(toks, i + 4, ";")
             gates.append(Gate(GateKind.MEASURE, (q,), clbit=c))
         elif tok == "barrier":
-            if qname is None:
-                raise fail(i, "barrier before qreg declaration")
-            if toks[i + 1] == qname and toks[i + 2] == ";":  # bare name: every qubit
-                operands, i = list(range(qsize)), i + 2
+            if qreg is None:
+                raise _Reject(i, "barrier before qreg declaration")
+            if toks[i + 1] == qreg[0] and toks[i + 2] == ";":  # bare name: every qubit
+                operands, i = list(range(qreg[1])), i + 2
             else:
-                operands, i = qubits(i + 1)
-            i = expect(i, ";")
+                operands, i = _qubits(toks, i + 1, qreg)
+            i = _expect(toks, i, ";")
             gates.append(Gate(GateKind.BARRIER, tuple(operands)))
         elif tok == "qreg" or tok == "creg":
             name = toks[i + 1]
             if name[:1] not in _NAME_START:
-                raise unexpected(i + 1, "expected a register name")
-            i = expect(i + 2, "[")
+                raise _unexpected(toks, i + 1, "expected a register name")
+            i = _expect(toks, i + 2, "[")
             size = toks[i]
             if "." in size or not size[:1].isdecimal():
-                raise unexpected(i, "register size must be an integer")
-            i = expect(expect(i + 1, "]"), ";")
+                raise _unexpected(toks, i, "register size must be an integer")
+            i = _expect(toks, _expect(toks, i + 1, "]"), ";")
+            if (qreg if tok == "qreg" else creg) is not None:
+                raise _Reject(start, f"only one {tok} is supported")
             if tok == "qreg":
-                if qname is not None:
-                    raise fail(start, "only one qreg is supported")
-                qname, qsize = name, int(size)
-            elif cname is not None:
-                raise fail(start, "only one creg is supported")
+                qreg = (name, int(size))
             else:
-                cname, csize = name, int(size)
+                creg = (name, int(size))
         elif tok == "include":
             if toks[i + 1] != '"qelib1.inc"':
-                raise unexpected(i + 1, f"unsupported include {toks[i + 1]}")
-            i = expect(i + 2, ";")
+                raise _unexpected(toks, i + 1, f"unsupported include {toks[i + 1]}")
+            i = _expect(toks, i + 2, ";")
         elif tok[0] in _NAME_START:
-            raise fail(i, f"unsupported gate {tok!r}")
+            raise _Reject(i, f"unsupported gate {tok!r}")
         else:
-            raise fail(i, f"unexpected {tok!r}")
+            raise _Reject(i, f"unexpected {tok!r}")
 
-    if qname is None:
+    if qreg is None:
         raise QasmError("missing qreg declaration", 1, 1)
-    return Circuit(qsize, csize, tuple(gates))
+    return Circuit(qreg[1], creg[1] if creg else 0, tuple(gates))
 
 
 def emit_qasm(circuit: Circuit) -> str:
