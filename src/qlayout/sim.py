@@ -5,16 +5,47 @@ Qubit 0 is the least significant bit of the basis index, so basis state
 16 qubits; measures and barriers are treated as the identity, since the
 oracle compares states, not samples.
 
+A circuit is run on a (2**n, k) block of column states in two steps:
+
+* *Fusion.*  One pass over the gates turns the circuit into a short list
+  of dense blocks.  Consecutive single-qubit gates on a qubit multiply out
+  to one 2x2.  A CNOT opens a 4x4 block on its pair, folding in the 2x2s
+  pending on both qubits, or extends the pair's open block; gates on
+  either qubit of an open block join it.  A CNOT that would join two open
+  blocks, or one open block and a third qubit, first closes -- emits --
+  the blocks it straddles.  Open blocks sit on disjoint qubits, so they
+  commute, and the order in which they are emitted only has to respect
+  each qubit's own gate order.
+* *Kernels.*  A 2x2 on qubit q is one broadcast ``matmul`` over the
+  ``(2**(n-q-1), 2, 2**q * k)`` view of the block.  A 4x4 on a pair
+  gathers the rows grouped by the pair's two bits (a strided copy),
+  multiplies them by the block in one ``(4, 4) @ (4, 2**n * k / 4)``
+  product and scatters the result back.  Each kernel reads one buffer and
+  writes the other, so a run holds exactly two blocks however long the
+  circuit.
+
+The probe states are built in one pass: the angles of all product probes
+are one ``rng.random`` draw -- the same doubles, in the same order, that
+scalar ``uniform(0, pi)``/``uniform(0, 2 pi)`` calls give -- and the
+product states grow together, one concatenation per qubit.
+
+Nothing is cached between calls: each call fuses its circuits afresh, so
+its cost is the cost of checking those circuits, whatever was checked
+before.
+
 Also home to the exhaustive routing oracle used to certify the lookahead
 router: it tries every control/target displacement assignment and returns
 the true minimum search cost.
 """
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from .coupling import CouplingGraph
-from .ir import Circuit, GateKind, QubitMapping, single_qubit_matrix
+from .ir import (IDENTITY_2, Circuit, Gate, GateKind, Mat2, QubitMapping, mat2_mul,
+                 single_qubit_matrix)
 from .routing import _first_illegal, _repairs
 
 MAX_QUBITS = 16
@@ -23,30 +54,116 @@ MAX_QUBITS = 16
 BASIS_PROBES = 32
 PRODUCT_PROBES = 8
 
+# Row orders of a CNOT inside a 4x4 block on the pair (x, y), whose local
+# index is 2 * bit(x) + bit(y): cx(x, y) swaps rows 2 and 3, cx(y, x) rows
+# 1 and 3.
+_CX_ROWS = (0, 1, 3, 2)
+_XC_ROWS = (0, 3, 2, 1)
+
+
+def _kron(x: Mat2, y: Mat2) -> list[complex]:
+    """Row-major 4x4 ``x (x) y``: x acts on the high bit of the local index."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return [a * e, a * f, b * e, b * f,
+            a * g, a * h, b * g, b * h,
+            c * e, c * f, d * e, d * f,
+            c * g, c * h, d * g, d * h]
+
+
+class _Pair:
+    """An open 4x4 block on qubits (x, y): ``matrix`` so far, and the
+    single-qubit gates since its last CNOT, not yet multiplied in."""
+
+    __slots__ = ("x", "y", "matrix", "ux", "uy")
+
+    def __init__(self, x: int, y: int, ux: Mat2 | None, uy: Mat2 | None):
+        self.x, self.y = x, y
+        self.matrix: np.ndarray | None = None
+        self.ux, self.uy = ux, uy
+
+    def multiply(self, rows: tuple[int, ...] = (0, 1, 2, 3)) -> None:
+        """Fold the pending single-qubit gates, then the row permutation
+        ``rows``, into the block."""
+        if self.ux is None and self.uy is None:
+            if self.matrix is None:
+                self.matrix = np.eye(4, dtype=np.complex128)[list(rows)]
+            else:
+                self.matrix = self.matrix[list(rows)]
+            return
+        k = _kron(self.ux or IDENTITY_2, self.uy or IDENTITY_2)
+        left = np.array([k[4 * r + c] for r in rows for c in range(4)],
+                        dtype=np.complex128).reshape(4, 4)
+        self.matrix = left if self.matrix is None else left @ self.matrix
+        self.ux = self.uy = None
+
+
+def _fuse(gates: Iterable[Gate]) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """The gates as dense blocks ``(qubits, matrix)``, in an order that
+    keeps every qubit's gates in program order; a 4x4 on ``(x, y)`` has
+    local index ``2 * bit(x) + bit(y)``."""
+    blocks: list[tuple[tuple[int, ...], np.ndarray]] = []
+    single: dict[int, Mat2] = {}  # pending 2x2s on qubits outside any pair
+    pair: dict[int, _Pair] = {}   # open pair of each of its two qubits
+
+    def close(p: _Pair) -> None:
+        p.multiply()
+        blocks.append(((p.x, p.y), p.matrix))
+        del pair[p.x], pair[p.y]
+
+    for g in gates:
+        kind = g.kind
+        if kind is GateKind.CNOT:
+            c, t = g.qubits
+            p = pair.get(c)
+            if p is None or pair.get(t) is not p:
+                for q in (c, t):
+                    if q in pair:
+                        close(pair[q])
+                p = _Pair(c, t, single.pop(c, None), single.pop(t, None))
+                pair[c] = pair[t] = p
+            p.multiply(_CX_ROWS if c == p.x else _XC_ROWS)
+        elif g.is_single_qubit:
+            q = g.qubits[0]
+            u = single_qubit_matrix(g)
+            p = pair.get(q)
+            if p is None:
+                prev = single.get(q)
+                single[q] = u if prev is None else mat2_mul(u, prev)
+            elif q == p.x:
+                p.ux = u if p.ux is None else mat2_mul(u, p.ux)
+            else:
+                p.uy = u if p.uy is None else mat2_mul(u, p.uy)
+        # measure/barrier: identity
+    for p in {id(p): p for p in pair.values()}.values():
+        close(p)
+    for q, u in single.items():
+        blocks.append(((q,), np.array(u, dtype=np.complex128).reshape(2, 2)))
+    return blocks
+
 
 def _apply(circuit: Circuit, block: np.ndarray) -> np.ndarray:
-    """Run the circuit on a (2**n, k) block of column states, in place."""
-    n = circuit.num_qubits
-    k = block.shape[1]
-    view = block.reshape((2,) * n + (k,))
-    for g in circuit.gates:
-        if g.kind is GateKind.CNOT:
-            c, t = g.qubits
-            idx10: list = [slice(None)] * (n + 1)
-            idx10[n - 1 - c] = 1
-            idx11 = list(idx10)
-            idx10[n - 1 - t] = 0
-            idx11[n - 1 - t] = 1
-            tmp = view[tuple(idx10)].copy()
-            view[tuple(idx10)] = view[tuple(idx11)]
-            view[tuple(idx11)] = tmp
-        elif g.is_single_qubit:
-            u = np.array(single_qubit_matrix(g), dtype=np.complex128).reshape(2, 2)
-            axis = n - 1 - g.qubits[0]
-            moved = np.moveaxis(view, axis, 0)
-            moved[:] = np.tensordot(u, moved, axes=(1, 0))
-        # measure/barrier: identity
-    return block
+    """Run the circuit on a (2**n, k) block of column states, n at least
+    the circuit's width, and return the result.  ``block`` is used as one
+    of the two work buffers, so its contents are lost."""
+    dim, k = block.shape
+    src, dst = block, np.empty_like(block)
+    for qubits, matrix in _fuse(circuit.gates):
+        if len(qubits) == 1:
+            q = qubits[0]
+            shape = (dim >> (q + 1), 2, k << q)
+            np.matmul(matrix, src.reshape(shape), out=dst.reshape(shape))
+        else:
+            x, y = qubits
+            lo, hi = min(x, y), max(x, y)
+            shape = (dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, k << lo)
+            axes = (1, 3, 0, 2, 4) if x == hi else (3, 1, 0, 2, 4)
+            grouped = dst.reshape((2, 2) + shape[0:5:2])
+            np.copyto(grouped, src.reshape(shape).transpose(axes))
+            np.matmul(matrix, grouped.reshape(4, -1), out=src.reshape(4, -1))
+            np.copyto(dst.reshape(shape).transpose(axes), src.reshape(grouped.shape))
+        src, dst = dst, src
+    return src
 
 
 def simulate(circuit: Circuit, initial: int | np.ndarray = 0) -> np.ndarray:
@@ -94,24 +211,21 @@ def _probe_block(n: int, seed: int) -> np.ndarray:
     basis probes alone are blind to diagonal-phase differences."""
     dim = 1 << n
     rng = np.random.default_rng(seed)
-    cols = []
-    if n <= 6:
-        cols.extend(np.eye(dim, dtype=np.complex128).T)
-    else:
-        for b in rng.choice(dim, size=BASIS_PROBES, replace=False):
-            col = np.zeros(dim, dtype=np.complex128)
-            col[b] = 1.0
-            cols.append(col)
-    for _ in range(PRODUCT_PROBES):
-        state = np.ones(1, dtype=np.complex128)
-        for _q in range(n):
-            theta = rng.uniform(0, np.pi)
-            phi = rng.uniform(0, 2 * np.pi)
-            factor = np.array([np.cos(theta / 2),
-                               np.exp(1j * phi) * np.sin(theta / 2)])
-            state = np.kron(factor, state)  # new qubit is the higher bit
-        cols.append(state)
-    return np.stack(cols, axis=1)
+    basis = np.arange(dim) if n <= 6 else rng.choice(dim, size=BASIS_PROBES, replace=False)
+    # theta ~ uniform(0, pi) and phi ~ uniform(0, 2 pi) per probe and qubit
+    angles = rng.random((PRODUCT_PROBES, n, 2))
+    theta = np.pi * angles[:, :, 0]
+    phi = 2 * np.pi * angles[:, :, 1]
+    zero = np.cos(theta / 2)
+    one = np.exp(1j * phi) * np.sin(theta / 2)
+    states = np.ones((PRODUCT_PROBES, 1), dtype=np.complex128)
+    for q in range(n):  # qubit q is the higher bit of what came before
+        states = np.concatenate((zero[:, q:q + 1] * states, one[:, q:q + 1] * states),
+                                axis=1)
+    block = np.zeros((dim, len(basis) + PRODUCT_PROBES), dtype=np.complex128)
+    block[basis, np.arange(len(basis))] = 1.0
+    block[:, len(basis):] = states.T
+    return block
 
 
 def probe_fidelity(original: Circuit, transpiled: Circuit,
@@ -124,7 +238,8 @@ def probe_fidelity(original: Circuit, transpiled: Circuit,
     ``final_map`` says where each original qubit's state ends up in the
     transpiled circuit; ``initial_map`` (for circuits whose very first
     wires were renamed, with no gates moving states there) says where it
-    begins, and permutes the transpiled side's probes accordingly.
+    begins, and permutes the transpiled side's probes accordingly.  The
+    narrower circuit runs on the wider register as it is.
     """
     final_map = final_map or QubitMapping.identity()
     initial_map = initial_map or QubitMapping.identity()
@@ -132,17 +247,17 @@ def probe_fidelity(original: Circuit, transpiled: Circuit,
     if n > MAX_QUBITS:
         raise ValueError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit simulator limit")
     probes = _probe_block(n, seed)
-    ref = _apply(original.widened(n), probes.copy())
+    ref = _apply(original, probes.copy())
     ref = ref[np.argsort(permutation_vector(final_map, n))]
 
-    if initial_map.is_identity:
-        tr_probes = probes.copy()
-    else:
-        tr_probes = np.empty_like(probes)
-        tr_probes[permutation_vector(initial_map, n)] = probes
-    out = _apply(transpiled.widened(n), tr_probes)
-    fidelities = np.abs(np.sum(np.conj(ref) * out, axis=0))
-    return float(fidelities.min())
+    if not initial_map.is_identity:
+        moved = np.empty_like(probes)
+        moved[permutation_vector(initial_map, n)] = probes
+        probes = moved
+    out = _apply(transpiled, probes)
+    np.conj(ref, out=ref)
+    ref *= out
+    return float(np.abs(ref.sum(axis=0)).min())
 
 
 def equivalent(original: Circuit, transpiled: Circuit,
