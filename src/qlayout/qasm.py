@@ -10,7 +10,8 @@ comments and whitespace dropped, and the parser walks that list with an
 index, reading a token's kind from its first character.  No position is
 tracked; an error scans the text again up to its token to find one.
 
-Malformed input, including an angle that is infinite or NaN, raises
+Malformed input, including an angle that is infinite or NaN or that nests
+more than ``MAX_NESTING`` parentheses and unary signs, raises
 :class:`QasmError`: a ``ValueError`` carrying the 1-based ``line`` and
 ``column`` of the offending token, or of the point just past the last
 token when the input runs out.  The first error in reading order is
@@ -31,6 +32,9 @@ from .ir import _PARAM_COUNT, SINGLE_QUBIT_KINDS, Circuit, Gate, GateKind
 
 #: gate statements by name: the unitary kinds, spelled as ``emit_qasm`` prints them
 _GATE_KINDS = {k.value: k for k in SINGLE_QUBIT_KINDS | {GateKind.CNOT}}
+
+#: parentheses and unary signs an angle may nest, so reading one needs bounded stack
+MAX_NESTING = 64
 
 
 class QasmError(ValueError):
@@ -87,7 +91,7 @@ def parse_qasm(text: str) -> Circuit:
     toks.append("")  # end of input: equal to no expected token
     try:
         return _parse(toks)
-    except (_Reject, ValueError, RecursionError) as exc:
+    except (_Reject, ValueError) as exc:
         # A stray character is reported before any other error, wherever it
         # stands.  A parse that succeeds matched every token, so has none.
         stray = next((k for k, t in enumerate(toks) if _is_stray(t)), None)
@@ -116,29 +120,30 @@ def _expect(toks: list[str], i: int, want: str) -> int:
 # expression := term (('+'|'-') term)*
 # term       := factor (('*'|'/') factor)*
 # factor     := ['-'|'+'] (number | 'pi' | '(' expression ')')
-def _expression(toks: list[str], i: int) -> tuple[float, int]:
-    value, i = _term(toks, i)
+# ``depth`` counts the parentheses and unary signs around the current token.
+def _expression(toks: list[str], i: int, depth: int = 0) -> tuple[float, int]:
+    value, i = _term(toks, i, depth)
     while True:
         op = toks[i]
         if op == "+":
-            rhs, i = _term(toks, i + 1)
+            rhs, i = _term(toks, i + 1, depth)
             value += rhs
         elif op == "-":
-            rhs, i = _term(toks, i + 1)
+            rhs, i = _term(toks, i + 1, depth)
             value -= rhs
         else:
             return value, i
 
 
-def _term(toks: list[str], i: int) -> tuple[float, int]:
-    value, i = _factor(toks, i)
+def _term(toks: list[str], i: int, depth: int) -> tuple[float, int]:
+    value, i = _factor(toks, i, depth)
     while True:
         op = toks[i]
         if op == "*":
-            rhs, i = _factor(toks, i + 1)
+            rhs, i = _factor(toks, i + 1, depth)
             value *= rhs
         elif op == "/":
-            divisor, j = _factor(toks, i + 1)
+            divisor, j = _factor(toks, i + 1, depth)
             if divisor == 0:
                 raise _Reject(i + 1, "division by zero in angle")
             value /= divisor
@@ -147,16 +152,16 @@ def _term(toks: list[str], i: int) -> tuple[float, int]:
             return value, i
 
 
-def _factor(toks: list[str], i: int) -> tuple[float, int]:
+def _factor(toks: list[str], i: int, depth: int) -> tuple[float, int]:
     tok = toks[i]
-    if tok == "-":
-        value, i = _factor(toks, i + 1)
-        return -value, i
-    if tok == "+":
-        return _factor(toks, i + 1)
-    if tok == "(":
-        value, i = _expression(toks, i + 1)
-        return value, _expect(toks, i, ")")
+    if tok == "-" or tok == "+" or tok == "(":
+        if depth == MAX_NESTING:
+            raise _Reject(i, f"angle nested deeper than {MAX_NESTING} levels")
+        if tok == "(":
+            value, i = _expression(toks, i + 1, depth + 1)
+            return value, _expect(toks, i, ")")
+        value, i = _factor(toks, i + 1, depth + 1)
+        return (-value if tok == "-" else value), i
     if not tok:
         raise _Reject(i, "unexpected end of angle expression")
     if tok[0].isdecimal() or tok[0] == ".":
@@ -172,6 +177,8 @@ def _index(toks: list[str], i: int, name: str, size: int) -> int:
     if "." in idx or not idx[:1].isdecimal():
         raise _unexpected(toks, i, "register index must be an integer")
     _expect(toks, i + 1, "]")
+    if not idx.isdecimal():  # an exponent is checked once the operand is closed
+        raise _Reject(i, "register index must be an integer")
     k = int(idx)
     if k >= size:
         raise _Reject(i, f"index {k} out of range for {name}[{size}]")
@@ -252,6 +259,10 @@ def _parse(toks: list[str]) -> Circuit:
             else:
                 operands, i = _qubits(toks, i + 1, qreg)
             i = _expect(toks, i, ";")
+            if len(set(operands)) != len(operands):
+                k = next(k for k, q in enumerate(operands) if q in operands[:k])
+                raise _Reject(start + 1 + 5 * k,
+                              f"repeated qubit {qreg[0]}[{operands[k]}] in barrier")
             gates.append(Gate(GateKind.BARRIER, tuple(operands)))
         elif tok == "qreg" or tok == "creg":
             name = toks[i + 1]
@@ -264,6 +275,8 @@ def _parse(toks: list[str]) -> Circuit:
             i = _expect(toks, _expect(toks, i + 1, "]"), ";")
             if (qreg if tok == "qreg" else creg) is not None:
                 raise _Reject(start, f"only one {tok} is supported")
+            if not size.isdecimal():  # an exponent is checked once the statement is closed
+                raise _Reject(start + 3, "register size must be an integer")
             if tok == "qreg":
                 qreg = (name, int(size))
             else:

@@ -80,6 +80,16 @@ class TestTranspileCommand:
         assert err.startswith("error: ") and "12" in err
         assert not (workdir / "x.qasm").exists()
 
+    @pytest.mark.parametrize("angle", ["(" * 400 + "1" + ")" * 400, "-" * 5000 + "1"])
+    def test_deeply_nested_angle_exits_1(self, workdir, capsys, angle):
+        deep = workdir / "deep.qasm"
+        deep.write_text(f"OPENQASM 2.0;\nqreg q[2];\nu1({angle}) q[0];\n")
+        assert main(["transpile", "--qasm", str(deep),
+                     "--coupling", "layout:linear:3",
+                     "--out", str(workdir / "x.qasm")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3, column ") and "nested deeper" in err
+
     def test_baseline_mode(self, workdir):
         out = workdir / "base.qasm"
         assert main(["transpile", "--qasm", str(workdir / "in.qasm"),

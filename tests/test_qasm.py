@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import qlayout as ql
-from qlayout.qasm import QasmError
+from qlayout.qasm import MAX_NESTING, QasmError
 
 from conftest import circuits, random_unitary_circuit
 
@@ -99,6 +99,39 @@ class TestParse:
     def test_cx_same_qubit_rejected(self):
         with pytest.raises(QasmError, match="differ"):
             ql.parse_qasm(HEADER + "cx q[0],q[0];")
+
+    @pytest.mark.parametrize("text,message,position", [
+        (HEADER + "h q[1e3];", "register index must be an integer", (4, 5)),
+        (HEADER + "measure q[0] -> c[2e0];", "register index must be an integer", (4, 19)),
+        ("OPENQASM 2.0;\nqreg q[1e3];", "register size must be an integer", (2, 8)),
+        ("OPENQASM 2.0;\nqreg q[2];\ncreg c[5E-1];", "register size must be an integer",
+         (3, 8)),
+        (HEADER + "qreg r[1e3];", "only one qreg", (4, 1)),  # the statement's first error
+    ])
+    def test_exponent_in_index_or_size_carries_position(self, text, message, position):
+        with pytest.raises(QasmError, match=message) as err:
+            ql.parse_qasm(text)
+        assert (err.value.line, err.value.column) == position
+
+    def test_repeated_barrier_qubit_carries_position(self):
+        with pytest.raises(QasmError, match=r"repeated qubit q\[0\] in barrier") as err:
+            ql.parse_qasm(HEADER + "barrier q[0],q[1],q[0];")
+        assert (err.value.line, err.value.column) == (4, 19)
+
+    @pytest.mark.parametrize("angle,column", [
+        ("(" * 400 + "1" + ")" * 400, 4 + MAX_NESTING),
+        ("-" * 5000 + "1", 4 + MAX_NESTING),
+        ("+-" * 40 + "(1)", 4 + MAX_NESTING),
+    ])
+    def test_nesting_beyond_the_bound_carries_position(self, angle, column):
+        with pytest.raises(QasmError, match="nested deeper than 64 levels") as err:
+            ql.parse_qasm(HEADER + f"u1({angle}) q[0];")
+        assert (err.value.line, err.value.column) == (4, column)
+
+    def test_nesting_at_the_bound_is_read(self):
+        angle = "-(" * (MAX_NESTING // 2) + "pi" + ")" * (MAX_NESTING // 2)
+        c = ql.parse_qasm(HEADER + f"u1({angle}) q[0];")
+        assert c.gates[0].params == (math.pi,)
 
 
 class TestEmit:
