@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlayout as ql
 from qlayout.coupling import CouplingGraph, make_layout
-from qlayout.ir import QubitMapping
+from qlayout.ir import GateKind, QubitMapping, single_qubit_matrix
 from qlayout.sim import (
     MAX_ORACLE_ILLEGAL,
     brute_force_route_cost,
@@ -15,7 +17,51 @@ from qlayout.sim import (
     simulate,
 )
 
-from conftest import random_unitary_circuit
+from conftest import circuits, random_unitary_circuit
+
+
+def reference_unitary(circuit: ql.Circuit) -> np.ndarray:
+    """The circuit's 2**n x 2**n unitary, one full matrix per gate: a kron
+    of 2x2s for a single-qubit gate (qubit 0 rightmost), a permutation
+    matrix for a CNOT, the identity for measure and barrier."""
+    n = circuit.num_qubits
+    dim = 1 << n
+    total = np.eye(dim, dtype=complex)
+    for g in circuit.gates:
+        if g.kind is GateKind.CNOT:
+            c, t = g.qubits
+            full = np.zeros((dim, dim))
+            for b in range(dim):
+                full[b ^ (1 << t) if b >> c & 1 else b, b] = 1
+        elif g.is_single_qubit:
+            full = np.ones((1, 1))
+            for q in reversed(range(n)):
+                factor = (np.array(single_qubit_matrix(g)).reshape(2, 2)
+                          if q == g.qubits[0] else np.eye(2))
+                full = np.kron(full, factor)
+        else:
+            continue
+        total = full @ total
+    return total
+
+
+@st.composite
+def fusion_circuits(draw):
+    """Random circuits over every gate kind, with CNOT chains such as
+    (a,b), (b,c), (a,b) -- in either orientation -- spliced in, which
+    close pair blocks and open them again."""
+    circuit = draw(circuits(max_qubits=5, max_gates=20))
+    n = circuit.num_qubits
+    gates = list(circuit.gates)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        a, b, *rest = draw(st.permutations(range(n)))
+        c = rest[0] if rest else a
+        chain = [(a, b), (b, c), (a, b)]
+        flips = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+        at = draw(st.integers(min_value=0, max_value=len(gates)))
+        gates[at:at] = [ql.cx(*(pair[::-1] if flip else pair))
+                        for pair, flip in zip(chain, flips)]
+    return circuit.with_gates(gates)
 
 
 class TestSimulate:
@@ -61,6 +107,19 @@ class TestSimulate:
     def test_bad_basis_index(self):
         with pytest.raises(ValueError):
             simulate(ql.Circuit(2, 0), initial=4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fusion_circuits(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_gate_by_gate_reference(self, circuit, seed):
+        unitary = reference_unitary(circuit)
+        dim = 1 << circuit.num_qubits
+        for b in range(dim):
+            assert np.max(np.abs(simulate(circuit, b) - unitary[:, b])) <= 1e-12
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            psi /= np.linalg.norm(psi)
+            assert np.max(np.abs(simulate(circuit, psi) - unitary @ psi)) <= 1e-12
 
 
 class TestPermutation:
