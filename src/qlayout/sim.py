@@ -39,13 +39,13 @@ the true minimum search cost.
 """
 from __future__ import annotations
 
-from typing import Iterable
+import math
+from typing import Sequence
 
 import numpy as np
 
 from .coupling import CouplingGraph
-from .ir import (IDENTITY_2, Circuit, Gate, GateKind, Mat2, QubitMapping, mat2_mul,
-                 single_qubit_matrix)
+from .ir import IDENTITY_2, Circuit, Gate, GateKind, Mat2, QubitMapping, mat2_mul
 from .routing import _first_illegal, _repairs
 
 MAX_QUBITS = 16
@@ -54,11 +54,33 @@ MAX_QUBITS = 16
 BASIS_PROBES = 32
 PRODUCT_PROBES = 8
 
-# Row orders of a CNOT inside a 4x4 block on the pair (x, y), whose local
-# index is 2 * bit(x) + bit(y): cx(x, y) swaps rows 2 and 3, cx(y, x) rows
-# 1 and 3.
-_CX_ROWS = (0, 1, 3, 2)
-_XC_ROWS = (0, 3, 2, 1)
+# (theta, phi, lam) of a u3 equal to each fixed-angle kind: u1(lam) is
+# u3(0, 0, lam), u2(phi, lam) is u3(pi/2, phi, lam) and h is u2(0, pi).
+_HALF_PI = math.pi / 2
+_H_ANGLES = (_HALF_PI, 0.0, math.pi)
+
+
+def _single_matrices(gates: Sequence[Gate]) -> list[list[complex]]:
+    """The row-major 2x2 of every single-qubit gate, in order, from one
+    vectorized evaluation of ``ir.u3_matrix``'s formula over all of them;
+    each agrees with ``ir.single_qubit_matrix`` to rounding."""
+    u1, u2, u3, h = GateKind.U1, GateKind.U2, GateKind.U3, GateKind.H  # fast local names
+    angles = []
+    for g in gates:
+        kind = g.kind
+        if kind is u3:
+            angles.append(g.params)
+        elif kind is u2:
+            angles.append((_HALF_PI, *g.params))
+        elif kind is u1:
+            angles.append((0.0, 0.0, *g.params))
+        elif kind is h:
+            angles.append(_H_ANGLES)
+    theta, phi, lam = np.array(angles, dtype=float).reshape(-1, 3).T
+    cos, sin = np.cos(theta / 2), np.sin(theta / 2)
+    e_phi, e_lam = np.exp(1j * phi), np.exp(1j * lam)
+    return np.stack((cos + 0j, -e_lam * sin, e_phi * sin, e_phi * e_lam * cos),
+                    axis=1).tolist()
 
 
 def _kron(x: Mat2, y: Mat2) -> list[complex]:
@@ -72,48 +94,54 @@ def _kron(x: Mat2, y: Mat2) -> list[complex]:
 
 
 class _Pair:
-    """An open 4x4 block on qubits (x, y): ``matrix`` so far, and the
-    single-qubit gates since its last CNOT, not yet multiplied in."""
+    """An open 4x4 block on qubits (x, y), whose local index is
+    ``2 * bit(x) + bit(y)``: its factors so far, each a row-major 4x4
+    list, and the single-qubit gates since its last CNOT."""
 
-    __slots__ = ("x", "y", "matrix", "ux", "uy")
+    __slots__ = ("x", "y", "factors", "ux", "uy")
 
     def __init__(self, x: int, y: int, ux: Mat2 | None, uy: Mat2 | None):
         self.x, self.y = x, y
-        self.matrix: np.ndarray | None = None
+        self.factors: list[list[complex]] = []
         self.ux, self.uy = ux, uy
 
-    def multiply(self, rows: tuple[int, ...] = (0, 1, 2, 3)) -> None:
-        """Fold the pending single-qubit gates, then the row permutation
-        ``rows``, into the block."""
-        if self.ux is None and self.uy is None:
-            if self.matrix is None:
-                self.matrix = np.eye(4, dtype=np.complex128)[list(rows)]
-            else:
-                self.matrix = self.matrix[list(rows)]
-            return
-        k = _kron(self.ux or IDENTITY_2, self.uy or IDENTITY_2)
-        left = np.array([k[4 * r + c] for r in rows for c in range(4)],
-                        dtype=np.complex128).reshape(4, 4)
-        self.matrix = left if self.matrix is None else left @ self.matrix
+    def cnot(self, control: int) -> None:
+        """Append the pending single-qubit gates, then a CNOT: it swaps
+        rows 2 and 3 when x is the control, rows 1 and 3 when y is."""
+        f = _kron(self.ux or IDENTITY_2, self.uy or IDENTITY_2)
+        a = 8 if control == self.x else 4
+        f[a:a + 4], f[12:16] = f[12:16], f[a:a + 4]
+        self.factors.append(f)
         self.ux = self.uy = None
 
+    def matrix(self) -> np.ndarray:
+        """The product of the factors, the pending gates last."""
+        if self.ux is not None or self.uy is not None:
+            self.factors.append(_kron(self.ux or IDENTITY_2, self.uy or IDENTITY_2))
+        factors = np.array(self.factors, dtype=np.complex128).reshape(-1, 4, 4)
+        product = factors[0]
+        for f in factors[1:]:
+            product = f @ product
+        return product
 
-def _fuse(gates: Iterable[Gate]) -> list[tuple[tuple[int, ...], np.ndarray]]:
+
+def _fuse(gates: Sequence[Gate]) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """The gates as dense blocks ``(qubits, matrix)``, in an order that
     keeps every qubit's gates in program order; a 4x4 on ``(x, y)`` has
     local index ``2 * bit(x) + bit(y)``."""
     blocks: list[tuple[tuple[int, ...], np.ndarray]] = []
     single: dict[int, Mat2] = {}  # pending 2x2s on qubits outside any pair
     pair: dict[int, _Pair] = {}   # open pair of each of its two qubits
+    matrices = iter(_single_matrices(gates))
+    cnot, measure, barrier = GateKind.CNOT, GateKind.MEASURE, GateKind.BARRIER
 
     def close(p: _Pair) -> None:
-        p.multiply()
-        blocks.append(((p.x, p.y), p.matrix))
+        blocks.append(((p.x, p.y), p.matrix()))
         del pair[p.x], pair[p.y]
 
     for g in gates:
         kind = g.kind
-        if kind is GateKind.CNOT:
+        if kind is cnot:
             c, t = g.qubits
             p = pair.get(c)
             if p is None or pair.get(t) is not p:
@@ -122,10 +150,10 @@ def _fuse(gates: Iterable[Gate]) -> list[tuple[tuple[int, ...], np.ndarray]]:
                         close(pair[q])
                 p = _Pair(c, t, single.pop(c, None), single.pop(t, None))
                 pair[c] = pair[t] = p
-            p.multiply(_CX_ROWS if c == p.x else _XC_ROWS)
-        elif g.is_single_qubit:
+            p.cnot(c)
+        elif kind is not measure and kind is not barrier:
             q = g.qubits[0]
-            u = single_qubit_matrix(g)
+            u = next(matrices)
             p = pair.get(q)
             if p is None:
                 prev = single.get(q)
