@@ -9,20 +9,24 @@ A circuit is run on a (2**n, k) block of column states in two steps:
 
 * *Fusion.*  One pass over the gates turns the circuit into a short list
   of dense blocks.  Consecutive single-qubit gates on a qubit multiply out
-  to one 2x2.  A CNOT opens a 4x4 block on its pair, folding in the 2x2s
-  pending on both qubits, or extends the pair's open block; gates on
-  either qubit of an open block join it.  A CNOT that would join two open
-  blocks, or one open block and a third qubit, first closes -- emits --
-  the blocks it straddles.  Open blocks sit on disjoint qubits, so they
-  commute, and the order in which they are emitted only has to respect
-  each qubit's own gate order.
+  to one 2x2 (``ir.mat2_mul``).  A CNOT opens a 4x4 block on its pair,
+  folding in the 2x2s pending on both qubits, or extends the pair's open
+  block; gates on either qubit of an open block join it.  A CNOT that
+  would join two open blocks, or one open block and a third qubit, first
+  closes -- emits -- the blocks it straddles.  Open blocks sit on disjoint
+  qubits, so they commute, and the order in which they are emitted only
+  has to respect each qubit's own gate order.  The 2x2s of all the
+  single-qubit gates come from one vectorized evaluation of the u3
+  formula, and a pair block keeps one 4x4 factor per CNOT (the CNOT's row
+  swap after the Kronecker product of the 2x2s pending on its qubits),
+  multiplied out when the block closes.
 * *Kernels.*  A 2x2 on qubit q is one broadcast ``matmul`` over the
   ``(2**(n-q-1), 2, 2**q * k)`` view of the block.  A 4x4 on a pair
-  gathers the rows grouped by the pair's two bits (a strided copy),
-  multiplies them by the block in one ``(4, 4) @ (4, 2**n * k / 4)``
-  product and scatters the result back.  Each kernel reads one buffer and
-  writes the other, so a run holds exactly two blocks however long the
-  circuit.
+  gathers the rows grouped by the pair's two bits -- a strided copy
+  through a transposed view, so no index table is built -- multiplies
+  them by the block in one ``(4, 4) @ (4, 2**n * k / 4)`` product and
+  scatters the result back.  Each kernel reads one buffer and writes the
+  other, so a run holds exactly two blocks however long the circuit.
 
 The probe states are built in one pass: the angles of all product probes
 are one ``rng.random`` draw -- the same doubles, in the same order, that
