@@ -177,7 +177,7 @@ def _index(toks: list[str], i: int, name: str, size: int) -> int:
     if "." in idx or not idx[:1].isdecimal():
         raise _unexpected(toks, i, "register index must be an integer")
     _expect(toks, i + 1, "]")
-    if not idx.isdecimal():  # an exponent is checked once the operand is closed
+    if not idx.isdecimal():  # an exponent (1e3); checked here, a missing "]" comes first
         raise _Reject(i, "register index must be an integer")
     k = int(idx)
     if k >= size:
@@ -275,7 +275,7 @@ def _parse(toks: list[str]) -> Circuit:
             i = _expect(toks, _expect(toks, i + 1, "]"), ";")
             if (qreg if tok == "qreg" else creg) is not None:
                 raise _Reject(start, f"only one {tok} is supported")
-            if not size.isdecimal():  # an exponent is checked once the statement is closed
+            if not size.isdecimal():  # an exponent (1e3), checked after the statement's form
                 raise _Reject(start + 3, "register size must be an integer")
             if tok == "qreg":
                 qreg = (name, int(size))
