@@ -6,14 +6,27 @@ its own kind even though its matrix equals u2(0, pi), and measure/barrier
 are carried through every transformation untouched.
 
 Everything here is immutable; transformations return new values.
+
+Values are checked once, where they enter the program.  The public
+constructors (``Gate(...)``, ``Circuit(...)``, ``cx``/``h``/``u1``/...,
+``Gate.relabeled``, ``QubitMapping``) check every field: parameter count,
+finite angles, operand count and distinctness, qubit and clbit bounds.  The
+QASM reader makes the same checks on its input and builds its gates and
+circuit without a second pass.  A rewrite inside the program (relabeling
+through a permutation, a SWAP triple on a graph edge, a reversed CNOT, a
+fused single-qubit gate, a widened register) builds values whose validity
+follows from valid inputs, so it uses ``Gate._unchecked`` and
+``Circuit._unchecked``, which store their arguments as given.  Those must
+already be exactly what a checked construction would store: qubits as
+``int`` in the register, angles as finite ``float``, in tuples.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class GateKind(Enum):
@@ -24,6 +37,10 @@ class GateKind(Enum):
     CNOT = "cx"
     MEASURE = "measure"
     BARRIER = "barrier"
+
+    # Members compare by identity, so they may hash by it too: Enum's own
+    # __hash__ is a Python-level call on every set or dict lookup of a kind.
+    __hash__ = object.__hash__
 
 
 #: kinds counted as single-qubit gates (measure/barrier are bookkeeping, not gates)
@@ -40,7 +57,7 @@ _PARAM_COUNT = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One circuit operation.
 
@@ -75,6 +92,18 @@ class Gate:
         if (self.clbit is not None) != (self.kind is GateKind.MEASURE):
             raise ValueError("clbit is set exactly for measure gates")
 
+    @classmethod
+    def _unchecked(cls, kind: GateKind, qubits: tuple[int, ...],
+                   params: tuple[float, ...] = (), clbit: int | None = None) -> "Gate":
+        """A gate from fields already known to be valid, stored as given
+        (see the module docstring); no check, no conversion."""
+        g = object.__new__(cls)
+        _set_kind(g, kind)
+        _set_qubits(g, qubits)
+        _set_params(g, params)
+        _set_clbit(g, clbit)
+        return g
+
     @property
     def is_single_qubit(self) -> bool:
         return self.kind in SINGLE_QUBIT_KINDS
@@ -83,6 +112,23 @@ class Gate:
         """Rewrite qubit indices through ``mapping``; clbits stay pinned."""
         return Gate(self.kind, tuple(mapping(q) for q in self.qubits),
                     self.params, self.clbit)
+
+    def _moved(self, perm: Sequence[int]) -> "Gate":
+        """This gate with each qubit q on ``perm[q]``, unchecked: ``perm``
+        must map distinct qubits to distinct ints, so operands stay
+        distinct; that they lie in the register is the caller's to ensure."""
+        qubits = tuple(map(perm.__getitem__, self.qubits))
+        if qubits == self.qubits:
+            return self
+        return Gate._unchecked(self.kind, qubits, self.params, self.clbit)
+
+
+# The slots' own setters: they write a frozen gate's fields without going
+# through its __setattr__, which refuses.
+_set_kind = Gate.kind.__set__
+_set_qubits = Gate.qubits.__set__
+_set_params = Gate.params.__set__
+_set_clbit = Gate.clbit.__set__
 
 
 def u1(lam: float, q: int) -> Gate:
@@ -133,6 +179,17 @@ class Circuit:
             if g.clbit is not None and not (0 <= g.clbit < self.num_clbits):
                 raise ValueError(f"measure writes clbit outside 0..{self.num_clbits - 1}")
 
+    @classmethod
+    def _unchecked(cls, num_qubits: int, num_clbits: int,
+                   gates: tuple[Gate, ...]) -> "Circuit":
+        """A circuit whose gates are already known to lie in its registers,
+        stored as given (see the module docstring)."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "num_qubits", num_qubits)
+        object.__setattr__(c, "num_clbits", num_clbits)
+        object.__setattr__(c, "gates", gates)
+        return c
+
     def __len__(self) -> int:
         return len(self.gates)
 
@@ -143,7 +200,7 @@ class Circuit:
         """Same gates on a register of at least the current size."""
         if num_qubits < self.num_qubits:
             raise ValueError("cannot shrink a circuit")
-        return Circuit(num_qubits, self.num_clbits, self.gates)
+        return Circuit._unchecked(num_qubits, self.num_clbits, self.gates)
 
 
 @dataclass(frozen=True)
@@ -213,15 +270,30 @@ def apply_mapping(circuit: Circuit, mapping: QubitMapping | Mapping[int, int],
         raise ValueError(f"from_gate {from_gate} outside 0..{len(circuit.gates)}")
     if mapping.is_identity:
         return circuit
-    head = circuit.gates[:from_gate]
-    tail = tuple(g.relabeled(mapping) for g in circuit.gates[from_gate:])
-    return circuit.with_gates(head + tail)
+    n = circuit.num_qubits
+    perm = list(range(n))
+    for a, b in mapping.pairs:
+        if 0 <= a < n:  # no gate touches a qubit outside the register
+            perm[a] = b
+    gates = circuit.gates[:from_gate] + tuple(g._moved(perm)
+                                              for g in circuit.gates[from_gate:])
+    if all(0 <= q < n for q in perm):
+        return Circuit._unchecked(n, circuit.num_clbits, gates)
+    # Some qubit is sent outside the register: that is an error only if a
+    # rewritten gate touches it, and the checked constructor says which.
+    return Circuit(n, circuit.num_clbits, gates)
 
 
 def gate_counts(circuit: Circuit) -> tuple[int, int]:
     """(CNOT count, single-qubit gate count); measure/barrier excluded."""
-    n2 = sum(1 for g in circuit.gates if g.kind is GateKind.CNOT)
-    n1 = sum(1 for g in circuit.gates if g.kind in SINGLE_QUBIT_KINDS)
+    n2 = n1 = 0
+    cnot = GateKind.CNOT
+    for g in circuit.gates:
+        kind = g.kind
+        if kind in SINGLE_QUBIT_KINDS:
+            n1 += 1
+        elif kind is cnot:
+            n2 += 1
     return n2, n1
 
 

@@ -90,10 +90,20 @@ def _as_zyz(gate: Gate) -> tuple[float, float, float]:
 def _from_zyz(theta: float, phi: float, lam: float, qubit: int) -> Gate:
     """Cheapest gate kind realizing Rz(phi) Ry(theta) Rz(lam)."""
     if abs(theta) < ATOL:
-        return Gate(GateKind.U1, (qubit,), (_wrap(phi + lam),))
+        return _fused(GateKind.U1, qubit, (_wrap(phi + lam),))
     if abs(theta - math.pi / 2) < ATOL:
-        return Gate(GateKind.U2, (qubit,), (_wrap(phi), _wrap(lam)))
-    return Gate(GateKind.U3, (qubit,), (theta, _wrap(phi), _wrap(lam)))
+        return _fused(GateKind.U2, qubit, (_wrap(phi), _wrap(lam)))
+    return _fused(GateKind.U3, qubit, (theta, _wrap(phi), _wrap(lam)))
+
+
+def _fused(kind: GateKind, qubit: int, params: tuple[float, ...]) -> Gate:
+    """A fused gate.  Its qubit is an input gate's and its angles are
+    floats, as many as its kind takes, so only finiteness is checked: two
+    large angles can add up to an infinity, which the Y-Z rewrite turns
+    into NaN."""
+    if not all(map(math.isfinite, params)):
+        raise ValueError(f"non-finite angle in {kind.value} gate")
+    return Gate._unchecked(kind, (qubit,), params)
 
 
 def merge_adjacent(later: Gate, earlier: Gate) -> Gate:
@@ -110,24 +120,36 @@ def merge_adjacent(later: Gate, earlier: Gate) -> Gate:
     qubit = later.qubits[0]
 
     if later.kind is GateKind.U1 and earlier.kind is GateKind.U1:
-        return Gate(GateKind.U1, (qubit,), (_wrap(later.params[0] + earlier.params[0]),))
+        return _fused(GateKind.U1, qubit, (_wrap(later.params[0] + earlier.params[0]),))
     if later.kind is GateKind.U1:
         t, p, l = _as_zyz(earlier)
         kind = GateKind.U2 if earlier.kind in (GateKind.U2, GateKind.H) else earlier.kind
         if kind is GateKind.U2:
-            return Gate(GateKind.U2, (qubit,), (_wrap(p + later.params[0]), _wrap(l)))
-        return Gate(GateKind.U3, (qubit,), (t, _wrap(p + later.params[0]), l))
+            return _fused(GateKind.U2, qubit, (_wrap(p + later.params[0]), _wrap(l)))
+        return _fused(GateKind.U3, qubit, (t, _wrap(p + later.params[0]), l))
     if earlier.kind is GateKind.U1:
         t, p, l = _as_zyz(later)
         kind = GateKind.U2 if later.kind in (GateKind.U2, GateKind.H) else later.kind
         if kind is GateKind.U2:
-            return Gate(GateKind.U2, (qubit,), (_wrap(p), _wrap(l + earlier.params[0])))
-        return Gate(GateKind.U3, (qubit,), (t, p, _wrap(l + earlier.params[0])))
+            return _fused(GateKind.U2, qubit, (_wrap(p), _wrap(l + earlier.params[0])))
+        return _fused(GateKind.U3, qubit, (t, p, _wrap(l + earlier.params[0])))
 
     t1, p1, l1 = _as_zyz(later)
     t2, p2, l2 = _as_zyz(earlier)
     theta, alpha, gamma = yz_to_zy(t1, l1 + p2, t2)
     return _from_zyz(theta, p1 + alpha, gamma + l2, qubit)
+
+
+def _may_be_identity(gate: Gate) -> bool:
+    """False for a gate whose matrix :func:`_is_identity` must reject, read
+    off the angles before any matrix is built.  u2 and h have
+    |m01| = 1/sqrt(2); a u3 has |m01| = |sin(theta/2)|, up to rounding of a
+    unit phase, so above 2 * ATOL it fails the off-diagonal test.  Only
+    rules out: a True still needs the matrix."""
+    kind = gate.kind
+    if kind is GateKind.U2 or kind is GateKind.H:
+        return False
+    return kind is not GateKind.U3 or abs(math.sin(gate.params[0] / 2)) <= 2 * ATOL
 
 
 def _is_identity(m: Mat2, atol: float = ATOL) -> bool:
@@ -152,7 +174,8 @@ def merge_single_qubit_runs(circuit: Circuit) -> Circuit:
 
     def flush(q: int) -> None:
         gate = pending.pop(q, None)
-        if gate is not None and not _is_identity(single_qubit_matrix(gate)):
+        if gate is not None and not (_may_be_identity(gate)
+                                     and _is_identity(single_qubit_matrix(gate))):
             out.append(gate)
 
     for g in circuit.gates:
@@ -165,4 +188,4 @@ def merge_single_qubit_runs(circuit: Circuit) -> Circuit:
             out.append(g)
     for q in sorted(pending):
         flush(q)
-    return circuit.with_gates(out)
+    return Circuit._unchecked(circuit.num_qubits, circuit.num_clbits, tuple(out))

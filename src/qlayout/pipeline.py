@@ -7,7 +7,9 @@ wire starts, produced by the gate-free global stage) and ``final_mapping``
 (where its state ends, the global stage composed with every routing
 repair).  Hardware runs, which start from the all-zeros state, only need
 ``final_mapping`` to read results back; statevector verification against
-arbitrary probes needs both.
+arbitrary probes needs both.  ``stage_counts`` and ``stage_seconds`` hold
+each stage's output gate counts and time, and the output's legality is
+checked before it is returned.
 """
 from __future__ import annotations
 
@@ -54,6 +56,7 @@ class TranspileResult:
     search_cost: int
     swaps_emitted: int
     stage_counts: dict[str, tuple[int, int]]  #: stage -> (cnots, singles)
+    stage_seconds: dict[str, float]  #: stage -> seconds since the previous stage ended
     elapsed_s: float
 
     @property
@@ -76,8 +79,27 @@ class TranspileResult:
             "swaps_emitted": self.swaps_emitted,
             "stages": {name: {"cnots": n2, "singles": n1}
                        for name, (n2, n1) in self.stage_counts.items()},
+            "stage_seconds": dict(self.stage_seconds),
             "elapsed_s": self.elapsed_s,
         }
+
+
+class _Stages:
+    """Gate counts and seconds per stage, read at each stage boundary: a
+    stage's seconds run from the boundary before it, and the first
+    boundary, "input", counts the input when the log is made."""
+
+    def __init__(self, work: Circuit):
+        self.start = self._last = time.perf_counter()
+        self.counts: dict[str, tuple[int, int]] = {}
+        self.seconds: dict[str, float] = {}
+        self.done("input", work)
+
+    def done(self, name: str, work: Circuit) -> None:
+        self.counts[name] = gate_counts(work)
+        now = time.perf_counter()
+        self.seconds[name] = now - self._last
+        self._last = now
 
 
 def check_legal(circuit: Circuit, graph: CouplingGraph) -> None:
@@ -96,14 +118,13 @@ def transpile(circuit: Circuit, graph: CouplingGraph,
     work = fit_to_graph(circuit, graph)
     if not graph.is_connected:
         raise DisconnectedGraphError("coupling graph is not connected")
-    start = time.perf_counter()
-    stages = {"input": gate_counts(work)}
+    stages = _Stages(work)
 
     initial = QubitMapping.identity()
     if config.do_global:
         initial, _ = global_adjust(work, graph, config.global_limits)
         work = apply_mapping(work, initial)
-    stages["global_adjust"] = gate_counts(work)
+    stages.done("global_adjust", work)
 
     local = QubitMapping.identity()
     search_cost = 0
@@ -112,14 +133,14 @@ def transpile(circuit: Circuit, graph: CouplingGraph,
         routed = route_circuit(work, graph, config.lookahead)
         work, local = routed.circuit, routed.final_mapping
         search_cost, swaps = routed.search_cost, routed.swaps_emitted
-    stages["local_adjust"] = gate_counts(work)
+    stages.done("local_adjust", work)
 
     work = fix_directions(work, graph)
-    stages["fix_directions"] = gate_counts(work)
+    stages.done("fix_directions", work)
 
     if config.do_merge:
         work = merge_single_qubit_runs(work)
-    stages["merge"] = gate_counts(work)
+    stages.done("merge", work)
 
     check_legal(work, graph)
     return TranspileResult(
@@ -128,8 +149,9 @@ def transpile(circuit: Circuit, graph: CouplingGraph,
         final_mapping=initial.then(local),
         search_cost=search_cost,
         swaps_emitted=swaps,
-        stage_counts=stages,
-        elapsed_s=time.perf_counter() - start,
+        stage_counts=stages.counts,
+        stage_seconds=stages.seconds,
+        elapsed_s=time.perf_counter() - stages.start,
     )
 
 
@@ -140,16 +162,15 @@ def transpile_baseline(circuit: Circuit, graph: CouplingGraph,
     work = fit_to_graph(circuit, graph)
     if not graph.is_connected:
         raise DisconnectedGraphError("coupling graph is not connected")
-    start = time.perf_counter()
-    stages = {"input": gate_counts(work)}
+    stages = _Stages(work)
     work = naive_route(work, graph)
-    stages["naive_route"] = gate_counts(work)
+    stages.done("naive_route", work)
     work = fix_directions(work, graph)
-    stages["fix_directions"] = gate_counts(work)
+    stages.done("fix_directions", work)
     if do_merge:
         work = merge_single_qubit_runs(work)
-    stages["merge"] = gate_counts(work)
+    stages.done("merge", work)
     check_legal(work, graph)
     identity = QubitMapping.identity()
-    return TranspileResult(work, identity, identity, 0, 0, stages,
-                           time.perf_counter() - start)
+    return TranspileResult(work, identity, identity, 0, 0, stages.counts, stages.seconds,
+                           time.perf_counter() - stages.start)

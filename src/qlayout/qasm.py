@@ -10,6 +10,10 @@ comments and whitespace dropped, and the parser walks that list with an
 index, reading a token's kind from its first character.  No position is
 tracked; an error scans the text again up to its token to find one.
 
+The reader checks everything a checked ``Gate`` and ``Circuit`` would
+(operand and angle counts, finite angles, distinct operands, indices within
+the declared registers) and so builds its gates and circuit unchecked.
+
 Malformed input, including an angle that is infinite or NaN or that nests
 more than ``MAX_NESTING`` parentheses and unary signs, raises
 :class:`QasmError`: a ``ValueError`` carrying the 1-based ``line`` and
@@ -242,7 +246,7 @@ def _parse(toks: list[str]) -> Circuit:
                     if not math.isfinite(value):
                         raise _Reject(i, f"non-finite angle in {tok} gate")
                     i = _expression(toks, i)[1] + 1
-            gates.append(Gate(kind, tuple(operands), tuple(params)))
+            gates.append(Gate._unchecked(kind, tuple(operands), tuple(params)))
         elif tok == "measure":
             q = _qubit(toks, i + 1, qreg)
             i = _expect(toks, i + 5, "->")
@@ -250,7 +254,7 @@ def _parse(toks: list[str]) -> Circuit:
                 raise _unexpected(toks, i, f"unknown classical register {toks[i]!r}")
             c = _index(toks, _expect(toks, i + 1, "["), *creg)
             i = _expect(toks, i + 4, ";")
-            gates.append(Gate(GateKind.MEASURE, (q,), clbit=c))
+            gates.append(Gate._unchecked(GateKind.MEASURE, (q,), (), c))
         elif tok == "barrier":
             if qreg is None:
                 raise _Reject(i, "barrier before qreg declaration")
@@ -263,7 +267,9 @@ def _parse(toks: list[str]) -> Circuit:
                 k = next(k for k, q in enumerate(operands) if q in operands[:k])
                 raise _Reject(start + 1 + 5 * k,
                               f"repeated qubit {qreg[0]}[{operands[k]}] in barrier")
-            gates.append(Gate(GateKind.BARRIER, tuple(operands)))
+            if not operands:  # the bare name of an empty register
+                raise ValueError("barrier needs a nonempty set of distinct qubits")
+            gates.append(Gate._unchecked(GateKind.BARRIER, tuple(operands)))
         elif tok == "qreg" or tok == "creg":
             name = toks[i + 1]
             if name[:1] not in _NAME_START:
@@ -292,7 +298,7 @@ def _parse(toks: list[str]) -> Circuit:
 
     if qreg is None:
         raise QasmError("missing qreg declaration", 1, 1)
-    return Circuit(qreg[1], creg[1] if creg else 0, tuple(gates))
+    return Circuit._unchecked(qreg[1], creg[1] if creg else 0, tuple(gates))
 
 
 def emit_qasm(circuit: Circuit) -> str:

@@ -34,12 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import islice, repeat
-from operator import mul
+from itertools import islice
 from typing import Iterator, Sequence
 
 from .coupling import CouplingGraph, DisconnectedGraphError
-from .ir import Circuit, Gate, GateKind, QubitMapping, cx, h
+from .ir import Circuit, Gate, GateKind, QubitMapping
 
 #: flat accounting cost of one SWAP (3 CNOTs + 4 H at weights 10/1)
 SWAP_COST = 34
@@ -78,8 +77,15 @@ class SwapChain:
         """SWAP expansion: cx(a,b) cx(b,a) cx(a,b) per exchanged pair."""
         out: list[Gate] = []
         for a, b in self.swaps:
-            out += [cx(a, b), cx(b, a), cx(a, b)]
+            out += _swap_gates(a, b)
         return out
+
+
+def _swap_gates(a: int, b: int) -> list[Gate]:
+    """cx(a,b) cx(b,a) cx(a,b) on the distinct wires of a graph edge,
+    built unchecked: the wires come from the graph, so they are valid."""
+    ab = Gate._unchecked(GateKind.CNOT, (a, b))
+    return [ab, Gate._unchecked(GateKind.CNOT, (b, a)), ab]
 
 
 def estimate_cost(intermediate_counts: Sequence[int]) -> float:
@@ -93,9 +99,14 @@ def estimate_cost(intermediate_counts: Sequence[int]) -> float:
     n = len(intermediate_counts)
     if n == 0:
         return 0.0
-    # Term by term (w_i * m_i) * 34, summed in order, as the formula reads:
-    # a different association or summation can flip a near-tie.
-    return sum(map(mul, map(mul, _damping(n), intermediate_counts), repeat(SWAP_COST, n)))
+    # Term by term (w_i * m_i) * 34, added left to right, as the formula
+    # reads: a different association or summation can flip a near-tie.  The
+    # loop is written out because sum() of floats compensates its rounding
+    # from Python 3.12 on.
+    total = 0.0
+    for w, m in zip(_damping(n), intermediate_counts):
+        total += w * m * SWAP_COST
+    return total
 
 
 @lru_cache(maxsize=16)
@@ -277,10 +288,10 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
                 wire = [step.get(w, w) for w in wire]
                 search_cost += chain.search_cost
                 swaps += len(chain.swaps)
-        qubits = tuple(wire[q] for q in g.qubits)
-        out.append(g if qubits == g.qubits else Gate(g.kind, qubits, g.params, g.clbit))
+        out.append(g._moved(wire))
     final = QubitMapping(tuple(enumerate(wire)))
-    return RouteResult(circuit.with_gates(out), final, search_cost, swaps)
+    return RouteResult(Circuit._unchecked(circuit.num_qubits, circuit.num_clbits, tuple(out)),
+                       final, search_cost, swaps)
 
 
 def local_adjust(circuit: Circuit, graph: CouplingGraph,
@@ -308,9 +319,9 @@ def fix_directions(circuit: Circuit, graph: CouplingGraph) -> Circuit:
         c, t = g.qubits
         if not graph.is_legal_cnot(t, c):
             raise LegalityError(f"cx({c},{t}) has no legal orientation")
-        lo, hi = sorted((c, t))
-        out += [h(lo), h(hi), cx(t, c), h(lo), h(hi)]
-    return circuit.with_gates(out)
+        h_lo, h_hi = (Gate._unchecked(GateKind.H, (q,)) for q in sorted((c, t)))
+        out += [h_lo, h_hi, Gate._unchecked(GateKind.CNOT, (t, c)), h_lo, h_hi]
+    return Circuit._unchecked(circuit.num_qubits, circuit.num_clbits, tuple(out))
 
 
 def naive_route(circuit: Circuit, graph: CouplingGraph) -> Circuit:
@@ -334,8 +345,8 @@ def naive_route(circuit: Circuit, graph: CouplingGraph) -> Circuit:
         path = graph.shortest_path(control, target)
         hops = list(zip(path[:-2], path[1:-1]))  # control's walk to the neighbour
         for a, b in hops:
-            out += [cx(a, b), cx(b, a), cx(a, b)]
-        out.append(cx(path[-2], target))
+            out += _swap_gates(a, b)
+        out.append(Gate._unchecked(GateKind.CNOT, (path[-2], target)))
         for a, b in reversed(hops):
-            out += [cx(a, b), cx(b, a), cx(a, b)]
-    return circuit.with_gates(out)
+            out += _swap_gates(a, b)
+    return Circuit._unchecked(circuit.num_qubits, circuit.num_clbits, tuple(out))

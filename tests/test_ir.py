@@ -119,6 +119,23 @@ class TestApplyMapping:
         out = ql.apply_mapping(c, {0: 2, 2: 0})
         assert out.gates[0].qubits == (2, 0)
 
+    def test_mapping_outside_register_untouched_gates(self):
+        # a mapping may name qubits the register does not have
+        c = ql.Circuit(3, 0, (ql.h(0), ql.cx(0, 1)))
+        assert ql.apply_mapping(c, {3: 4, 4: 3}).gates == c.gates
+
+    def test_gate_sent_outside_register_rejected(self):
+        c = ql.Circuit(3, 0, (ql.h(0), ql.cx(0, 1)))
+        for mapping in ({0: 5, 5: 0}, {0: -1, -1: 0}):
+            with pytest.raises(ValueError, match=r"^gate h touches qubit outside 0\.\.2$"):
+                ql.apply_mapping(c, mapping)
+
+    def test_only_rewritten_gates_must_stay_inside(self):
+        c = ql.Circuit(3, 0, (ql.h(0), ql.cx(0, 1)))
+        assert ql.apply_mapping(c, {0: 5, 5: 0}, from_gate=2) == c
+        with pytest.raises(ValueError, match=r"^gate cx touches qubit outside 0\.\.2$"):
+            ql.apply_mapping(c, {0: 5, 5: 0}, from_gate=1)
+
     @given(perm=st.permutations(list(range(4))),
            cut=st.integers(min_value=0, max_value=3))
     def test_mapping_then_inverse_restores(self, perm, cut):

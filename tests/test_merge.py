@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 import qlayout as ql
 from qlayout.ir import mat2_mul, single_qubit_matrix, u3_matrix
-from qlayout.merge import ATOL, ZYTriple, merge_adjacent, merge_single_qubit_runs, yz_to_zy
+from qlayout.merge import (
+    ATOL,
+    ZYTriple,
+    _is_identity,
+    _may_be_identity,
+    merge_adjacent,
+    merge_single_qubit_runs,
+    yz_to_zy,
+)
 
 from conftest import finite_angles, phase_aligned_error, random_unitary_circuit
 
@@ -110,6 +118,17 @@ class TestMergeAdjacent:
         with pytest.raises(ValueError):
             merge_adjacent(ql.u1(0.1, 0), ql.cx(0, 1))
 
+    def test_overflowing_angles_rejected(self):
+        # two finite angles can add up past the largest double
+        big = 1e308
+        for later, earlier in ((ql.u3(1.0, 0.0, big, 0), ql.u3(1.0, big, 0.0, 0)),
+                               (ql.u2(big, big, 0), ql.u2(big, big, 0)),
+                               (ql.u1(big, 0), ql.u1(big, 0))):
+            with pytest.raises(ValueError):
+                merge_adjacent(later, earlier)
+            with pytest.raises(ValueError):
+                merge_single_qubit_runs(ql.Circuit(1, 0, (earlier, later)))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_all_kind_pairs_match_products(self, seed):
         rng = np.random.default_rng(seed)
@@ -127,6 +146,54 @@ class TestMergeAdjacent:
 
         for _ in range(500):
             check_merge(rand_gate(), rand_gate())
+
+
+def _near(x: float, steps: int = 3) -> list[float]:
+    """``x``, its ``steps`` nearest doubles on each side, and a few
+    relative offsets."""
+    out = [x]
+    lo = hi = x
+    for _ in range(steps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out + [x * (1 + r) for r in (-1e-3, -1e-6, 1e-6, 1e-3)]
+
+
+class TestIdentityPrefilter:
+    """``_may_be_identity`` rules gates out before a matrix is built; it
+    must never rule out a gate that ``_is_identity`` accepts."""
+
+    THETAS = sorted({t for centre in (2 * ATOL, 4 * ATOL, 2 * math.pi, 4 * math.pi)
+                     for c in (centre, -centre)
+                     for d in (0.0, ATOL, 2 * ATOL, 3 * ATOL, 4 * ATOL, 5 * ATOL)
+                     for t in _near(c + d) + _near(c - d)})
+    PHASES = ((0.0, 0.0), (0.3, -0.3), (math.pi, -math.pi), (1e-10, 0.0),
+              (2 * math.pi, 0.0), (0.5, 0.25))
+
+    def test_u3_never_ruled_out_when_identity(self):
+        identities = ruled_out = 0
+        for theta in self.THETAS:
+            for phi, lam in self.PHASES:
+                g = ql.u3(theta, phi, lam, 0)
+                is_identity = _is_identity(single_qubit_matrix(g))
+                assert _may_be_identity(g) or not is_identity, g
+                identities += is_identity
+                ruled_out += not _may_be_identity(g)
+        assert identities > 0 and ruled_out > 0  # both sides of the boundary seen
+
+    @given(theta=finite_angles, phi=finite_angles, lam=finite_angles)
+    def test_random_u3_agrees(self, theta, phi, lam):
+        g = ql.u3(theta, phi, lam, 0)
+        assert _may_be_identity(g) or not _is_identity(single_qubit_matrix(g))
+
+    @given(phi=finite_angles, lam=finite_angles)
+    def test_u2_and_h_ruled_out(self, phi, lam):
+        for g in (ql.u2(phi, lam, 0), ql.h(0)):
+            assert not _may_be_identity(g)
+            assert not _is_identity(single_qubit_matrix(g))
+
+    def test_u1_never_ruled_out(self):
+        assert _may_be_identity(ql.u1(0.0, 0)) and _may_be_identity(ql.u1(0.5, 0))
 
 
 class TestMergeRuns:

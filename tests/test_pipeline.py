@@ -78,6 +78,14 @@ class TestTranspile:
                                       "fix_directions", "merge"}
         assert rep["elapsed_s"] >= 0
 
+    def test_stage_seconds_match_stage_counts(self):
+        c = ql.gen_random_circuit(5, 2, seed=3)
+        for res in (transpile(c, CHAIN5D), transpile_baseline(c, CHAIN5D)):
+            assert list(res.stage_seconds) == list(res.stage_counts)
+            assert all(t >= 0 for t in res.stage_seconds.values())
+            assert sum(res.stage_seconds.values()) <= res.elapsed_s
+            assert res.report()["stage_seconds"] == res.stage_seconds
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(lookahead=0)

@@ -118,6 +118,11 @@ class TestParse:
             ql.parse_qasm(HEADER + "barrier q[0],q[1],q[0];")
         assert (err.value.line, err.value.column) == (4, 19)
 
+    def test_bare_barrier_on_empty_register_rejected(self):
+        with pytest.raises(ValueError, match="^barrier needs a nonempty set of distinct qubits$"):
+            ql.parse_qasm("OPENQASM 2.0;\nqreg q[0];\nbarrier q;")
+        assert ql.parse_qasm("OPENQASM 2.0;\nqreg q[0];") == ql.Circuit(0)
+
     @pytest.mark.parametrize("angle,column", [
         ("(" * 400 + "1" + ")" * 400, 4 + MAX_NESTING),
         ("-" * 5000 + "1", 4 + MAX_NESTING),
