@@ -16,6 +16,8 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 
 class DisconnectedGraphError(ValueError):
     """Raised when routing needs a path that does not exist."""
@@ -90,6 +92,14 @@ class CouplingGraph:
         :meth:`intermediates`."""
         return tuple(tuple(max(d - 1, 0) if d >= 0 else -1 for d in row)
                      for row in self.distances)
+
+    @cached_property
+    def intermediates_array(self) -> np.ndarray:
+        """:attr:`intermediates_matrix` as an int64 array, for gathers over
+        many qubit pairs at once: 0 on edges, at least 1 off them, -1
+        across components."""
+        return np.array(self.intermediates_matrix, dtype=np.int64).reshape(
+            self.num_qubits, self.num_qubits)
 
     @cached_property
     def is_connected(self) -> bool:

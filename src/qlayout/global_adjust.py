@@ -22,6 +22,15 @@ candidate is checked only against the passed CNOTs on the two qubits it
 exchanges; every other passed CNOT keeps its wires.  The search visits
 the same nodes in the same order as a relabel-the-whole-list search, at a
 fraction of the cost per node.
+
+Terminals are ranked in blocks.  Neither the node budget nor the depth
+cap looks at a cost, so the search never needs a terminal's estimate
+while it runs: each terminal's relabeling is queued in exploration order,
+and whenever a few thousand terminal x CNOT elements wait, the queue is
+scored at once (see :class:`~qlayout.routing._Leaves`) and only the
+running best is kept.  The estimate is exact, whatever the block, and
+the first cheapest terminal wins, so the result is the one a search that
+scored every terminal on the spot would return.
 """
 from __future__ import annotations
 
@@ -31,7 +40,7 @@ from typing import Iterator, Sequence
 
 from .coupling import CouplingGraph
 from .ir import Circuit, GateKind, QubitMapping
-from .routing import _first_illegal, _residual_intermediates, estimate_cost
+from .routing import _first_illegal, _Leaves
 
 
 @dataclass(frozen=True)
@@ -119,30 +128,29 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
     perm = list(range(width))  # input qubit -> wire, the accumulated relabeling
     inverse = list(range(width))
 
-    best: tuple[tuple[int, ...], float] | None = None
+    leaves = _Leaves(cnots, graph)
     budget = limits.max_nodes
 
-    def offer(cost: float) -> None:
-        nonlocal best
-        if best is None or cost < best[1]:
-            best = (tuple(perm), cost)
+    def offer(start: int) -> None:
+        wires = tuple(perm)
+        leaves.add(wires, start, 0.0, wires)
 
     def search(start: int, depth: int) -> None:
         # cnots[:start] are legal under perm, so the scan starts there
         nonlocal budget
         i = _first_illegal(cnots, graph, start, perm)
         if i < 0:
-            offer(0.0)
+            offer(len(cnots))
             return
         if depth >= max_depth or budget <= 0:
-            offer(estimate_cost(_residual_intermediates(cnots, graph, i, perm)))
+            offer(i)
             return
         budget -= 1
         c, t = cnots[i]
         swaps = list(_legalizing_swaps((perm[c], perm[t]), graph, cnots, passed, i,
                                        perm, inverse))
         if not swaps:
-            offer(estimate_cost(_residual_intermediates(cnots, graph, i, perm)))
+            offer(i)
             return
         for moved, nbr in swaps:
             if budget <= 0:
@@ -154,7 +162,6 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
 
     search(0, 0)
     # every transposition has been undone: perm is the identity fallback
-    offer(estimate_cost(_residual_intermediates(cnots, graph, 0, perm)))
-    assert best is not None
-    wires, cost = best
+    offer(0)
+    cost, wires = leaves.take()
     return QubitMapping(tuple(enumerate(wires))), cost

@@ -21,9 +21,16 @@ The search runs on plain arrays.  The remaining CNOTs stay as the input's
 the CNOTs through it, instead of rewriting them.  Legality and
 intermediate-vertex counts are read from the coupling graph's precomputed
 tables.  The router itself keeps one running wire permutation and builds
-each output gate once, when it is emitted.  The complexity is unchanged
-(each leaf still scores the whole residue); the constant factors are
-lower.
+each output gate once, when it is emitted.
+
+Each leaf still scores its whole residue, but not one at a time.  No
+cost is read while the tree is descended, so the leaves are collected in
+exploration order and scored in blocks (:class:`_Leaves`), and the first
+cheapest one wins, as if each had been scored when it was reached.  A
+block large enough to pay for it is scored with numpy
+(:meth:`_Leaves.score`): one gather of intermediate-vertex counts over
+every leaf and CNOT, and an exact integer sum per leaf, so the estimates,
+and with them the decisions, are the same bits as leaf by leaf.
 
 Orientation (on directed graphs) is repaired afterwards by
 :func:`fix_directions`, and :func:`naive_route` provides the classic
@@ -33,9 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
+
+import numpy as np
 
 from .coupling import CouplingGraph, DisconnectedGraphError
 from .ir import Circuit, Gate, GateKind, QubitMapping
@@ -95,24 +104,21 @@ def estimate_cost(intermediate_counts: Sequence[int]) -> float:
     ((n - i) / n)^2 * m_i * 34 where m_i is its intermediate-vertex count:
     later repairs are increasingly perturbed by earlier ones, so their
     estimates are damped, down to zero weight for the last entry.
+
+    The sum is exact: 34 * sum((n - i)^2 * m_i) in integers, then one
+    correctly rounded division by n^2.  The result does not depend on the
+    order of summation, so a vectorized sum (see :meth:`_Leaves.score`)
+    gives the same bits.
     """
     n = len(intermediate_counts)
     if n == 0:
         return 0.0
-    # Term by term (w_i * m_i) * 34, added left to right, as the formula
-    # reads: a different association or summation can flip a near-tie.  The
-    # loop is written out because sum() of floats compensates its rounding
-    # from Python 3.12 on.
-    total = 0.0
-    for w, m in zip(_damping(n), intermediate_counts):
-        total += w * m * SWAP_COST
-    return total
-
-
-@lru_cache(maxsize=16)
-def _damping(n: int) -> tuple[float, ...]:
-    """The weights ((n - i) / n)^2, i = 1..n, of :func:`estimate_cost`."""
-    return tuple(((n - i) / n) ** 2 for i in range(1, n + 1))
+    total = 0
+    k = n
+    for m in intermediate_counts:
+        k -= 1  # n - i for the i-th entry
+        total += k * k * m
+    return SWAP_COST * total / (n * n)
 
 
 def _check_lookahead(lookahead: int) -> None:
@@ -176,34 +182,119 @@ def _first_illegal(cnots: Sequence[tuple[int, int]], graph: CouplingGraph,
 def _residual_intermediates(cnots: Sequence[tuple[int, int]], graph: CouplingGraph,
                             start: int = 0, perm: Sequence[int] | None = None) -> list[int]:
     """Intermediate-vertex counts of the illegal CNOTs at or after
-    ``start``, in order, each qubit q read as ``perm[q]``."""
-    adjacent, between = graph.adjacency_matrix, graph.intermediates_matrix
+    ``start``, in order, each qubit q read as ``perm[q]``.  Between two
+    distinct qubits the count is 0 exactly on an edge, so it alone tells
+    which CNOTs are illegal."""
+    between = graph.intermediates_matrix
     p = range(graph.num_qubits) if perm is None else perm
-    counts = [between[a][b] for c, t in islice(cnots, start, None)
-              if not adjacent[(a := p[c])][(b := p[t])]]
+    counts = [m for c, t in islice(cnots, start, None) if (m := between[p[c]][p[t]])]
     if not graph.is_connected and -1 in counts:
         raise DisconnectedGraphError("no path between the qubits of an illegal CNOT")
     return counts
 
 
-def _choose_chain(ill: tuple[int, int], cnots: Sequence[tuple[int, int]], start: int,
-                  perm: Sequence[int], graph: CouplingGraph,
-                  lookahead: int) -> tuple[SwapChain, float]:
+#: leaf x CNOT elements a search lets wait before it scores its leaves
+_BLOCK_ELEMENTS = 4096
+
+#: smallest block scored with numpy: below it, the fixed cost of the numpy
+#: calls exceeds that of scoring each leaf in Python
+_NUMPY_MIN_ELEMENTS = 512
+
+
+class _Leaves:
+    """The leaves of a search over ``cnots``, scored in blocks.
+
+    A leaf is (perm, start, base, tag): a dense permutation, the index of
+    its first CNOT still to score, a base cost and a tag; its cost is the
+    base plus the estimate of its residue.  Leaves wait in exploration
+    order until about :data:`_BLOCK_ELEMENTS` leaf x CNOT elements are
+    pending, and then are scored together.  :meth:`take` returns the first
+    leaf of least cost, as a search that scored each leaf when it reached
+    it would keep, and starts over for the next search on the same CNOTs.
+    """
+
+    def __init__(self, cnots: Sequence[tuple[int, int]], graph: CouplingGraph):
+        self.cnots, self.graph = cnots, graph
+        self.pending: list[tuple[Sequence[int], int, float, Any]] = []
+        self.waiting = 0
+        self.best: tuple[float, Any] = (float("inf"), None)
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Controls and targets of the CNOTs as two index arrays."""
+        pairs = np.array(self.cnots, dtype=np.intp).reshape(len(self.cnots), 2)
+        return pairs[:, 0], pairs[:, 1]
+
+    def add(self, perm: Sequence[int], start: int, base: float, tag: Any) -> None:
+        self.pending.append((perm, start, base, tag))
+        self.waiting += len(self.cnots) - start
+        if self.waiting >= _BLOCK_ELEMENTS:
+            self._flush()
+
+    def _flush(self) -> None:
+        best_cost, best_tag = self.best
+        for (_, _, base, tag), estimate in zip(self.pending, self.score(self.pending)):
+            cost = base + estimate
+            if cost < best_cost:
+                best_cost, best_tag = cost, tag
+        self.best = (best_cost, best_tag)
+        self.pending, self.waiting = [], 0
+
+    def take(self) -> tuple[float, Any]:
+        """(cost, tag) of the first cheapest leaf since the last take."""
+        self._flush()
+        best, self.best = self.best, (float("inf"), None)
+        return best
+
+    def score(self, block: Sequence[tuple[Sequence[int], int, float, Any]]) -> list[float]:
+        """``estimate_cost(_residual_intermediates(cnots, graph, start, perm))``
+        for each leaf of ``block``, bit for bit.
+
+        A large block gathers the intermediate counts of every leaf over the
+        CNOTs from the smallest start on, zeroes those before each leaf's
+        own start (they may be illegal under its permutation), and ranks
+        the illegal ones by a running count.  The weighted sum is exact in
+        int64, so the one division per leaf rounds as in
+        :func:`estimate_cost`.
+        """
+        cnots, graph = self.cnots, self.graph
+        size = len(cnots)
+        elements = sum(size - start for _, start, _, _ in block)
+        # size^3 * num_qubits bounds the weighted sum, which must fit in int64
+        if elements < _NUMPY_MIN_ELEMENTS or size ** 3 * graph.num_qubits >= 2 ** 63:
+            return [estimate_cost(_residual_intermediates(cnots, graph, start, perm))
+                    if start < size else 0.0 for perm, start, _, _ in block]
+        first = min(start for _, start, _, _ in block)
+        controls, targets = self.columns[0][first:], self.columns[1][first:]
+        perms = np.array([perm for perm, _, _, _ in block], dtype=np.intp)
+        gap = graph.intermediates_array[perms[:, controls], perms[:, targets]]
+        starts = np.array([start - first for _, start, _, _ in block])
+        gap[np.arange(size - first) < starts[:, None]] = 0
+        if not graph.is_connected and (gap < 0).any():
+            raise DisconnectedGraphError("no path between the qubits of an illegal CNOT")
+        rank = np.cumsum(gap != 0, axis=1)
+        n = rank[:, -1:]
+        total = ((n - rank) ** 2 * gap).sum(axis=1)
+        return [SWAP_COST * t / (k * k) if k else 0.0
+                for t, k in zip(total.tolist(), n[:, 0].tolist())]
+
+
+def _choose_chain(ill: tuple[int, int], leaves: _Leaves, start: int,
+                  perm: Sequence[int], lookahead: int) -> tuple[SwapChain, float]:
     """Best first-level SwapChain for ``ill`` by exact search of the top
     ``lookahead`` levels of the control/target decision tree.
 
-    The CNOTs after ``ill`` are ``cnots[start:]`` read through the dense
-    relabeling ``perm``; a branch composes its chain onto ``perm`` instead
-    of rewriting them.  Leaves below the horizon add the estimated cost of
-    their residue.  The control branch is explored before the target
-    branch at every level, and ties keep the earlier-explored leaf.
+    The CNOTs after ``ill`` are ``leaves.cnots[start:]`` read through the
+    dense relabeling ``perm``; a branch composes its chain onto ``perm``
+    instead of rewriting them.  Leaves below the horizon add the estimated
+    cost of their residue.  The control branch is explored before the
+    target branch at every level, and ties keep the earlier-explored leaf.
+    No cost is read during the descent, so the leaves are scored in blocks.
     """
-    best_cost = float("inf")
-    best_mover: Mover | None = None
+    cnots, graph = leaves.cnots, leaves.graph
 
     def descend(ill: tuple[int, int], start: int, perm: Sequence[int], acc: float,
                 lead: Mover | None, depth: int) -> None:
-        nonlocal best_cost, best_mover
         for mover, step_cost, moved in _repairs(ill, graph, perm):
             cost = acc + step_cost
             first = mover if lead is None else lead
@@ -211,14 +302,11 @@ def _choose_chain(ill: tuple[int, int], cnots: Sequence[tuple[int, int]], start:
             if j >= 0 and depth < lookahead:
                 c, t = cnots[j]
                 descend((moved[c], moved[t]), j + 1, moved, cost, first, depth + 1)
-                continue
-            if j >= 0:
-                cost += estimate_cost(_residual_intermediates(cnots, graph, j, moved))
-            if cost < best_cost:
-                best_cost, best_mover = cost, first
+            else:
+                leaves.add(moved, j if j >= 0 else len(cnots), cost, first)
 
     descend(ill, start, perm, 0.0, None, 1)
-    assert best_mover is not None
+    best_cost, best_mover = leaves.take()
     return _chain(ill, graph.shortest_path(*ill), best_mover), best_cost
 
 
@@ -232,7 +320,9 @@ def lookahead_choose(ill: tuple[int, int], rest: Sequence[tuple[int, int]],
     n = graph.num_qubits
     if not all(0 <= q < n for pair in rest for q in pair):
         raise IndexError(f"a CNOT in rest touches a qubit outside 0..{n - 1}")
-    chain, cost = _choose_chain(tuple(ill), rest, 0, range(n), graph, lookahead)
+    if any(c == t for c, t in rest):
+        raise ValueError("a CNOT in rest has the same control and target")
+    chain, cost = _choose_chain(tuple(ill), _Leaves(rest, graph), 0, range(n), lookahead)
     return chain.relabeling, cost
 
 
@@ -272,6 +362,7 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
         raise DisconnectedGraphError("coupling graph is not connected")
     adjacent = graph.adjacency_matrix
     cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
+    leaves = _Leaves(cnots, graph)
     wire = list(range(graph.num_qubits))
     out: list[Gate] = []
     search_cost = 0
@@ -282,7 +373,7 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
             k += 1
             c, t = g.qubits
             while not adjacent[wire[c]][wire[t]]:
-                chain, _ = _choose_chain((wire[c], wire[t]), cnots, k, wire, graph, lookahead)
+                chain, _ = _choose_chain((wire[c], wire[t]), leaves, k, wire, lookahead)
                 out.extend(chain.gates())
                 step = chain.relabeling.as_dict()
                 wire = [step.get(w, w) for w in wire]

@@ -60,9 +60,9 @@ class TestEstimateCost:
     @given(ms=st.lists(st.integers(min_value=0, max_value=60), max_size=80))
     def test_bitwise_equal_to_reference_formula(self, ms):
         n = len(ms)
-        reference = 0.0  # added left to right: sum() compensates from Python 3.12 on
-        for i, m in enumerate(ms, start=1):
-            reference += ((n - i) / n) ** 2 * m * SWAP_COST
+        # exact in integers, then one correctly rounded division
+        reference = (SWAP_COST * sum((n - i) ** 2 * m for i, m in enumerate(ms, start=1))
+                     / (n * n)) if n else 0.0
         assert estimate_cost(ms).hex() == reference.hex()
 
 
