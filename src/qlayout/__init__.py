@@ -7,14 +7,7 @@ gate fusion -- plus a statevector oracle that certifies every rewrite and
 a benchmark harness comparing the pipeline against the classic
 swap-there-and-back baseline.
 """
-from .bench import (
-    BenchRecord,
-    BenchResult,
-    CostModel,
-    cost,
-    gen_random_circuit,
-    run_benchmark,
-)
+from .bench import BenchRecord, BenchResult, gen_random_circuit, run_benchmark
 from .coupling import (
     CouplingGraph,
     DisconnectedGraphError,
@@ -31,6 +24,7 @@ from .ir import (
     QubitMapping,
     apply_mapping,
     barrier,
+    cost,
     cx,
     gate_counts,
     h,
@@ -45,27 +39,27 @@ from .qasm import QasmError, emit_qasm, parse_qasm
 from .routing import (
     LegalityError,
     RouteResult,
+    brute_force_route_cost,
     estimate_cost,
     fix_directions,
-    local_adjust,
     lookahead_choose,
     naive_route,
     route_circuit,
 )
-from .sim import brute_force_route_cost, equivalent, probe_fidelity, simulate
+from .sim import equivalent, probe_fidelity, simulate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRecord", "BenchResult", "Circuit", "CostModel", "CouplingGraph",
+    "BenchRecord", "BenchResult", "Circuit", "CouplingGraph",
     "DisconnectedGraphError", "Gate", "GateKind", "LayoutKind", "LegalityError",
     "PipelineConfig", "QasmError", "QubitMapping", "RouteResult", "SearchLimits",
     "TranspileResult", "ZYTriple", "apply_mapping", "barrier",
     "brute_force_route_cost", "candidate_mappings", "cost", "coupling_from_json",
     "cx", "emit_qasm", "equivalent", "estimate_cost", "fix_directions",
     "gate_counts", "gen_random_circuit", "global_adjust", "h", "load_coupling",
-    "local_adjust", "lookahead_choose", "make_layout", "measure",
-    "merge_adjacent", "merge_single_qubit_runs", "naive_route", "parse_qasm",
-    "probe_fidelity", "route_circuit", "run_benchmark", "simulate", "transpile",
+    "lookahead_choose", "make_layout", "measure", "merge_adjacent",
+    "merge_single_qubit_runs", "naive_route", "parse_qasm", "probe_fidelity",
+    "route_circuit", "run_benchmark", "simulate", "transpile",
     "transpile_baseline", "u1", "u2", "u3", "yz_to_zy",
 ]

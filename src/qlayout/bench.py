@@ -3,9 +3,8 @@
 Circuits are stacks of two-qubit blocks: per layer, a seeded random
 maximal pairing of the register, each pair filled with the universal
 3-CNOT template (four slices of random-angle u3 pairs interleaved with
-three CNOTs), the odd qubit out getting a lone random u3.  The weighted
-gate cost is 10 per CNOT plus 1 per single-qubit gate, which prices one
-routed SWAP (3 CNOTs + 4 H) at 34.
+three CNOTs), the odd qubit out getting a lone random u3.  Circuits are
+priced by ``ir.cost``.
 
 ``run_benchmark`` sweeps layouts x qubit counts x layer depths, transpiles
 every circuit with both the full pipeline and the swap-there-and-back
@@ -23,28 +22,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .coupling import make_layout
-from .ir import Circuit, Gate, GateKind, gate_counts, u3
+from .ir import Circuit, Gate, GateKind, cost, u3
+from .pipeline import PipelineConfig, transpile, transpile_baseline
 from .sim import equivalent
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Weighted gate-count prices; one SWAP = 3 CNOTs + 4 H = 34."""
-
-    cnot_weight: int = 10
-    single_weight: int = 1
-    swap_weight: int = 34
-
-    def __post_init__(self):
-        if self.swap_weight != 3 * self.cnot_weight + 4 * self.single_weight:
-            raise ValueError("swap_weight must equal 3*cnot_weight + 4*single_weight")
-
-
-def cost(circuit: Circuit, model: CostModel | None = None) -> int:
-    """Weighted gate count of a circuit."""
-    model = model or CostModel()
-    n2, n1 = gate_counts(circuit)
-    return n2 * model.cnot_weight + n1 * model.single_weight
 
 
 def _random_u3(rng: np.random.Generator, q: int) -> Gate:
@@ -181,15 +161,13 @@ def run_benchmark(layouts: Sequence[str], qubits: Sequence[int],
     Identical arguments produce identical records (modulo the time fields,
     which are zeroed when ``record_times`` is off).
     """
-    from .pipeline import PipelineConfig, transpile, transpile_baseline
-
     if trials < 1 or not layouts or not qubits or not depths:
         raise ValueError("empty benchmark grid")
     records: list[BenchRecord] = []
     for li, layout in enumerate(layouts):
         for n in qubits:
             graph = make_layout(layout, n)
-            config = PipelineConfig(lookahead=lookahead, tolerance=tol)
+            config = PipelineConfig(lookahead=lookahead)
             for d in depths:
                 for trial in range(trials):
                     circ_seed = record_seed(seed, li, n, d, trial)

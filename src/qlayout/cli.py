@@ -50,8 +50,6 @@ def cmd_transpile(args: argparse.Namespace) -> int:
                 global_limits=SearchLimits(max_nodes=args.global_limit),
                 do_global=not args.no_global,
                 do_merge=not args.no_merge,
-                tolerance=args.tol,
-                seed=args.seed,
             )
             result = transpile(circuit, graph, config)
     except DisconnectedGraphError as exc:
@@ -152,8 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--no-merge", action="store_true", help="skip single-qubit fusion")
     t.add_argument("--baseline", choices=["naive"],
                    help="route with the swap-there-and-back baseline instead")
-    t.add_argument("--tol", type=float, default=1e-6)
-    t.add_argument("--seed", type=int, default=0)
     t.set_defaults(func=cmd_transpile)
 
     v = sub.add_parser("verify", help="check statevector equivalence")

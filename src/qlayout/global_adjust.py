@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 
 from .coupling import CouplingGraph
 from .ir import Circuit, GateKind, QubitMapping
-from .routing import _first_illegal, _Leaves
+from .routing import _first_illegal, _Leaves, fit_to_graph
 
 
 @dataclass(frozen=True)
@@ -118,15 +118,16 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
     The returned mapping is meant to be applied to the whole program
     (``apply_mapping(circuit, mapping)``); it never adds gates.  Ties on
     the estimate are broken by exploration order: depth-first, control-side
-    candidates before target-side, identity last.
+    candidates before target-side, identity last.  A circuit wider than the
+    graph is an error (see :func:`~qlayout.routing.fit_to_graph`).
     """
+    circuit = fit_to_graph(circuit, graph)
     limits = limits or SearchLimits()
     max_depth = limits.depth_for(graph)
     cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
-    width = max(circuit.num_qubits, graph.num_qubits)
-    passed = _cnot_index(cnots, width)
-    perm = list(range(width))  # input qubit -> wire, the accumulated relabeling
-    inverse = list(range(width))
+    passed = _cnot_index(cnots, graph.num_qubits)
+    perm = list(range(graph.num_qubits))  # input qubit -> wire, the accumulated relabeling
+    inverse = list(range(graph.num_qubits))
 
     leaves = _Leaves(cnots, graph)
     budget = limits.max_nodes

@@ -3,7 +3,9 @@
 The gate set is the OpenQASM 2.0 u-family plus CNOT: u1/u2/u3 carry one,
 two and three Euler angles (radians, double precision), ``h`` is kept as
 its own kind even though its matrix equals u2(0, pi), and measure/barrier
-are carried through every transformation untouched.
+are carried through every transformation untouched.  The weighted gate
+cost, :func:`cost`, is defined here once: the pipeline's report, the
+router's SWAP price and the benchmark all derive from its two prices.
 
 Everything here is immutable; transformations return new values.
 
@@ -295,6 +297,18 @@ def gate_counts(circuit: Circuit) -> tuple[int, int]:
         elif kind is cnot:
             n2 += 1
     return n2, n1
+
+
+#: weighted gate-count prices; one routed SWAP (3 CNOTs + 4 H) costs 34
+CNOT_COST = 10
+SINGLE_COST = 1
+
+
+def cost(circuit: Circuit) -> int:
+    """Weighted gate count of a circuit: :data:`CNOT_COST` per CNOT plus
+    :data:`SINGLE_COST` per single-qubit gate."""
+    n2, n1 = gate_counts(circuit)
+    return n2 * CNOT_COST + n1 * SINGLE_COST
 
 
 # --- 2x2 gate matrices -------------------------------------------------------

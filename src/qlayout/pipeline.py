@@ -10,20 +10,34 @@ repair).  Hardware runs, which start from the all-zeros state, only need
 arbitrary probes needs both.  ``stage_counts`` and ``stage_seconds`` hold
 each stage's output gate counts and time, and the output's legality is
 checked before it is returned.
+
+:func:`transpile` and the swap-there-and-back :func:`transpile_baseline`
+differ only in their routing stages; one driver runs either, with the
+same checks, orientation repair, fusion and accounting around it.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .bench import CostModel, cost
 from .coupling import CouplingGraph, DisconnectedGraphError
 from .global_adjust import SearchLimits, global_adjust
-from .ir import Circuit, GateKind, QubitMapping, apply_mapping, gate_counts
+from .ir import (
+    CNOT_COST,
+    SINGLE_COST,
+    Circuit,
+    GateKind,
+    QubitMapping,
+    apply_mapping,
+    cost,
+    gate_counts,
+)
 from .merge import merge_single_qubit_runs
 from .routing import (
     DEFAULT_LOOKAHEAD,
     LegalityError,
+    RouteResult,
     _check_lookahead,
     fit_to_graph,
     fix_directions,
@@ -37,15 +51,10 @@ class PipelineConfig:
     lookahead: int = DEFAULT_LOOKAHEAD
     global_limits: SearchLimits = field(default_factory=SearchLimits)
     do_global: bool = True
-    do_local: bool = True
     do_merge: bool = True
-    tolerance: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         _check_lookahead(self.lookahead)
-        if not (0 < self.tolerance < 1):
-            raise ValueError("tolerance must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -62,7 +71,7 @@ class TranspileResult:
     @property
     def cost_before(self) -> int:
         n2, n1 = self.stage_counts["input"]
-        return n2 * CostModel().cnot_weight + n1 * CostModel().single_weight
+        return n2 * CNOT_COST + n1 * SINGLE_COST
 
     @property
     def cost_after(self) -> int:
@@ -110,67 +119,64 @@ def check_legal(circuit: Circuit, graph: CouplingGraph) -> None:
             raise LegalityError(f"cx({g.qubits[0]},{g.qubits[1]}) is not an edge")
 
 
-def transpile(circuit: Circuit, graph: CouplingGraph,
-              config: PipelineConfig | None = None) -> TranspileResult:
-    """Rewrite ``circuit`` to satisfy ``graph``; verify legality before
-    returning.  The circuit is widened to the graph's qubit count."""
-    config = config or PipelineConfig()
+def _run(circuit: Circuit, graph: CouplingGraph,
+         route: Callable[[Circuit, _Stages], tuple[QubitMapping, RouteResult]],
+         do_merge: bool) -> TranspileResult:
+    """Fit ``circuit`` to ``graph``, route it, repair CNOT orientation,
+    optionally fuse, and check legality before returning.  ``route`` takes
+    the fitted circuit and the stage log, logs its own stages, and returns
+    the initial mapping and the routed result."""
     work = fit_to_graph(circuit, graph)
     if not graph.is_connected:
         raise DisconnectedGraphError("coupling graph is not connected")
     stages = _Stages(work)
-
-    initial = QubitMapping.identity()
-    if config.do_global:
-        initial, _ = global_adjust(work, graph, config.global_limits)
-        work = apply_mapping(work, initial)
-    stages.done("global_adjust", work)
-
-    local = QubitMapping.identity()
-    search_cost = 0
-    swaps = 0
-    if config.do_local:
-        routed = route_circuit(work, graph, config.lookahead)
-        work, local = routed.circuit, routed.final_mapping
-        search_cost, swaps = routed.search_cost, routed.swaps_emitted
-    stages.done("local_adjust", work)
-
-    work = fix_directions(work, graph)
+    initial, routed = route(work, stages)
+    work = fix_directions(routed.circuit, graph)
     stages.done("fix_directions", work)
-
-    if config.do_merge:
+    if do_merge:
         work = merge_single_qubit_runs(work)
     stages.done("merge", work)
-
     check_legal(work, graph)
     return TranspileResult(
         circuit=work,
         initial_mapping=initial,
-        final_mapping=initial.then(local),
-        search_cost=search_cost,
-        swaps_emitted=swaps,
+        final_mapping=initial.then(routed.final_mapping),
+        search_cost=routed.search_cost,
+        swaps_emitted=routed.swaps_emitted,
         stage_counts=stages.counts,
         stage_seconds=stages.seconds,
         elapsed_s=time.perf_counter() - stages.start,
     )
 
 
+def transpile(circuit: Circuit, graph: CouplingGraph,
+              config: PipelineConfig | None = None) -> TranspileResult:
+    """Rewrite ``circuit`` to satisfy ``graph``; verify legality before
+    returning.  The circuit is widened to the graph's qubit count."""
+    config = config or PipelineConfig()
+
+    def route(work: Circuit, stages: _Stages) -> tuple[QubitMapping, RouteResult]:
+        initial = QubitMapping.identity()
+        if config.do_global:
+            initial, _ = global_adjust(work, graph, config.global_limits)
+            work = apply_mapping(work, initial)
+        stages.done("global_adjust", work)
+        routed = route_circuit(work, graph, config.lookahead)
+        stages.done("local_adjust", routed.circuit)
+        return initial, routed
+
+    return _run(circuit, graph, route, config.do_merge)
+
+
 def transpile_baseline(circuit: Circuit, graph: CouplingGraph,
                        do_merge: bool = True) -> TranspileResult:
     """Swap-there-and-back baseline under the same contract as
     :func:`transpile`: legal output, identity mappings."""
-    work = fit_to_graph(circuit, graph)
-    if not graph.is_connected:
-        raise DisconnectedGraphError("coupling graph is not connected")
-    stages = _Stages(work)
-    work = naive_route(work, graph)
-    stages.done("naive_route", work)
-    work = fix_directions(work, graph)
-    stages.done("fix_directions", work)
-    if do_merge:
-        work = merge_single_qubit_runs(work)
-    stages.done("merge", work)
-    check_legal(work, graph)
-    identity = QubitMapping.identity()
-    return TranspileResult(work, identity, identity, 0, 0, stages.counts, stages.seconds,
-                           time.perf_counter() - stages.start)
+
+    def route(work: Circuit, stages: _Stages) -> tuple[QubitMapping, RouteResult]:
+        work = naive_route(work, graph)
+        stages.done("naive_route", work)
+        identity = QubitMapping.identity()
+        return identity, RouteResult(work, identity, 0, 0)
+
+    return _run(circuit, graph, route, do_merge)

@@ -35,6 +35,8 @@ and with them the decisions, are the same bits as leaf by leaf.
 Orientation (on directed graphs) is repaired afterwards by
 :func:`fix_directions`, and :func:`naive_route` provides the classic
 swap-there-and-back construction used as the benchmark baseline.
+:func:`brute_force_route_cost` searches the same tree without a horizon:
+it is the oracle the lookahead router is certified against.
 """
 from __future__ import annotations
 
@@ -47,10 +49,10 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from .coupling import CouplingGraph, DisconnectedGraphError
-from .ir import Circuit, Gate, GateKind, QubitMapping
+from .ir import CNOT_COST, SINGLE_COST, Circuit, Gate, GateKind, QubitMapping
 
-#: flat accounting cost of one SWAP (3 CNOTs + 4 H at weights 10/1)
-SWAP_COST = 34
+#: flat accounting cost of one SWAP: 3 CNOTs + 4 direction-fix H
+SWAP_COST = 3 * CNOT_COST + 4 * SINGLE_COST
 
 #: extra accounting cost when the displaced endpoint is the control
 CONTROL_MOVE_COST = 4
@@ -72,12 +74,11 @@ class Mover(Enum):
 
 @dataclass(frozen=True)
 class SwapChain:
-    """One routing decision: walk ``mover`` along ``path`` to the far
-    endpoint's neighbour.  ``swaps`` are the pairs to exchange in order and
-    ``relabeling`` is the induced rewrite for all subsequent gates."""
+    """One routing decision: walk ``mover`` along the shortest path to the
+    far endpoint's neighbour.  ``swaps`` are the pairs to exchange in order
+    and ``relabeling`` is the induced rewrite for all subsequent gates."""
 
     mover: Mover
-    path: tuple[int, ...]
     swaps: tuple[tuple[int, int], ...]
     relabeling: QubitMapping
     search_cost: int
@@ -141,7 +142,7 @@ def _search_cost(stops: Sequence[int], mover: Mover) -> int:
 def _chain(ill: tuple[int, int], path: Sequence[int], mover: Mover) -> SwapChain:
     stops = _stops(ill, path, mover)
     relabel = {stops[0]: stops[-1]} | dict(zip(stops[1:], stops))
-    return SwapChain(mover, tuple(path), tuple(zip(stops, stops[1:])),
+    return SwapChain(mover, tuple(zip(stops, stops[1:])),
                      QubitMapping.from_dict(relabel), _search_cost(stops, mover))
 
 
@@ -385,11 +386,37 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
                        final, search_cost, swaps)
 
 
-def local_adjust(circuit: Circuit, graph: CouplingGraph,
-                 lookahead: int = DEFAULT_LOOKAHEAD) -> tuple[Circuit, QubitMapping]:
-    """Routed circuit and the cumulative relabeling it ends on."""
-    result = route_circuit(circuit, graph, lookahead)
-    return result.circuit, result.final_mapping
+#: most illegal CNOTs the exhaustive oracle accepts: its tree doubles per CNOT
+MAX_ORACLE_ILLEGAL = 12
+
+
+def brute_force_route_cost(circuit: Circuit, graph: CouplingGraph) -> int:
+    """Exact minimum routing search cost over every displacement assignment.
+
+    Walks the same decision tree as the router but exhaustively: at each
+    illegal CNOT both the control and the target displacement are realized
+    (chain applied, remainder relabeled) and the cheaper subtree wins.  No
+    estimation anywhere, so this is the ground truth the lookahead router
+    is measured against; cost units match the router's accounting
+    (34 per intermediate vertex, +4 per displaced control).
+    """
+    cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
+    illegal = sum(1 for c, t in cnots
+                  if not graph.is_legal_cnot(c, t, respect_direction=False))
+    if illegal > MAX_ORACLE_ILLEGAL:
+        raise ValueError(f"{illegal} illegal CNOTs exceeds the oracle cap "
+                         f"of {MAX_ORACLE_ILLEGAL}")
+
+    def best(start: int, perm: list[int]) -> int:
+        # the CNOTs from ``start`` on, read through the relabeling ``perm``
+        i = _first_illegal(cnots, graph, start, perm)
+        if i < 0:
+            return 0
+        c, t = cnots[i]
+        return min(cost + best(i + 1, moved)
+                   for _, cost, moved in _repairs((perm[c], perm[t]), graph, perm))
+
+    return best(0, list(range(graph.num_qubits)))
 
 
 def fix_directions(circuit: Circuit, graph: CouplingGraph) -> Circuit:

@@ -36,10 +36,6 @@ product states grow together, one concatenation per qubit.
 Nothing is cached between calls: each call fuses its circuits afresh, so
 its cost is the cost of checking those circuits, whatever was checked
 before.
-
-Also home to the exhaustive routing oracle used to certify the lookahead
-router: it tries every control/target displacement assignment and returns
-the true minimum search cost.
 """
 from __future__ import annotations
 
@@ -48,9 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coupling import CouplingGraph
 from .ir import IDENTITY_2, Circuit, Gate, GateKind, Mat2, QubitMapping, mat2_mul
-from .routing import _first_illegal, _repairs
 
 MAX_QUBITS = 16
 
@@ -300,35 +294,3 @@ def equivalent(original: Circuit, transpiled: Circuit,
     worst = probe_fidelity(original, transpiled, final_map,
                            initial_map=initial_map, seed=seed)
     return worst >= 1 - tol
-
-
-MAX_ORACLE_ILLEGAL = 12
-
-
-def brute_force_route_cost(circuit: Circuit, graph: CouplingGraph) -> int:
-    """Exact minimum routing search cost over every displacement assignment.
-
-    Walks the same decision tree as the router but exhaustively: at each
-    illegal CNOT both the control and the target displacement are realized
-    (chain applied, remainder relabeled) and the cheaper subtree wins.  No
-    estimation anywhere, so this is the ground truth the lookahead router
-    is measured against; cost units match the router's accounting
-    (34 per intermediate vertex, +4 per displaced control).
-    """
-    cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
-    illegal = sum(1 for c, t in cnots
-                  if not graph.is_legal_cnot(c, t, respect_direction=False))
-    if illegal > MAX_ORACLE_ILLEGAL:
-        raise ValueError(f"{illegal} illegal CNOTs exceeds the oracle cap "
-                         f"of {MAX_ORACLE_ILLEGAL}")
-
-    def best(start: int, perm: list[int]) -> int:
-        # the CNOTs from ``start`` on, read through the relabeling ``perm``
-        i = _first_illegal(cnots, graph, start, perm)
-        if i < 0:
-            return 0
-        c, t = cnots[i]
-        return min(cost + best(i + 1, moved)
-                   for _, cost, moved in _repairs((perm[c], perm[t]), graph, perm))
-
-    return best(0, list(range(graph.num_qubits)))

@@ -10,7 +10,6 @@ import qlayout as ql
 from qlayout.bench import (
     CSV_HEADER,
     BenchRecord,
-    CostModel,
     aggregate,
     cost,
     gen_random_circuit,
@@ -18,6 +17,8 @@ from qlayout.bench import (
     records_to_csv,
     run_benchmark,
 )
+from qlayout.ir import CNOT_COST, SINGLE_COST
+from qlayout.routing import SWAP_COST
 
 
 class TestGenRandomCircuit:
@@ -63,10 +64,7 @@ class TestCost:
         assert cost(ql.Circuit(2)) == 0
 
     def test_model_invariant(self):
-        with pytest.raises(ValueError):
-            CostModel(cnot_weight=10, single_weight=1, swap_weight=30)
-        m = CostModel()
-        assert m.swap_weight == 3 * m.cnot_weight + 4 * m.single_weight
+        assert SWAP_COST == 3 * CNOT_COST + 4 * SINGLE_COST == 34
 
 
 def independent_aggregate(csv_text: str) -> dict:

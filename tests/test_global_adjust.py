@@ -150,11 +150,16 @@ class TestGlobalAdjust:
         # depth 1 means at most one transposition was composed
         assert len(mapping.pairs) <= 2
 
+    def test_circuit_wider_than_graph_rejected(self):
+        c = ql.Circuit(5, 0, (ql.cx(0, 2), ql.cx(3, 4)))
+        with pytest.raises(ValueError, match="uses 5 qubits but the layout has only 3"):
+            global_adjust(c, make_layout("linear", 3))
+
     def test_relabeled_then_routed_is_equivalent(self):
         circ = ql.gen_random_circuit(5, 2, seed=17)
         g = make_layout("central", 5)
         mapping, _ = global_adjust(circ, g)
         moved = ql.apply_mapping(circ, mapping)
-        routed, local_map = ql.local_adjust(moved, g)
-        assert ql.equivalent(circ, routed, mapping.then(local_map), 1e-9,
-                             initial_map=mapping)
+        routed = ql.route_circuit(moved, g)
+        assert ql.equivalent(circ, routed.circuit, mapping.then(routed.final_mapping),
+                             1e-9, initial_map=mapping)

@@ -92,8 +92,6 @@ class TestTranspile:
         with pytest.raises(ValueError, match=f"between 1 and {MAX_LOOKAHEAD}"):
             PipelineConfig(lookahead=MAX_LOOKAHEAD + 1)
         assert PipelineConfig(lookahead=MAX_LOOKAHEAD).lookahead == MAX_LOOKAHEAD
-        with pytest.raises(ValueError):
-            PipelineConfig(tolerance=0.0)
 
 
 class TestBaseline:

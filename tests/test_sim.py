@@ -9,13 +9,8 @@ from hypothesis import strategies as st
 import qlayout as ql
 from qlayout.coupling import CouplingGraph, make_layout
 from qlayout.ir import GateKind, QubitMapping, single_qubit_matrix
-from qlayout.sim import (
-    MAX_ORACLE_ILLEGAL,
-    brute_force_route_cost,
-    permute_amplitudes,
-    probe_fidelity,
-    simulate,
-)
+from qlayout.routing import MAX_ORACLE_ILLEGAL, brute_force_route_cost
+from qlayout.sim import permute_amplitudes, probe_fidelity, simulate
 
 from conftest import circuits, random_unitary_circuit
 
