@@ -1,7 +1,13 @@
 """Block scoring of search leaves: the relabel search and the lookahead
 router must decide exactly as the leaf-by-leaf searches below, which
-score each leaf as soon as it is reached."""
+score each leaf as soon as it is reached.
+
+The oracles do not share the code they check: the relabel search's
+candidate rescan and the router's SWAP-chain repairs are copied here as
+they were before the searches stopped recomputing them at every node
+(``ref_*`` below)."""
 import itertools
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -11,18 +17,82 @@ import qlayout as ql
 from conftest import circuits, connected_graphs
 from qlayout import routing
 from qlayout.coupling import CouplingGraph, DisconnectedGraphError
-from qlayout.global_adjust import SearchLimits, _cnot_index, _legalizing_swaps, global_adjust
+from qlayout.global_adjust import SearchLimits, global_adjust
 from qlayout.ir import GateKind, QubitMapping
 from qlayout.routing import (
+    CONTROL_MOVE_COST,
+    SWAP_COST,
+    Mover,
+    SwapChain,
     _Leaves,
-    _chain,
     _first_illegal,
-    _repairs,
     _residual_intermediates,
     estimate_cost,
     lookahead_choose,
     route_circuit,
 )
+
+
+def ref_legalizing_swaps(ill, graph, cnots, passed, end, perm, inverse):
+    """Wire pairs (moved, nbr) whose transposition legalizes ``ill`` and
+    keeps every CNOT in ``cnots[:end]`` legal, found by rereading the passed
+    CNOTs on both exchanged qubits (``passed`` is :func:`ref_cnot_index`)."""
+    adjacent = graph.adjacency_matrix
+    control, target = ill
+    for fixed, moved in ((target, control), (control, target)):
+        for nbr in graph.adjacent(fixed):
+            if nbr == moved:
+                continue
+            a, b = inverse[moved], inverse[nbr]
+            perm[a], perm[b] = nbr, moved
+            ok = all(adjacent[perm[cnots[i][0]]][perm[cnots[i][1]]]
+                     for q in (a, b) for i in passed[q][:bisect_left(passed[q], end)])
+            perm[a], perm[b] = moved, nbr
+            if ok:
+                yield moved, nbr
+
+
+def ref_cnot_index(cnots, num_qubits):
+    """Per qubit, the ascending indices of the CNOTs that touch it."""
+    touching = [[] for _ in range(num_qubits)]
+    for i, (c, t) in enumerate(cnots):
+        touching[c].append(i)
+        touching[t].append(i)
+    return touching
+
+
+def ref_stops(ill, path, mover):
+    inter = list(path[1:-1])
+    return [ill[0]] + inter if mover is Mover.CONTROL else [ill[1]] + inter[::-1]
+
+
+def ref_search_cost(stops, mover):
+    return SWAP_COST * (len(stops) - 1) + (CONTROL_MOVE_COST if mover is Mover.CONTROL else 0)
+
+
+def ref_chain(ill, path, mover):
+    """The SwapChain for ``ill`` along ``path``, built from scratch."""
+    stops = ref_stops(ill, path, mover)
+    relabel = {stops[0]: stops[-1]} | dict(zip(stops[1:], stops))
+    return SwapChain(mover, tuple(zip(stops, stops[1:])),
+                     QubitMapping.from_dict(relabel), ref_search_cost(stops, mover))
+
+
+def ref_relabeled(perm, stops):
+    step = list(range(len(perm)))
+    step[stops[0]] = stops[-1]
+    for prev, cur in zip(stops, stops[1:]):
+        step[cur] = prev
+    return [step[q] for q in perm]
+
+
+def ref_repairs(ill, graph, perm):
+    """Both repairs of ``ill``, control moved first, each recomputed from
+    ``shortest_path``: (mover, search cost, ``perm`` then the chain)."""
+    path = graph.shortest_path(*ill)
+    for mover in (Mover.CONTROL, Mover.TARGET):
+        stops = ref_stops(ill, path, mover)
+        yield mover, ref_search_cost(stops, mover), ref_relabeled(perm, stops)
 
 
 def oracle_global_adjust(circuit, graph, limits=None):
@@ -31,7 +101,7 @@ def oracle_global_adjust(circuit, graph, limits=None):
     max_depth = limits.depth_for(graph)
     cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
     width = max(circuit.num_qubits, graph.num_qubits)
-    passed = _cnot_index(cnots, width)
+    passed = ref_cnot_index(cnots, width)
     perm = list(range(width))
     inverse = list(range(width))
     best = None
@@ -53,8 +123,8 @@ def oracle_global_adjust(circuit, graph, limits=None):
             return
         budget -= 1
         c, t = cnots[i]
-        swaps = list(_legalizing_swaps((perm[c], perm[t]), graph, cnots, passed, i,
-                                       perm, inverse))
+        swaps = list(ref_legalizing_swaps((perm[c], perm[t]), graph, cnots, passed, i,
+                                          perm, inverse))
         if not swaps:
             offer(estimate_cost(_residual_intermediates(cnots, graph, i, perm)))
             return
@@ -79,7 +149,7 @@ def oracle_choose_chain(ill, cnots, start, perm, graph, lookahead):
 
     def descend(ill, start, perm, acc, lead, depth):
         nonlocal best_cost, best_mover
-        for mover, step_cost, moved in _repairs(ill, graph, perm):
+        for mover, step_cost, moved in ref_repairs(ill, graph, perm):
             cost = acc + step_cost
             first = mover if lead is None else lead
             j = _first_illegal(cnots, graph, start, moved)
@@ -93,7 +163,7 @@ def oracle_choose_chain(ill, cnots, start, perm, graph, lookahead):
                 best_cost, best_mover = cost, first
 
     descend(ill, start, perm, 0.0, None, 1)
-    return _chain(ill, graph.shortest_path(*ill), best_mover), best_cost
+    return ref_chain(ill, graph.shortest_path(*ill), best_mover), best_cost
 
 
 def oracle_route(circuit, graph, lookahead):
