@@ -16,7 +16,7 @@ from .coupling import (
     load_coupling,
     make_layout,
 )
-from .global_adjust import SearchLimits, candidate_mappings, global_adjust
+from .relabel import SearchLimits, candidate_mappings, global_adjust
 from .ir import (
     Circuit,
     Gate,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .bench import records_to_csv, result_to_json, run_benchmark
 from .coupling import DisconnectedGraphError, load_coupling
-from .global_adjust import SearchLimits
+from .relabel import SearchLimits
 from .ir import QubitMapping
 from .pipeline import PipelineConfig, transpile, transpile_baseline
 from .qasm import QasmError, emit_qasm, parse_qasm

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .coupling import CouplingGraph, DisconnectedGraphError
-from .global_adjust import SearchLimits, global_adjust
+from .relabel import SearchLimits, global_adjust
 from .ir import (
     CNOT_COST,
     SINGLE_COST,

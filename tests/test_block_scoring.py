@@ -17,7 +17,7 @@ import qlayout as ql
 from conftest import circuits, connected_graphs
 from qlayout import routing
 from qlayout.coupling import CouplingGraph, DisconnectedGraphError
-from qlayout.global_adjust import SearchLimits, global_adjust
+from qlayout.relabel import SearchLimits, global_adjust
 from qlayout.ir import GateKind, QubitMapping
 from qlayout.routing import (
     CONTROL_MOVE_COST,

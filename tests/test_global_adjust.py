@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import qlayout as ql
 from conftest import connected_graphs
 from qlayout.coupling import CouplingGraph, make_layout
-from qlayout.global_adjust import SearchLimits, candidate_mappings, global_adjust
+from qlayout.relabel import SearchLimits, candidate_mappings, global_adjust
 from qlayout.ir import QubitMapping
 
 

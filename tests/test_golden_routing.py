@@ -16,7 +16,7 @@ import pytest
 
 import qlayout as ql
 from qlayout.coupling import CouplingGraph
-from qlayout.global_adjust import SearchLimits
+from qlayout.relabel import SearchLimits
 from qlayout.pipeline import PipelineConfig
 
 # (layout, n, su4_depth, seed, relabel node cap, directed,
