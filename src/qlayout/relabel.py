@@ -14,14 +14,21 @@ illegal; the identity relabeling is always ranked as a fallback, last, so
 a relabeling that removes every illegal CNOT beats doing nothing even
 when the estimate rounds to zero.
 
-The search runs on plain arrays: the CNOTs stay as (control, target)
-pairs of the input, the accumulated relabeling is one dense permutation
-that a transposition updates in place (and undoes on backtrack), and
-legality and distances are read from the graph's precomputed tables.  A
-candidate is checked only against the passed CNOTs on the two qubits it
-exchanges; every other passed CNOT keeps its wires.  The search visits
-the same nodes in the same order as a relabel-the-whole-list search, at a
-fraction of the cost per node.
+The search runs on plain arrays and bitmasks.  The CNOTs stay as
+(control, target) pairs of the input, and the accumulated relabeling is
+one dense permutation that a transposition updates in place (and undoes
+on backtrack); legality and distances are read from the graph's
+precomputed tables.  A candidate is checked with two integer masks, not
+by rereading the passed CNOTs: ``partners[i][q]``, the input qubits that
+share a CNOT with q in ``cnots[:i]``, depends only on the CNOT list; and
+``near[w]``, the input qubits on the wires adjacent to wire w, is kept
+current as transpositions are applied and undone.  A transposition only
+moves the two qubits it exchanges, so the passed CNOTs stay legal exactly
+when each of the two finds its partners among the qubits next to its new
+wire: the test covers the same CNOTs as a rescan, and keeps the same
+candidates in the same order.  The search visits the same nodes in the
+same order as a relabel-the-whole-list search, at a fraction of the cost
+per node.
 
 Terminals are ranked in blocks.  Neither the node budget nor the depth
 cap looks at a cost, so the search never needs a terminal's estimate
@@ -34,62 +41,111 @@ scored every terminal on the spot would return.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .coupling import CouplingGraph
 from .ir import Circuit, GateKind, QubitMapping
 from .routing import _first_illegal, _Leaves, fit_to_graph
 
 
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class SearchLimits:
     """Caps on the relabeling search; on either cap the best terminal seen
-    so far wins.  ``max_depth`` defaults to twice the graph size."""
+    so far wins.  ``max_nodes`` is an int >= 0; ``max_depth`` is an int
+    >= 0, or None for twice the graph size."""
 
     max_nodes: int = 4096
     max_depth: int | None = None
+
+    def __post_init__(self):
+        if not _is_count(self.max_nodes):
+            raise ValueError(f"max_nodes must be an integer >= 0, got {self.max_nodes!r}")
+        if self.max_depth is not None and not _is_count(self.max_depth):
+            raise ValueError(f"max_depth must be None or an integer >= 0, "
+                             f"got {self.max_depth!r}")
 
     def depth_for(self, graph: CouplingGraph) -> int:
         return self.max_depth if self.max_depth is not None else 2 * graph.num_qubits
 
 
-def _legalizing_swaps(ill: tuple[int, int], graph: CouplingGraph,
-                      cnots: Sequence[tuple[int, int]], passed: Sequence[list[int]],
-                      end: int, perm: list[int],
-                      inverse: list[int]) -> Iterator[tuple[int, int]]:
-    """Wire pairs (moved, nbr) whose transposition legalizes ``ill`` and
-    keeps every CNOT in ``cnots[:end]`` legal.
+class _PartnerMasks:
+    """Row i, for i in 0..len(cnots): per input qubit q, the bitmask of the
+    input qubits that share a CNOT with q in ``cnots[:i]``.  Rows are built
+    on first request, so a search that stops early pays only for the
+    prefix it reached."""
 
-    Those CNOTs must all be legal already, read through the dense
-    relabeling ``perm`` (``inverse`` is its inverse); ``passed[q]`` lists,
-    in ascending order, the indices of the CNOTs that touch input qubit q.
-    Control-side swaps (control with each neighbour of the target) come
-    first, then target-side, each in ascending neighbour order.
-    """
-    adjacent = graph.adjacency_matrix
-    control, target = ill
-    for fixed, moved in ((target, control), (control, target)):
-        for nbr in graph.adjacent(fixed):
-            if nbr == moved:
-                continue
-            a, b = inverse[moved], inverse[nbr]
-            perm[a], perm[b] = nbr, moved
-            ok = all(adjacent[perm[cnots[i][0]]][perm[cnots[i][1]]]
-                     for q in (a, b) for i in passed[q][:bisect_left(passed[q], end)])
-            perm[a], perm[b] = moved, nbr
-            if ok:
-                yield moved, nbr
+    def __init__(self, cnots: Sequence[tuple[int, int]], num_qubits: int):
+        self.cnots = cnots
+        self.rows = [[0] * num_qubits]
+
+    def row(self, i: int) -> list[int]:
+        rows = self.rows
+        while len(rows) <= i:
+            c, t = self.cnots[len(rows) - 1]
+            row = rows[-1].copy()
+            row[c] |= 1 << t
+            row[t] |= 1 << c
+            rows.append(row)
+        return rows[i]
 
 
-def _cnot_index(cnots: Sequence[tuple[int, int]], num_qubits: int) -> list[list[int]]:
-    """Per qubit, the ascending indices of the CNOTs that touch it."""
-    touching: list[list[int]] = [[] for _ in range(num_qubits)]
-    for i, (c, t) in enumerate(cnots):
-        touching[c].append(i)
-        touching[t].append(i)
-    return touching
+class _Placement:
+    """The search's relabeling: ``perm`` (input qubit -> wire), its
+    ``inverse``, and per wire w the bitmask ``near[w]`` of the input qubits
+    on the wires adjacent to w."""
+
+    def __init__(self, graph: CouplingGraph):
+        n = graph.num_qubits
+        self.neighbors = graph.neighbors
+        self.adjacent = graph.adjacency_matrix
+        self.perm = list(range(n))
+        self.inverse = list(range(n))
+        self.near = [sum(1 << u for u in nbrs) for nbrs in self.neighbors]
+
+    def transpose(self, moved: int, nbr: int) -> None:
+        """Exchange the qubits on wires ``moved`` and ``nbr``; the same call
+        again undoes it."""
+        perm, inverse, near, neighbors = self.perm, self.inverse, self.near, self.neighbors
+        a, b = inverse[moved], inverse[nbr]
+        perm[a], perm[b], inverse[moved], inverse[nbr] = nbr, moved, b, a
+        # a wire adjacent to both keeps both qubits: its two flips cancel
+        ab = (1 << a) | (1 << b)
+        for u in neighbors[moved]:
+            near[u] ^= ab
+        for u in neighbors[nbr]:
+            near[u] ^= ab
+
+    def legalizing(self, ill: tuple[int, int], partners: Sequence[int]) -> list[tuple[int, int]]:
+        """Wire pairs (moved, nbr) whose transposition makes the wires
+        ``ill`` adjacent and keeps legal every CNOT of the prefix that
+        ``partners`` describes (a row of :class:`_PartnerMasks`).
+
+        The prefix must be legal under the current relabeling.  Control-side
+        swaps (control with each neighbour of the target) come first, then
+        target-side, each in ascending neighbour order.
+        """
+        adjacent, inverse, near = self.adjacent, self.inverse, self.near
+        control, target = ill
+        found = []
+        for fixed, moved in ((target, control), (control, target)):
+            a = inverse[moved]
+            of_a, near_moved = partners[a], near[moved]
+            for nbr in self.neighbors[fixed]:
+                if nbr == moved:
+                    continue
+                b = inverse[nbr]
+                # a lands on nbr and b on moved: each must find its partners
+                # next to its new wire, where, if the two wires are adjacent,
+                # the other one's qubit has changed too
+                flip = (1 << a) | (1 << b) if adjacent[moved][nbr] else 0
+                if not (of_a & ~(near[nbr] ^ flip) or partners[b] & ~(near_moved ^ flip)):
+                    found.append((moved, nbr))
+        return found
 
 
 def candidate_mappings(ill: tuple[int, int], graph: CouplingGraph,
@@ -104,10 +160,13 @@ def candidate_mappings(ill: tuple[int, int], graph: CouplingGraph,
     prefix = [(c, t) for c, t in prefix]
     if not all(graph.is_legal_cnot(c, t, respect_direction=False) for c, t in prefix):
         raise ValueError("every CNOT of prefix must already be legal")
-    identity = list(range(graph.num_qubits))
-    return [QubitMapping.swap(moved, nbr) for moved, nbr in _legalizing_swaps(
-        tuple(ill), graph, prefix, _cnot_index(prefix, graph.num_qubits), len(prefix),
-        identity, list(identity))]
+    control, target = ill
+    for q in (control, target):
+        if not 0 <= q < graph.num_qubits:
+            raise IndexError(f"qubit {q} outside 0..{graph.num_qubits - 1}")
+    partners = _PartnerMasks(prefix, graph.num_qubits).row(len(prefix))
+    return [QubitMapping.swap(moved, nbr)
+            for moved, nbr in _Placement(graph).legalizing((control, target), partners)]
 
 
 def global_adjust(circuit: Circuit, graph: CouplingGraph,
@@ -125,9 +184,10 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
     limits = limits or SearchLimits()
     max_depth = limits.depth_for(graph)
     cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
-    passed = _cnot_index(cnots, graph.num_qubits)
-    perm = list(range(graph.num_qubits))  # input qubit -> wire, the accumulated relabeling
-    inverse = list(range(graph.num_qubits))
+    partner_masks = _PartnerMasks(cnots, graph.num_qubits).row
+    placed = _Placement(graph)
+    perm = placed.perm  # input qubit -> wire, the accumulated relabeling
+    legalizing, transpose = placed.legalizing, placed.transpose
 
     leaves = _Leaves(cnots, graph)
     budget = limits.max_nodes
@@ -148,18 +208,16 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
             return
         budget -= 1
         c, t = cnots[i]
-        swaps = list(_legalizing_swaps((perm[c], perm[t]), graph, cnots, passed, i,
-                                       perm, inverse))
+        swaps = legalizing((perm[c], perm[t]), partner_masks(i))
         if not swaps:
             offer(i)
             return
         for moved, nbr in swaps:
             if budget <= 0:
                 break
-            a, b = inverse[moved], inverse[nbr]
-            perm[a], perm[b], inverse[moved], inverse[nbr] = nbr, moved, b, a
+            transpose(moved, nbr)
             search(i + 1, depth + 1)
-            perm[a], perm[b], inverse[moved], inverse[nbr] = moved, nbr, a, b
+            transpose(moved, nbr)
 
     search(0, 0)
     # every transposition has been undone: perm is the identity fallback

@@ -20,8 +20,13 @@ The search runs on plain arrays.  The remaining CNOTs stay as the input's
 ``perm[q]``: a branch composes its chain onto the permutation and scans
 the CNOTs through it, instead of rewriting them.  Legality and
 intermediate-vertex counts are read from the coupling graph's precomputed
-tables.  The router itself keeps one running wire permutation and builds
-each output gate once, when it is emitted.
+tables.  The two repairs of an ordered wire pair -- each chain's cost,
+its relabeling as a dense step and the wires its mover visits -- depend
+only on the graph, so they are built the first time the pair is met and
+kept in the graph's ``repair_table`` (:func:`_repairs`): a tree node only
+composes a step onto its permutation.  The router keeps one running wire
+permutation, applies the chosen step to it, and builds each output gate
+once, when it is emitted.
 
 Each leaf still scores its whole residue, but not one at a time.  No
 cost is read while the tree is descended, so the leaves are collected in
@@ -44,7 +49,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import islice
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -82,13 +87,6 @@ class SwapChain:
     swaps: tuple[tuple[int, int], ...]
     relabeling: QubitMapping
     search_cost: int
-
-    def gates(self) -> list[Gate]:
-        """SWAP expansion: cx(a,b) cx(b,a) cx(a,b) per exchanged pair."""
-        out: list[Gate] = []
-        for a, b in self.swaps:
-            out += _swap_gates(a, b)
-        return out
 
 
 def _swap_gates(a: int, b: int) -> list[Gate]:
@@ -146,25 +144,35 @@ def _chain(ill: tuple[int, int], path: Sequence[int], mover: Mover) -> SwapChain
                      QubitMapping.from_dict(relabel), _search_cost(stops, mover))
 
 
-def _relabeled(perm: Sequence[int], stops: Sequence[int]) -> list[int]:
-    """Dense ``perm`` followed by the relabeling of the chain along
-    ``stops``: the first stop's state lands on the last stop and every
-    other stop's state moves back one stop."""
-    step = list(range(len(perm)))
-    step[stops[0]] = stops[-1]
-    for prev, cur in zip(stops, stops[1:]):
-        step[cur] = prev
-    return [step[q] for q in perm]
+#: one repair of an illegal CNOT: (mover, search cost, step, stops)
+_Repair = tuple[Mover, int, tuple[int, ...], tuple[int, ...]]
 
 
-def _repairs(ill: tuple[int, int], graph: CouplingGraph,
-             perm: Sequence[int]) -> Iterator[tuple[Mover, int, list[int]]]:
-    """Both SWAP chains that repair ``ill``, control moved first, as
-    (mover, search cost, ``perm`` followed by the chain's relabeling)."""
-    path = graph.shortest_path(*ill)
-    for mover in (Mover.CONTROL, Mover.TARGET):
-        stops = _stops(ill, path, mover)
-        yield mover, _search_cost(stops, mover), _relabeled(perm, stops)
+def _repairs(ill: tuple[int, int], graph: CouplingGraph) -> tuple[_Repair, _Repair]:
+    """Both SWAP chains that repair the wire pair ``ill``, control moved
+    first, as (mover, search cost, step, stops): the chain's relabeling as
+    a dense ``step[wire]``, and the wires the mover's state visits (see
+    :func:`_stops`), whose consecutive pairs are the SWAPs.
+
+    They depend only on the graph and the ordered pair, so they are built
+    on first use and kept in the graph's
+    :attr:`~qlayout.coupling.CouplingGraph.repair_table`.
+    """
+    table = graph.repair_table
+    repairs = table.get(ill)
+    if repairs is None:
+        path = graph.shortest_path(*ill)
+        wires = (int(ill[0]), int(ill[1]))
+        built = []
+        for mover in (Mover.CONTROL, Mover.TARGET):
+            stops = _stops(wires, path, mover)
+            step = list(range(graph.num_qubits))
+            step[stops[0]] = stops[-1]
+            for prev, cur in zip(stops, stops[1:]):
+                step[cur] = prev
+            built.append((mover, _search_cost(stops, mover), tuple(step), tuple(stops)))
+        repairs = table[ill] = tuple(built)
+    return repairs
 
 
 def _first_illegal(cnots: Sequence[tuple[int, int]], graph: CouplingGraph,
@@ -280,10 +288,11 @@ class _Leaves:
                 for t, k in zip(total.tolist(), n[:, 0].tolist())]
 
 
-def _choose_chain(ill: tuple[int, int], leaves: _Leaves, start: int,
-                  perm: Sequence[int], lookahead: int) -> tuple[SwapChain, float]:
-    """Best first-level SwapChain for ``ill`` by exact search of the top
-    ``lookahead`` levels of the control/target decision tree.
+def _choose_repair(ill: tuple[int, int], leaves: _Leaves, start: int,
+                   perm: Sequence[int], lookahead: int) -> tuple[_Repair, float]:
+    """Best first-level repair of ``ill`` (one of :func:`_repairs`) and its
+    cost, by exact search of the top ``lookahead`` levels of the
+    control/target decision tree.
 
     The CNOTs after ``ill`` are ``leaves.cnots[start:]`` read through the
     dense relabeling ``perm``; a branch composes its chain onto ``perm``
@@ -295,10 +304,12 @@ def _choose_chain(ill: tuple[int, int], leaves: _Leaves, start: int,
     cnots, graph = leaves.cnots, leaves.graph
 
     def descend(ill: tuple[int, int], start: int, perm: Sequence[int], acc: float,
-                lead: Mover | None, depth: int) -> None:
-        for mover, step_cost, moved in _repairs(ill, graph, perm):
+                lead: _Repair | None, depth: int) -> None:
+        for repair in _repairs(ill, graph):
+            _, step_cost, step, _ = repair
+            moved = [step[q] for q in perm]
             cost = acc + step_cost
-            first = mover if lead is None else lead
+            first = repair if lead is None else lead
             j = _first_illegal(cnots, graph, start, moved)
             if j >= 0 and depth < lookahead:
                 c, t = cnots[j]
@@ -307,8 +318,8 @@ def _choose_chain(ill: tuple[int, int], leaves: _Leaves, start: int,
                 leaves.add(moved, j if j >= 0 else len(cnots), cost, first)
 
     descend(ill, start, perm, 0.0, None, 1)
-    best_cost, best_mover = leaves.take()
-    return _chain(ill, graph.shortest_path(*ill), best_mover), best_cost
+    best_cost, best = leaves.take()
+    return best, best_cost
 
 
 def lookahead_choose(ill: tuple[int, int], rest: Sequence[tuple[int, int]],
@@ -323,8 +334,9 @@ def lookahead_choose(ill: tuple[int, int], rest: Sequence[tuple[int, int]],
         raise IndexError(f"a CNOT in rest touches a qubit outside 0..{n - 1}")
     if any(c == t for c, t in rest):
         raise ValueError("a CNOT in rest has the same control and target")
-    chain, cost = _choose_chain(tuple(ill), _Leaves(rest, graph), 0, range(n), lookahead)
-    return chain.relabeling, cost
+    ill = tuple(ill)
+    (mover, _, _, _), cost = _choose_repair(ill, _Leaves(rest, graph), 0, range(n), lookahead)
+    return _chain(ill, graph.shortest_path(*ill), mover).relabeling, cost
 
 
 @dataclass(frozen=True)
@@ -374,12 +386,13 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
             k += 1
             c, t = g.qubits
             while not adjacent[wire[c]][wire[t]]:
-                chain, _ = _choose_chain((wire[c], wire[t]), leaves, k, wire, lookahead)
-                out.extend(chain.gates())
-                step = chain.relabeling.as_dict()
-                wire = [step.get(w, w) for w in wire]
-                search_cost += chain.search_cost
-                swaps += len(chain.swaps)
+                (_, step_cost, step, stops), _ = _choose_repair(
+                    (wire[c], wire[t]), leaves, k, wire, lookahead)
+                for a, b in zip(stops, stops[1:]):
+                    out += _swap_gates(a, b)
+                wire = [step[w] for w in wire]
+                search_cost += step_cost
+                swaps += len(stops) - 1
         out.append(g._moved(wire))
     final = QubitMapping(tuple(enumerate(wire)))
     return RouteResult(Circuit._unchecked(circuit.num_qubits, circuit.num_clbits, tuple(out)),
@@ -413,8 +426,8 @@ def brute_force_route_cost(circuit: Circuit, graph: CouplingGraph) -> int:
         if i < 0:
             return 0
         c, t = cnots[i]
-        return min(cost + best(i + 1, moved)
-                   for _, cost, moved in _repairs((perm[c], perm[t]), graph, perm))
+        return min(cost + best(i + 1, [step[q] for q in perm])
+                   for _, cost, step, _ in _repairs((perm[c], perm[t]), graph))
 
     return best(0, list(range(graph.num_qubits)))
 

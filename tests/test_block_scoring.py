@@ -9,6 +9,7 @@ they were before the searches stopped recomputing them at every node
 import itertools
 from bisect import bisect_left
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ import qlayout as ql
 from conftest import circuits, connected_graphs
 from qlayout import routing
 from qlayout.coupling import CouplingGraph, DisconnectedGraphError
-from qlayout.relabel import SearchLimits, global_adjust
+from qlayout.relabel import SearchLimits, _PartnerMasks, _Placement, global_adjust
 from qlayout.ir import GateKind, QubitMapping
 from qlayout.routing import (
     CONTROL_MOVE_COST,
@@ -26,6 +27,7 @@ from qlayout.routing import (
     SwapChain,
     _Leaves,
     _first_illegal,
+    _repairs,
     _residual_intermediates,
     estimate_cost,
     lookahead_choose,
@@ -167,13 +169,13 @@ def oracle_choose_chain(ill, cnots, start, perm, graph, lookahead):
 
 
 def oracle_route(circuit, graph, lookahead):
-    """The router's loop over :func:`oracle_choose_chain`: gates and final
-    wire permutation."""
+    """The router's loop over :func:`oracle_choose_chain`: gates, final
+    wire permutation, search cost and SWAP count."""
     adjacent = graph.adjacency_matrix
     cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
     wire = list(range(graph.num_qubits))
     out = []
-    k = 0
+    k = search_cost = swaps = 0
     for g in circuit.gates:
         if g.kind is GateKind.CNOT:
             k += 1
@@ -181,11 +183,14 @@ def oracle_route(circuit, graph, lookahead):
             while not adjacent[wire[c]][wire[t]]:
                 chain, _ = oracle_choose_chain((wire[c], wire[t]), cnots, k, wire, graph,
                                                lookahead)
-                out.extend(chain.gates())
+                for a, b in chain.swaps:
+                    out += [ql.cx(a, b), ql.cx(b, a), ql.cx(a, b)]
                 step = chain.relabeling.as_dict()
                 wire = [step.get(w, w) for w in wire]
+                search_cost += chain.search_cost
+                swaps += len(chain.swaps)
         out.append(g.relabeled(QubitMapping(tuple(enumerate(wire)))))
-    return out, wire
+    return out, wire, search_cost, swaps
 
 
 @st.composite
@@ -268,9 +273,108 @@ class TestLookaheadMatchesLeafByLeaf:
         graph, pairs = case
         circuit = cnot_circuit(graph.num_qubits, pairs)
         result = route_circuit(circuit, graph, lookahead)
-        gates, wire = oracle_route(circuit, graph, lookahead)
+        gates, wire, search_cost, swaps = oracle_route(circuit, graph, lookahead)
         assert list(result.circuit.gates) == gates
         assert result.final_mapping == QubitMapping(tuple(enumerate(wire)))
+        assert (result.search_cost, result.swaps_emitted) == (search_cost, swaps)
+
+
+def near_masks(graph, inverse):
+    """Per wire, the bitmask of the input qubits on its adjacent wires."""
+    return [sum(1 << inverse[u] for u in graph.neighbors[w]) for w in range(graph.num_qubits)]
+
+
+def walk_candidate_checks(graph, cnots, max_nodes):
+    """The relabel search's walk, branching on the rescan's candidates; at
+    every node the mask check of a :class:`_Placement` kept in step must
+    give the same candidates in the same order.  Returns the node count."""
+    n = graph.num_qubits
+    passed = ref_cnot_index(cnots, n)
+    perm, inverse = list(range(n)), list(range(n))
+    placed = _Placement(graph)
+    masks = _PartnerMasks(cnots, n)
+    nodes = 0
+
+    def search(start):
+        nonlocal nodes
+        i = _first_illegal(cnots, graph, start, perm)
+        if i < 0 or nodes >= max_nodes:
+            return
+        nodes += 1
+        c, t = cnots[i]
+        ill = (perm[c], perm[t])
+        swaps = list(ref_legalizing_swaps(ill, graph, cnots, passed, i, perm, inverse))
+        assert placed.legalizing(ill, masks.row(i)) == swaps
+        for moved, nbr in swaps:
+            a, b = inverse[moved], inverse[nbr]
+            perm[a], perm[b], inverse[moved], inverse[nbr] = nbr, moved, b, a
+            placed.transpose(moved, nbr)
+            assert (placed.perm, placed.inverse) == (perm, inverse)
+            assert placed.near == near_masks(graph, inverse)
+            search(i + 1)
+            perm[a], perm[b], inverse[moved], inverse[nbr] = moved, nbr, a, b
+            placed.transpose(moved, nbr)
+            assert placed.near == near_masks(graph, inverse)
+
+    search(0)
+    return nodes
+
+
+class TestCandidateCheck:
+    @settings(max_examples=80, deadline=None)
+    @given(case=graph_and_cnots(max_cnots=30))
+    def test_masks_match_the_rescan_at_every_node(self, case):
+        graph, pairs = case
+        walk_candidate_checks(graph, pairs, max_nodes=200)
+
+    def test_walk_reaches_adjacent_and_shared_neighbour_swaps(self):
+        # a 4-cycle with a chord: candidate wires that are adjacent, and
+        # wires with a neighbour in common, both occur on the walk
+        graph = CouplingGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4)}))
+        pairs = [(0, 1), (1, 4), (2, 4), (0, 4), (1, 3), (4, 2), (0, 3), (1, 4)]
+        assert walk_candidate_checks(graph, pairs, max_nodes=10**6) > 1
+
+    def test_partner_rows(self):
+        masks = _PartnerMasks([(0, 1), (1, 2), (0, 1)], 4)
+        assert masks.row(3) == [0b10, 0b101, 0b10, 0]
+        assert masks.row(0) == [0, 0, 0, 0]
+        assert masks.row(2) == [0b10, 0b101, 0b10, 0]
+
+
+class TestRepairTable:
+    @settings(max_examples=60, deadline=None)
+    @given(graph=connected_graphs(max_qubits=8), data=st.data())
+    def test_cached_repair_equals_one_built_fresh(self, graph, data):
+        # every ordered pair, twice: the second round reads the table
+        n = graph.num_qubits
+        pairs = data.draw(st.permutations([(c, t) for c in range(n) for t in range(n) if c != t]))
+        for _ in range(2):
+            for ill in pairs:
+                path = graph.shortest_path(*ill)
+                fresh = []
+                for mover in (Mover.CONTROL, Mover.TARGET):
+                    stops = ref_stops(ill, path, mover)
+                    step = tuple(ref_relabeled(range(n), stops))
+                    chain = ref_chain(ill, path, mover)
+                    assert chain.relabeling == QubitMapping(tuple(enumerate(step)))
+                    assert chain.swaps == tuple(zip(stops, stops[1:]))
+                    fresh.append((mover, chain.search_cost, step, tuple(stops)))
+                assert list(_repairs(ill, graph)) == fresh
+
+    def test_table_is_not_part_of_the_graph_value(self):
+        graph, fresh = ql.make_layout("linear", 5), ql.make_layout("linear", 5)
+        before = (hash(graph), repr(graph))
+        route_circuit(cnot_circuit(5, [(0, 4), (1, 3), (4, 0)]), graph)
+        assert graph.repair_table and "repair_table" not in vars(fresh)
+        assert graph == fresh
+        assert (hash(graph), repr(graph)) == before == (hash(fresh), repr(fresh))
+
+    def test_wires_from_a_numpy_pair_come_out_as_ints(self):
+        graph = ql.make_layout("linear", 3)
+        lookahead_choose((np.int64(0), np.int64(2)), [], graph)
+        routed = route_circuit(cnot_circuit(3, [(0, 2)]), graph)
+        assert routed.swaps_emitted == 1
+        assert all(type(q) is int for g in routed.circuit.gates for q in g.qubits)
 
 
 def reference_scores(cnots, graph, block):

@@ -80,6 +80,21 @@ class TestTranspileCommand:
         assert err.startswith("error: ") and "12" in err
         assert not (workdir / "x.qasm").exists()
 
+    @pytest.mark.parametrize("limit", ["-3", "-1"])
+    def test_negative_global_limit_exits_1(self, workdir, capsys, limit):
+        # a negative node cap used to skip the relabel search silently
+        assert main(["transpile", "--qasm", str(workdir / "in.qasm"),
+                     "--coupling", "layout:linear:5",
+                     "--out", str(workdir / "x.qasm"), "--global-limit", limit]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "max_nodes" in err
+        assert not (workdir / "x.qasm").exists()
+
+    def test_zero_global_limit_is_accepted(self, workdir):
+        assert main(["transpile", "--qasm", str(workdir / "in.qasm"),
+                     "--coupling", "layout:linear:5",
+                     "--out", str(workdir / "x.qasm"), "--global-limit", "0"]) == 0
+
     @pytest.mark.parametrize("angle", ["(" * 400 + "1" + ")" * 400, "-" * 5000 + "1"])
     def test_deeply_nested_angle_exits_1(self, workdir, capsys, angle):
         deep = workdir / "deep.qasm"

@@ -85,6 +85,32 @@ class TestCandidateMappings:
             candidate_mappings((0, 3), make_layout("linear", 4), prefix=[(0, 2)])
 
 
+class TestSearchLimits:
+    @pytest.mark.parametrize("kwargs", [
+        {"max_nodes": -5}, {"max_nodes": -1}, {"max_nodes": 2.5}, {"max_nodes": 4096.0},
+        {"max_nodes": None}, {"max_nodes": "10"}, {"max_nodes": True},
+        {"max_depth": -1}, {"max_depth": 1.5}, {"max_depth": "3"}, {"max_depth": False},
+    ])
+    def test_bad_limits_rejected(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=name):
+            SearchLimits(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"max_nodes": 0}, {"max_nodes": 10**9}, {"max_depth": None}, {"max_depth": 0},
+        {"max_nodes": 0, "max_depth": 0},
+    ])
+    def test_good_limits_accepted(self, kwargs):
+        limits = SearchLimits(**kwargs)
+        assert limits.depth_for(make_layout("linear", 3)) == (
+            kwargs["max_depth"] if kwargs.get("max_depth") is not None else 6)
+
+    def test_zero_nodes_keeps_the_identity(self):
+        circ = ql.Circuit(3, 0, (ql.cx(0, 2),))
+        mapping, est = global_adjust(circ, make_layout("linear", 3), SearchLimits(max_nodes=0))
+        assert mapping.is_identity and est == 0.0  # a lone illegal CNOT weighs nothing
+
+
 class TestGlobalAdjust:
     def test_far_cnot_relabels_to_the_reachable_end(self):
         c = ql.Circuit(5, 0, (ql.cx(1, 4),))
