@@ -94,58 +94,41 @@ class _PartnerMasks:
         return rows[i]
 
 
-class _Placement:
-    """The search's relabeling: ``perm`` (input qubit -> wire), its
-    ``inverse``, and per wire w the bitmask ``near[w]`` of the input qubits
-    on the wires adjacent to w."""
+def _near_masks(graph: CouplingGraph) -> list[int]:
+    """Per wire w, the bitmask of the input qubits on the wires adjacent to
+    w, under the identity relabeling."""
+    return [sum(1 << u for u in nbrs) for nbrs in graph.neighbors]
 
-    def __init__(self, graph: CouplingGraph):
-        n = graph.num_qubits
-        self.neighbors = graph.neighbors
-        self.adjacent = graph.adjacency_matrix
-        self.perm = list(range(n))
-        self.inverse = list(range(n))
-        self.near = [sum(1 << u for u in nbrs) for nbrs in self.neighbors]
 
-    def transpose(self, moved: int, nbr: int) -> None:
-        """Exchange the qubits on wires ``moved`` and ``nbr``; the same call
-        again undoes it."""
-        perm, inverse, near, neighbors = self.perm, self.inverse, self.near, self.neighbors
-        a, b = inverse[moved], inverse[nbr]
-        perm[a], perm[b], inverse[moved], inverse[nbr] = nbr, moved, b, a
-        # a wire adjacent to both keeps both qubits: its two flips cancel
-        ab = (1 << a) | (1 << b)
-        for u in neighbors[moved]:
-            near[u] ^= ab
-        for u in neighbors[nbr]:
-            near[u] ^= ab
+def _candidates(ill: tuple[int, int], graph: CouplingGraph, partners: Sequence[int],
+                near: Sequence[int], inverse: Sequence[int]) -> list[tuple[int, int]]:
+    """Wire pairs (moved, nbr) whose transposition makes the wires ``ill``
+    adjacent and keeps legal every CNOT of the prefix that ``partners``
+    describes (a row of :class:`_PartnerMasks`).
 
-    def legalizing(self, ill: tuple[int, int], partners: Sequence[int]) -> list[tuple[int, int]]:
-        """Wire pairs (moved, nbr) whose transposition makes the wires
-        ``ill`` adjacent and keeps legal every CNOT of the prefix that
-        ``partners`` describes (a row of :class:`_PartnerMasks`).
-
-        The prefix must be legal under the current relabeling.  Control-side
-        swaps (control with each neighbour of the target) come first, then
-        target-side, each in ascending neighbour order.
-        """
-        adjacent, inverse, near = self.adjacent, self.inverse, self.near
-        control, target = ill
-        found = []
-        for fixed, moved in ((target, control), (control, target)):
-            a = inverse[moved]
-            of_a, near_moved = partners[a], near[moved]
-            for nbr in self.neighbors[fixed]:
-                if nbr == moved:
-                    continue
-                b = inverse[nbr]
-                # a lands on nbr and b on moved: each must find its partners
-                # next to its new wire, where, if the two wires are adjacent,
-                # the other one's qubit has changed too
-                flip = (1 << a) | (1 << b) if adjacent[moved][nbr] else 0
-                if not (of_a & ~(near[nbr] ^ flip) or partners[b] & ~(near_moved ^ flip)):
-                    found.append((moved, nbr))
-        return found
+    ``inverse`` (wire -> input qubit) is the current relabeling, under
+    which the prefix must be legal, and ``near`` its wire masks (see
+    :func:`_near_masks`).  Control-side swaps (control with each neighbour
+    of the target) come first, then target-side, each in ascending
+    neighbour order.
+    """
+    adjacent = graph.adjacency_matrix
+    control, target = ill
+    found = []
+    for fixed, moved in ((target, control), (control, target)):
+        a = inverse[moved]
+        of_a, near_moved = partners[a], near[moved]
+        for nbr in graph.neighbors[fixed]:
+            if nbr == moved:
+                continue
+            b = inverse[nbr]
+            # a lands on nbr and b on moved: each must find its partners
+            # next to its new wire, where, if the two wires are adjacent,
+            # the other one's qubit has changed too
+            flip = (1 << a) | (1 << b) if adjacent[moved][nbr] else 0
+            if not (of_a & ~(near[nbr] ^ flip) or partners[b] & ~(near_moved ^ flip)):
+                found.append((moved, nbr))
+    return found
 
 
 def candidate_mappings(ill: tuple[int, int], graph: CouplingGraph,
@@ -165,8 +148,9 @@ def candidate_mappings(ill: tuple[int, int], graph: CouplingGraph,
         if not 0 <= q < graph.num_qubits:
             raise IndexError(f"qubit {q} outside 0..{graph.num_qubits - 1}")
     partners = _PartnerMasks(prefix, graph.num_qubits).row(len(prefix))
-    return [QubitMapping.swap(moved, nbr)
-            for moved, nbr in _Placement(graph).legalizing((control, target), partners)]
+    identity = range(graph.num_qubits)
+    return [QubitMapping.swap(moved, nbr) for moved, nbr in _candidates(
+        (control, target), graph, partners, _near_masks(graph), identity)]
 
 
 def global_adjust(circuit: Circuit, graph: CouplingGraph,
@@ -185,9 +169,10 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
     max_depth = limits.depth_for(graph)
     cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
     partner_masks = _PartnerMasks(cnots, graph.num_qubits).row
-    placed = _Placement(graph)
-    perm = placed.perm  # input qubit -> wire, the accumulated relabeling
-    legalizing, transpose = placed.legalizing, placed.transpose
+    perm = list(range(graph.num_qubits))  # input qubit -> wire, the accumulated relabeling
+    inverse = list(range(graph.num_qubits))
+    near = _near_masks(graph)
+    neighbors = graph.neighbors
 
     leaves = _Leaves(cnots, graph)
     budget = limits.max_nodes
@@ -208,16 +193,26 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
             return
         budget -= 1
         c, t = cnots[i]
-        swaps = legalizing((perm[c], perm[t]), partner_masks(i))
+        swaps = _candidates((perm[c], perm[t]), graph, partner_masks(i), near, inverse)
         if not swaps:
             offer(i)
             return
         for moved, nbr in swaps:
             if budget <= 0:
                 break
-            transpose(moved, nbr)
+            # the qubits a and b exchange wires, so every wire next to
+            # either one swaps bit a for bit b in its mask; a wire next to
+            # both keeps both, and its two flips cancel
+            a, b = inverse[moved], inverse[nbr]
+            ab = (1 << a) | (1 << b)
+            flips = neighbors[moved] + neighbors[nbr]
+            perm[a], perm[b], inverse[moved], inverse[nbr] = nbr, moved, b, a
+            for u in flips:
+                near[u] ^= ab
             search(i + 1, depth + 1)
-            transpose(moved, nbr)
+            perm[a], perm[b], inverse[moved], inverse[nbr] = moved, nbr, a, b
+            for u in flips:
+                near[u] ^= ab
 
     search(0, 0)
     # every transposition has been undone: perm is the identity fallback

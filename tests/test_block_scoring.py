@@ -18,7 +18,8 @@ import qlayout as ql
 from conftest import circuits, connected_graphs
 from qlayout import routing
 from qlayout.coupling import CouplingGraph, DisconnectedGraphError
-from qlayout.relabel import SearchLimits, _PartnerMasks, _Placement, global_adjust
+from qlayout import relabel
+from qlayout.relabel import SearchLimits, _PartnerMasks, global_adjust
 from qlayout.ir import GateKind, QubitMapping
 from qlayout.routing import (
     CONTROL_MOVE_COST,
@@ -284,55 +285,69 @@ def near_masks(graph, inverse):
     return [sum(1 << inverse[u] for u in graph.neighbors[w]) for w in range(graph.num_qubits)]
 
 
-def walk_candidate_checks(graph, cnots, max_nodes):
-    """The relabel search's walk, branching on the rescan's candidates; at
-    every node the mask check of a :class:`_Placement` kept in step must
-    give the same candidates in the same order.  Returns the node count."""
+def partner_row(prefix, num_qubits):
+    """Per qubit, the bitmask of the qubits it shares a CNOT with in ``prefix``."""
+    row = [0] * num_qubits
+    for c, t in prefix:
+        row[c] |= 1 << t
+        row[t] |= 1 << c
+    return row
+
+
+def checked_candidates(graph, cnots, nodes):
+    """A stand-in for ``relabel._candidates`` in a search over ``cnots``:
+    at every node it recomputes the search's masks from scratch and
+    requires the candidates of the rescan, in the same order; ``nodes``
+    collects each node's candidates."""
     n = graph.num_qubits
     passed = ref_cnot_index(cnots, n)
-    perm, inverse = list(range(n)), list(range(n))
-    placed = _Placement(graph)
-    masks = _PartnerMasks(cnots, n)
-    nodes = 0
+    candidates = relabel._candidates
 
-    def search(start):
-        nonlocal nodes
-        i = _first_illegal(cnots, graph, start, perm)
-        if i < 0 or nodes >= max_nodes:
-            return
-        nodes += 1
+    def check(ill, graph_, partners, near, inverse):
+        perm = [0] * n
+        for wire, q in enumerate(inverse):
+            perm[q] = wire
+        # the search legalizes the first illegal CNOT; every one before it is legal
+        i = _first_illegal(cnots, graph, 0, perm)
         c, t = cnots[i]
-        ill = (perm[c], perm[t])
-        swaps = list(ref_legalizing_swaps(ill, graph, cnots, passed, i, perm, inverse))
-        assert placed.legalizing(ill, masks.row(i)) == swaps
-        for moved, nbr in swaps:
-            a, b = inverse[moved], inverse[nbr]
-            perm[a], perm[b], inverse[moved], inverse[nbr] = nbr, moved, b, a
-            placed.transpose(moved, nbr)
-            assert (placed.perm, placed.inverse) == (perm, inverse)
-            assert placed.near == near_masks(graph, inverse)
-            search(i + 1)
-            perm[a], perm[b], inverse[moved], inverse[nbr] = moved, nbr, a, b
-            placed.transpose(moved, nbr)
-            assert placed.near == near_masks(graph, inverse)
+        assert ill == (perm[c], perm[t])
+        assert list(partners) == partner_row(cnots[:i], n)
+        assert list(near) == near_masks(graph, inverse)
+        found = candidates(ill, graph_, partners, near, inverse)
+        assert found == list(ref_legalizing_swaps(ill, graph, cnots, passed, i, perm, inverse))
+        nodes.append(found)
+        return found
 
-    search(0)
+    return check
+
+
+def search_checked(graph, pairs, limits):
+    nodes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relabel, "_candidates", checked_candidates(graph, pairs, nodes))
+        global_adjust(cnot_circuit(graph.num_qubits, pairs), graph, limits)
     return nodes
 
 
 class TestCandidateCheck:
     @settings(max_examples=80, deadline=None)
-    @given(case=graph_and_cnots(max_cnots=30))
-    def test_masks_match_the_rescan_at_every_node(self, case):
+    @given(case=graph_and_cnots(max_cnots=30), max_nodes=st.sampled_from([1, 17, 300]))
+    def test_masks_match_the_rescan_at_every_node(self, case, max_nodes):
         graph, pairs = case
-        walk_candidate_checks(graph, pairs, max_nodes=200)
+        nodes = search_checked(graph, pairs, SearchLimits(max_nodes=max_nodes))
+        assert len(nodes) <= max_nodes
 
-    def test_walk_reaches_adjacent_and_shared_neighbour_swaps(self):
-        # a 4-cycle with a chord: candidate wires that are adjacent, and
-        # wires with a neighbour in common, both occur on the walk
+    def test_search_reaches_adjacent_and_shared_neighbour_swaps(self):
+        # a 4-cycle with a chord: the search exchanges adjacent wires (whose
+        # masks swap a bit for a bit) and wires with a neighbour in common
+        # (whose two flips cancel), and every node is checked
         graph = CouplingGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4)}))
-        pairs = [(0, 1), (1, 4), (2, 4), (0, 4), (1, 3), (4, 2), (0, 3), (1, 4)]
-        assert walk_candidate_checks(graph, pairs, max_nodes=10**6) > 1
+        pairs = [(0, 4), (0, 2), (1, 2), (2, 1), (4, 0), (4, 1), (3, 4), (4, 2), (4, 3), (4, 2)]
+        nodes = search_checked(graph, pairs, SearchLimits(max_nodes=10**6))
+        swaps = [pair for found in nodes for pair in found]
+        assert len(nodes) > 20
+        assert any(graph.adjacency_matrix[moved][nbr] for moved, nbr in swaps)
+        assert any(set(graph.neighbors[moved]) & set(graph.neighbors[nbr]) for moved, nbr in swaps)
 
     def test_partner_rows(self):
         masks = _PartnerMasks([(0, 1), (1, 2), (0, 1)], 4)

@@ -47,6 +47,11 @@ class TestCandidateMappings:
         cands = candidate_mappings((1, 2), g, prefix=[(1, 0)])
         assert cands == [QubitMapping.swap(1, 0)]
 
+    @pytest.mark.parametrize("ill", [(0, 3), (3, 0), (-1, 2), (2, -1)])
+    def test_qubit_outside_the_graph_rejected(self, ill):
+        with pytest.raises(IndexError):
+            candidate_mappings(ill, make_layout("linear", 3), prefix=[])
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_transposition_oracle(self, seed):
         rng = np.random.default_rng(seed)
