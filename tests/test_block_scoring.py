@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 
 import qlayout as ql
 from conftest import circuits, connected_graphs
-from qlayout import routing
+from qlayout import relabel, routing
 from qlayout.coupling import CouplingGraph, DisconnectedGraphError
-from qlayout import relabel
 from qlayout.relabel import SearchLimits, _PartnerMasks, global_adjust
 from qlayout.ir import GateKind, QubitMapping
 from qlayout.routing import (
@@ -76,9 +75,9 @@ def ref_search_cost(stops, mover):
 def ref_chain(ill, path, mover):
     """The SwapChain for ``ill`` along ``path``, built from scratch."""
     stops = ref_stops(ill, path, mover)
-    relabel = {stops[0]: stops[-1]} | dict(zip(stops[1:], stops))
+    moves = {stops[0]: stops[-1]} | dict(zip(stops[1:], stops))
     return SwapChain(mover, tuple(zip(stops, stops[1:])),
-                     QubitMapping.from_dict(relabel), ref_search_cost(stops, mover))
+                     QubitMapping.from_dict(moves), ref_search_cost(stops, mover))
 
 
 def ref_relabeled(perm, stops):
