@@ -102,14 +102,6 @@ class CouplingGraph:
             self.num_qubits, self.num_qubits)
 
     @cached_property
-    def repair_table(self) -> dict:
-        """The router's SWAP-chain repairs, per ordered wire pair, filled
-        pair by pair on first use (see :func:`qlayout.routing._repairs`).
-        It is not part of the graph's value: equality, hash and repr
-        ignore it."""
-        return {}
-
-    @cached_property
     def is_connected(self) -> bool:
         return self.num_qubits > 0 and all(d >= 0 for d in self.distances[0])
 

@@ -20,15 +20,16 @@ one dense permutation that a transposition updates in place (and undoes
 on backtrack); legality and distances are read from the graph's
 precomputed tables.  A candidate is checked with two integer masks, not
 by rereading the passed CNOTs: ``partners[i][q]``, the input qubits that
-share a CNOT with q in ``cnots[:i]``, depends only on the CNOT list; and
-``near[w]``, the input qubits on the wires adjacent to wire w, is kept
-current as transpositions are applied and undone.  A transposition only
-moves the two qubits it exchanges, so the passed CNOTs stay legal exactly
-when each of the two finds its partners among the qubits next to its new
-wire: the test covers the same CNOTs as a rescan, and keeps the same
-candidates in the same order.  The search visits the same nodes in the
-same order as a relabel-the-whole-list search, at a fraction of the cost
-per node.
+share a CNOT with q in ``cnots[:i]``, depends only on the CNOT list, and
+is built only for the indices i at which the search branches, each row
+from the row of the node above; and ``near[w]``, the input qubits on the
+wires adjacent to wire w, is kept current as transpositions are applied
+and undone.  A transposition only moves the two qubits it exchanges, so
+the passed CNOTs stay legal exactly when each of the two finds its
+partners among the qubits next to its new wire: the test covers the same
+CNOTs as a rescan, and keeps the same candidates in the same order.  The
+search visits the same nodes in the same order as a search that
+relabels the whole list, at a fraction of the cost per node.
 
 Terminals are ranked in blocks.  Neither the node budget nor the depth
 cap looks at a cost, so the search never needs a terminal's estimate
@@ -73,25 +74,16 @@ class SearchLimits:
         return self.max_depth if self.max_depth is not None else 2 * graph.num_qubits
 
 
-class _PartnerMasks:
-    """Row i, for i in 0..len(cnots): per input qubit q, the bitmask of the
-    input qubits that share a CNOT with q in ``cnots[:i]``.  Rows are built
-    on first request, so a search that stops early pays only for the
-    prefix it reached."""
-
-    def __init__(self, cnots: Sequence[tuple[int, int]], num_qubits: int):
-        self.cnots = cnots
-        self.rows = [[0] * num_qubits]
-
-    def row(self, i: int) -> list[int]:
-        rows = self.rows
-        while len(rows) <= i:
-            c, t = self.cnots[len(rows) - 1]
-            row = rows[-1].copy()
-            row[c] |= 1 << t
-            row[t] |= 1 << c
-            rows.append(row)
-        return rows[i]
+def _partners(row: Sequence[int], cnots: Sequence[tuple[int, int]],
+              start: int, stop: int) -> list[int]:
+    """``row``, the partner masks of ``cnots[:start]``, extended to
+    ``cnots[:stop]``, as a new list: per input qubit q, the bitmask of the
+    input qubits that share a CNOT with q."""
+    row = list(row)
+    for c, t in cnots[start:stop]:
+        row[c] |= 1 << t
+        row[t] |= 1 << c
+    return row
 
 
 def _near_masks(graph: CouplingGraph) -> list[int]:
@@ -104,7 +96,7 @@ def _candidates(ill: tuple[int, int], graph: CouplingGraph, partners: Sequence[i
                 near: Sequence[int], inverse: Sequence[int]) -> list[tuple[int, int]]:
     """Wire pairs (moved, nbr) whose transposition makes the wires ``ill``
     adjacent and keeps legal every CNOT of the prefix that ``partners``
-    describes (a row of :class:`_PartnerMasks`).
+    describes (see :func:`_partners`).
 
     ``inverse`` (wire -> input qubit) is the current relabeling, under
     which the prefix must be legal, and ``near`` its wire masks (see
@@ -147,7 +139,7 @@ def candidate_mappings(ill: tuple[int, int], graph: CouplingGraph,
     for q in (control, target):
         if not 0 <= q < graph.num_qubits:
             raise IndexError(f"qubit {q} outside 0..{graph.num_qubits - 1}")
-    partners = _PartnerMasks(prefix, graph.num_qubits).row(len(prefix))
+    partners = _partners([0] * graph.num_qubits, prefix, 0, len(prefix))
     identity = range(graph.num_qubits)
     return [QubitMapping.swap(moved, nbr) for moved, nbr in _candidates(
         (control, target), graph, partners, _near_masks(graph), identity)]
@@ -168,7 +160,6 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
     limits = limits or SearchLimits()
     max_depth = limits.depth_for(graph)
     cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
-    partner_masks = _PartnerMasks(cnots, graph.num_qubits).row
     perm = list(range(graph.num_qubits))  # input qubit -> wire, the accumulated relabeling
     inverse = list(range(graph.num_qubits))
     near = _near_masks(graph)
@@ -181,8 +172,12 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
         wires = tuple(perm)
         leaves.add(wires, start, 0.0, wires)
 
-    def search(start: int, depth: int) -> None:
-        # cnots[:start] are legal under perm, so the scan starts there
+    # partner masks of cnots[:i], for each i a node has asked for
+    passed: dict[int, list[int]] = {0: [0] * graph.num_qubits}
+
+    def search(start: int, depth: int, parent: int) -> None:
+        # cnots[:start] are legal under perm, so the scan starts there;
+        # passed has a row for parent <= start, where the parent node branched
         nonlocal budget
         i = _first_illegal(cnots, graph, start, perm)
         if i < 0:
@@ -193,7 +188,10 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
             return
         budget -= 1
         c, t = cnots[i]
-        swaps = _candidates((perm[c], perm[t]), graph, partner_masks(i), near, inverse)
+        partners = passed.get(i)
+        if partners is None:
+            partners = passed[i] = _partners(passed[parent], cnots, parent, i)
+        swaps = _candidates((perm[c], perm[t]), graph, partners, near, inverse)
         if not swaps:
             offer(i)
             return
@@ -209,12 +207,12 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
             perm[a], perm[b], inverse[moved], inverse[nbr] = nbr, moved, b, a
             for u in flips:
                 near[u] ^= ab
-            search(i + 1, depth + 1)
+            search(i + 1, depth + 1, i)
             perm[a], perm[b], inverse[moved], inverse[nbr] = moved, nbr, a, b
             for u in flips:
                 near[u] ^= ab
 
-    search(0, 0)
+    search(0, 0, 0)
     # every transposition has been undone: perm is the identity fallback
     offer(0)
     cost, wires = leaves.take()

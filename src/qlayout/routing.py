@@ -22,11 +22,11 @@ the CNOTs through it, instead of rewriting them.  Legality and
 intermediate-vertex counts are read from the coupling graph's precomputed
 tables.  The two repairs of an ordered wire pair -- each chain's cost,
 its relabeling as a dense step and the wires its mover visits -- depend
-only on the graph, so they are built the first time the pair is met and
-kept in the graph's ``repair_table`` (:func:`_repairs`): a tree node only
-composes a step onto its permutation.  The router keeps one running wire
-permutation, applies the chosen step to it, and builds each output gate
-once, when it is emitted.
+only on the graph, so a routing call builds them the first time it meets
+the pair and keeps them until it returns (:func:`_repairs`): a tree node
+only composes a step onto its permutation.  The router keeps one running
+wire permutation, applies the chosen step to it, and builds each output
+gate once, when it is emitted.
 
 Each leaf still scores its whole residue, but not one at a time.  No
 cost is read while the tree is descended, so the leaves are collected in
@@ -148,17 +148,17 @@ def _chain(ill: tuple[int, int], path: Sequence[int], mover: Mover) -> SwapChain
 _Repair = tuple[Mover, int, tuple[int, ...], tuple[int, ...]]
 
 
-def _repairs(ill: tuple[int, int], graph: CouplingGraph) -> tuple[_Repair, _Repair]:
+def _repairs(ill: tuple[int, int], graph: CouplingGraph,
+             table: dict[tuple[int, int], tuple[_Repair, _Repair]]) -> tuple[_Repair, _Repair]:
     """Both SWAP chains that repair the wire pair ``ill``, control moved
     first, as (mover, search cost, step, stops): the chain's relabeling as
     a dense ``step[wire]``, and the wires the mover's state visits (see
     :func:`_stops`), whose consecutive pairs are the SWAPs.
 
     They depend only on the graph and the ordered pair, so they are built
-    on first use and kept in the graph's
-    :attr:`~qlayout.coupling.CouplingGraph.repair_table`.
+    on first use and kept in ``table``, which one routing call owns: it
+    holds the pairs that call meets, and ends with it.
     """
-    table = graph.repair_table
     repairs = table.get(ill)
     if repairs is None:
         path = graph.shortest_path(*ill)
@@ -220,10 +220,13 @@ class _Leaves:
     pending, and then are scored together.  :meth:`take` returns the first
     leaf of least cost, as a search that scored each leaf when it reached
     it would keep, and starts over for the next search on the same CNOTs.
+    The searches of one routing call share ``repairs``, the table of
+    :func:`_repairs`.
     """
 
     def __init__(self, cnots: Sequence[tuple[int, int]], graph: CouplingGraph):
         self.cnots, self.graph = cnots, graph
+        self.repairs: dict[tuple[int, int], tuple[_Repair, _Repair]] = {}
         self.pending: list[tuple[Sequence[int], int, float, Any]] = []
         self.waiting = 0
         self.best: tuple[float, Any] = (float("inf"), None)
@@ -301,11 +304,11 @@ def _choose_repair(ill: tuple[int, int], leaves: _Leaves, start: int,
     target branch at every level, and ties keep the earlier-explored leaf.
     No cost is read during the descent, so the leaves are scored in blocks.
     """
-    cnots, graph = leaves.cnots, leaves.graph
+    cnots, graph, table = leaves.cnots, leaves.graph, leaves.repairs
 
     def descend(ill: tuple[int, int], start: int, perm: Sequence[int], acc: float,
                 lead: _Repair | None, depth: int) -> None:
-        for repair in _repairs(ill, graph):
+        for repair in _repairs(ill, graph, table):
             _, step_cost, step, _ = repair
             moved = [step[q] for q in perm]
             cost = acc + step_cost
@@ -420,6 +423,8 @@ def brute_force_route_cost(circuit: Circuit, graph: CouplingGraph) -> int:
         raise ValueError(f"{illegal} illegal CNOTs exceeds the oracle cap "
                          f"of {MAX_ORACLE_ILLEGAL}")
 
+    table: dict = {}
+
     def best(start: int, perm: list[int]) -> int:
         # the CNOTs from ``start`` on, read through the relabeling ``perm``
         i = _first_illegal(cnots, graph, start, perm)
@@ -427,7 +432,7 @@ def brute_force_route_cost(circuit: Circuit, graph: CouplingGraph) -> int:
             return 0
         c, t = cnots[i]
         return min(cost + best(i + 1, [step[q] for q in perm])
-                   for _, cost, step, _ in _repairs((perm[c], perm[t]), graph))
+                   for _, cost, step, _ in _repairs((perm[c], perm[t]), graph, table))
 
     return best(0, list(range(graph.num_qubits)))
 

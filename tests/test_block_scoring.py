@@ -18,7 +18,7 @@ import qlayout as ql
 from conftest import circuits, connected_graphs
 from qlayout import relabel, routing
 from qlayout.coupling import CouplingGraph, DisconnectedGraphError
-from qlayout.relabel import SearchLimits, _PartnerMasks, global_adjust
+from qlayout.relabel import SearchLimits, _partners, global_adjust
 from qlayout.ir import GateKind, QubitMapping
 from qlayout.routing import (
     CONTROL_MOVE_COST,
@@ -349,10 +349,14 @@ class TestCandidateCheck:
         assert any(set(graph.neighbors[moved]) & set(graph.neighbors[nbr]) for moved, nbr in swaps)
 
     def test_partner_rows(self):
-        masks = _PartnerMasks([(0, 1), (1, 2), (0, 1)], 4)
-        assert masks.row(3) == [0b10, 0b101, 0b10, 0]
-        assert masks.row(0) == [0, 0, 0, 0]
-        assert masks.row(2) == [0b10, 0b101, 0b10, 0]
+        cnots = [(0, 1), (1, 2), (0, 1)]
+        zero = [0] * 4
+        assert _partners(zero, cnots, 0, 3) == [0b10, 0b101, 0b10, 0]
+        assert _partners(zero, cnots, 0, 0) == zero
+        first = _partners(zero, cnots, 0, 1)
+        assert _partners(first, cnots, 1, 2) == [0b10, 0b101, 0b10, 0]
+        # a row is extended into a new list: the parent's row stays as it was
+        assert first == [0b10, 0b1, 0, 0] and zero == [0] * 4
 
 
 class TestRepairTable:
@@ -362,6 +366,7 @@ class TestRepairTable:
         # every ordered pair, twice: the second round reads the table
         n = graph.num_qubits
         pairs = data.draw(st.permutations([(c, t) for c in range(n) for t in range(n) if c != t]))
+        table = {}
         for _ in range(2):
             for ill in pairs:
                 path = graph.shortest_path(*ill)
@@ -373,15 +378,19 @@ class TestRepairTable:
                     assert chain.relabeling == QubitMapping(tuple(enumerate(step)))
                     assert chain.swaps == tuple(zip(stops, stops[1:]))
                     fresh.append((mover, chain.search_cost, step, tuple(stops)))
-                assert list(_repairs(ill, graph)) == fresh
+                assert list(_repairs(ill, graph, table)) == fresh
+        assert len(table) == len(pairs)
 
-    def test_table_is_not_part_of_the_graph_value(self):
-        graph, fresh = ql.make_layout("linear", 5), ql.make_layout("linear", 5)
-        before = (hash(graph), repr(graph))
-        route_circuit(cnot_circuit(5, [(0, 4), (1, 3), (4, 0)]), graph)
-        assert graph.repair_table and "repair_table" not in vars(fresh)
-        assert graph == fresh
-        assert (hash(graph), repr(graph)) == before == (hash(fresh), repr(fresh))
+    def test_a_table_ends_with_its_routing_call(self):
+        # the pair (0, 3) is repaired through wire 4 on the circle and through
+        # wires 1 and 2 on the line: a repair kept from the first call would
+        # route the second circuit with the circle's chain
+        circuit = cnot_circuit(5, [(0, 3), (1, 3), (0, 2)])
+        for graph in (ql.make_layout("circle", 5), ql.make_layout("linear", 5)):
+            result = route_circuit(circuit, graph)
+            gates, wire, search_cost, swaps = oracle_route(circuit, graph, 4)
+            assert list(result.circuit.gates) == gates
+            assert (result.search_cost, result.swaps_emitted) == (search_cost, swaps)
 
     def test_wires_from_a_numpy_pair_come_out_as_ints(self):
         graph = ql.make_layout("linear", 3)

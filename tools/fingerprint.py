@@ -12,8 +12,7 @@ for every circuit in order,
 
 Two runs of the same code must print the same lines, whatever
 ``PYTHONHASHSEED`` is; a change that claims to keep every decision must
-print the lines of its parent.  ``--workload`` limits the run to some of
-the workloads.
+print the lines of its parent.
 """
 from __future__ import annotations
 
@@ -65,11 +64,9 @@ def fingerprint(workload: workloads.Workload, seed: int) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS),
-                        help="fingerprint only this workload (repeatable)")
     args = parser.parse_args(argv)
-    for name in args.workload or workloads.WORKLOADS:
-        print(f"{name} {fingerprint(workloads.WORKLOADS[name], args.seed)}")
+    for name, workload in workloads.WORKLOADS.items():
+        print(f"{name} {fingerprint(workload, args.seed)}")
     return 0
 
 
