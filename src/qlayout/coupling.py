@@ -147,7 +147,11 @@ class CouplingGraph:
         path = [a]
         cur = a
         while cur != b:
-            cur = min(v for v in self.neighbors[cur] if dist_to_b[v] == dist_to_b[cur] - 1)
+            closer = dist_to_b[cur] - 1
+            # neighbors are sorted, so the first one closer to b is the smallest
+            for cur in self.neighbors[cur]:
+                if dist_to_b[cur] == closer:
+                    break
             path.append(cur)
         return path
 
