@@ -149,10 +149,10 @@ class CouplingGraph:
         while cur != b:
             closer = dist_to_b[cur] - 1
             # neighbors are sorted, so the first one closer to b is the smallest
-            for cur in self.neighbors[cur]:
-                if dist_to_b[cur] == closer:
+            for v in self.neighbors[cur]:
+                if dist_to_b[v] == closer:
                     break
-            path.append(cur)
+            path.append(cur := v)
         return path
 
     def to_json(self) -> str:
