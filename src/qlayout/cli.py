@@ -7,7 +7,8 @@ aggregate JSON.
 
 Exit codes -- transpile: 1 parse/usage error, 2 disconnected layout,
 3 internal legality failure; verify: 1 not equivalent, 2 I/O or size
-error; bench: 1 if any record failed verification, 2 usage error.
+error, or a mapping that is malformed or moves a qubit outside the
+register; bench: 1 if any record failed verification, 2 usage error.
 """
 from __future__ import annotations
 
@@ -30,8 +31,12 @@ def _load_circuit(path: str):
     return parse_qasm(Path(path).read_text())
 
 
-def _mapping_from_json(obj: dict) -> QubitMapping:
-    return QubitMapping.from_dict({int(k): int(v) for k, v in obj.items()})
+def _mapping_from_json(obj: object) -> QubitMapping:
+    """A mapping from a JSON object of qubit indices; anything else is a
+    ValueError."""
+    if not isinstance(obj, dict) or not all(type(v) is int for v in obj.values()):
+        raise ValueError(f"a mapping must be a JSON object of integers, got {obj!r}")
+    return QubitMapping.from_dict({int(k): v for k, v in obj.items()})
 
 
 def cmd_transpile(args: argparse.Namespace) -> int:
@@ -78,7 +83,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         initial_map = QubitMapping.identity()
         if args.mapping:
             data = json.loads(Path(args.mapping).read_text())
-            if "final_mapping" in data:  # a transpile report
+            if isinstance(data, dict) and "final_mapping" in data:  # a transpile report
                 final_map = _mapping_from_json(data["final_mapping"])
                 initial_map = _mapping_from_json(data.get("initial_mapping", {}))
             else:

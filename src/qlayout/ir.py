@@ -248,12 +248,9 @@ class QubitMapping:
     def as_dict(self) -> dict[int, int]:
         return dict(self.pairs)
 
-    def domain(self) -> set[int]:
-        return {a for a, _ in self.pairs}
-
     def then(self, later: "QubitMapping") -> "QubitMapping":
         """Composition: apply ``self`` first, then ``later``."""
-        keys = self.domain() | later.domain()
+        keys = {a for a, _ in self.pairs + later.pairs}
         return QubitMapping.from_dict({q: later(self(q)) for q in keys})
 
     def inverse(self) -> "QubitMapping":

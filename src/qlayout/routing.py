@@ -77,18 +77,6 @@ class Mover(Enum):
     TARGET = "target"
 
 
-@dataclass(frozen=True)
-class SwapChain:
-    """One routing decision: walk ``mover`` along the shortest path to the
-    far endpoint's neighbour.  ``swaps`` are the pairs to exchange in order
-    and ``relabeling`` is the induced rewrite for all subsequent gates."""
-
-    mover: Mover
-    swaps: tuple[tuple[int, int], ...]
-    relabeling: QubitMapping
-    search_cost: int
-
-
 def _swap_gates(a: int, b: int) -> list[Gate]:
     """cx(a,b) cx(b,a) cx(a,b) on the distinct wires of a graph edge,
     built unchecked: the wires come from the graph, so they are valid."""
@@ -126,24 +114,6 @@ def _check_lookahead(lookahead: int) -> None:
                          f"(MAX_LOOKAHEAD), got {lookahead}")
 
 
-def _stops(ill: tuple[int, int], path: Sequence[int], mover: Mover) -> list[int]:
-    """Wires the mover's state visits: its own, then the path's interior
-    toward the other endpoint."""
-    inter = list(path[1:-1])
-    return [ill[0]] + inter if mover is Mover.CONTROL else [ill[1]] + inter[::-1]
-
-
-def _search_cost(stops: Sequence[int], mover: Mover) -> int:
-    return SWAP_COST * (len(stops) - 1) + (CONTROL_MOVE_COST if mover is Mover.CONTROL else 0)
-
-
-def _chain(ill: tuple[int, int], path: Sequence[int], mover: Mover) -> SwapChain:
-    stops = _stops(ill, path, mover)
-    relabel = {stops[0]: stops[-1]} | dict(zip(stops[1:], stops))
-    return SwapChain(mover, tuple(zip(stops, stops[1:])),
-                     QubitMapping.from_dict(relabel), _search_cost(stops, mover))
-
-
 #: one repair of an illegal CNOT: (mover, search cost, step, stops)
 _Repair = tuple[Mover, int, tuple[int, ...], tuple[int, ...]]
 
@@ -151,9 +121,12 @@ _Repair = tuple[Mover, int, tuple[int, ...], tuple[int, ...]]
 def _repairs(ill: tuple[int, int], graph: CouplingGraph,
              table: dict[tuple[int, int], tuple[_Repair, _Repair]]) -> tuple[_Repair, _Repair]:
     """Both SWAP chains that repair the wire pair ``ill``, control moved
-    first, as (mover, search cost, step, stops): the chain's relabeling as
-    a dense ``step[wire]``, and the wires the mover's state visits (see
-    :func:`_stops`), whose consecutive pairs are the SWAPs.
+    first, as (mover, search cost, step, stops).  The mover's state visits
+    the ``stops`` -- its own wire, then the shortest path's interior toward
+    the other endpoint -- and each consecutive pair of them is one SWAP.
+    The cost is one SWAP per hop, plus :data:`CONTROL_MOVE_COST` when the
+    control moves; the step is the chain's relabeling as a dense
+    ``step[wire]``.
 
     They depend only on the graph and the ordered pair, so they are built
     on first use and kept in ``table``, which one routing call owns: it
@@ -161,16 +134,16 @@ def _repairs(ill: tuple[int, int], graph: CouplingGraph,
     """
     repairs = table.get(ill)
     if repairs is None:
-        path = graph.shortest_path(*ill)
-        wires = (int(ill[0]), int(ill[1]))
+        c, t = int(ill[0]), int(ill[1])
+        inter = graph.shortest_path(c, t)[1:-1]
         built = []
-        for mover in (Mover.CONTROL, Mover.TARGET):
-            stops = _stops(wires, path, mover)
+        for mover, stops, extra in ((Mover.CONTROL, [c, *inter], CONTROL_MOVE_COST),
+                                    (Mover.TARGET, [t, *inter[::-1]], 0)):
             step = list(range(graph.num_qubits))
             step[stops[0]] = stops[-1]
             for prev, cur in zip(stops, stops[1:]):
                 step[cur] = prev
-            built.append((mover, _search_cost(stops, mover), tuple(step), tuple(stops)))
+            built.append((mover, SWAP_COST * len(inter) + extra, tuple(step), tuple(stops)))
         repairs = table[ill] = tuple(built)
     return repairs
 
@@ -337,9 +310,9 @@ def lookahead_choose(ill: tuple[int, int], rest: Sequence[tuple[int, int]],
         raise IndexError(f"a CNOT in rest touches a qubit outside 0..{n - 1}")
     if any(c == t for c, t in rest):
         raise ValueError("a CNOT in rest has the same control and target")
-    ill = tuple(ill)
-    (mover, _, _, _), cost = _choose_repair(ill, _Leaves(rest, graph), 0, range(n), lookahead)
-    return _chain(ill, graph.shortest_path(*ill), mover).relabeling, cost
+    (_, _, step, _), cost = _choose_repair(tuple(ill), _Leaves(rest, graph), 0, range(n),
+                                           lookahead)
+    return QubitMapping(tuple(enumerate(step))), cost
 
 
 @dataclass(frozen=True)
@@ -363,7 +336,9 @@ def fit_to_graph(circuit: Circuit, graph: CouplingGraph) -> Circuit:
 
 def route_circuit(circuit: Circuit, graph: CouplingGraph,
                   lookahead: int = DEFAULT_LOOKAHEAD) -> RouteResult:
-    """Insert SWAP chains until no CNOT is illegal on the undirected view.
+    """Insert one SWAP chain before each CNOT that is illegal on the
+    undirected view; a chain that leaves the pair apart is a
+    :class:`LegalityError`.
 
     Each repair relabels the rest of the program (the triggering CNOT
     included); the returned mapping is the composition of every repair, so
@@ -388,7 +363,7 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
         if g.kind is GateKind.CNOT:
             k += 1
             c, t = g.qubits
-            while not adjacent[wire[c]][wire[t]]:
+            if not adjacent[wire[c]][wire[t]]:
                 (_, step_cost, step, stops), _ = _choose_repair(
                     (wire[c], wire[t]), leaves, k, wire, lookahead)
                 for a, b in zip(stops, stops[1:]):
@@ -396,6 +371,8 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
                 wire = [step[w] for w in wire]
                 search_cost += step_cost
                 swaps += len(stops) - 1
+                if not adjacent[wire[c]][wire[t]]:
+                    raise LegalityError(f"the repair of cx({c},{t}) left its wires apart")
         out.append(g._moved(wire))
     final = QubitMapping(tuple(enumerate(wire)))
     return RouteResult(Circuit._unchecked(circuit.num_qubits, circuit.num_clbits, tuple(out)),

@@ -215,11 +215,16 @@ def simulate(circuit: Circuit, initial: int | np.ndarray = 0) -> np.ndarray:
 def permutation_vector(mapping: QubitMapping, num_qubits: int) -> np.ndarray:
     """sigma with sigma[b] = the basis index where bit q of b lands on wire
     mapping(q); permuting amplitudes by ``out[sigma] = psi`` relabels the
-    state's qubits."""
+    state's qubits.  A mapping that moves a qubit of the register outside
+    0..num_qubits-1 is a ValueError."""
+    wires = [mapping(q) for q in range(num_qubits)]
+    if not all(0 <= w < num_qubits for w in wires):
+        raise ValueError(f"mapping {mapping.as_dict()} moves a qubit outside "
+                         f"0..{num_qubits - 1}")
     idx = np.arange(1 << num_qubits)
     out = np.zeros_like(idx)
-    for q in range(num_qubits):
-        out |= ((idx >> q) & 1) << mapping(q)
+    for q, w in enumerate(wires):
+        out |= ((idx >> q) & 1) << w
     return out
 
 
@@ -273,13 +278,9 @@ def probe_fidelity(original: Circuit, transpiled: Circuit,
     if n > MAX_QUBITS:
         raise ValueError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit simulator limit")
     probes = _probe_block(n, seed)
-    ref = _apply(original, probes.copy())
-    ref = ref[np.argsort(permutation_vector(final_map, n))]
-
+    ref = permute_amplitudes(_apply(original, probes.copy()), final_map, n)
     if not initial_map.is_identity:
-        moved = np.empty_like(probes)
-        moved[permutation_vector(initial_map, n)] = probes
-        probes = moved
+        probes = permute_amplitudes(probes, initial_map, n)
     out = _apply(transpiled, probes)
     np.conj(ref, out=ref)
     ref *= out

@@ -8,6 +8,7 @@ they were before the searches stopped recomputing them at every node
 (``ref_*`` below)."""
 import itertools
 from bisect import bisect_left
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from qlayout.routing import (
     CONTROL_MOVE_COST,
     SWAP_COST,
     Mover,
-    SwapChain,
     _Leaves,
     _first_illegal,
     _repairs,
@@ -72,12 +72,17 @@ def ref_search_cost(stops, mover):
     return SWAP_COST * (len(stops) - 1) + (CONTROL_MOVE_COST if mover is Mover.CONTROL else 0)
 
 
+#: one routing decision: the mover, the SWAPs in order, the relabeling they
+#: induce on every later gate, and the search cost
+RefChain = namedtuple("RefChain", "mover swaps relabeling search_cost")
+
+
 def ref_chain(ill, path, mover):
-    """The SwapChain for ``ill`` along ``path``, built from scratch."""
+    """The chain for ``ill`` along ``path``, built from scratch."""
     stops = ref_stops(ill, path, mover)
     moves = {stops[0]: stops[-1]} | dict(zip(stops[1:], stops))
-    return SwapChain(mover, tuple(zip(stops, stops[1:])),
-                     QubitMapping.from_dict(moves), ref_search_cost(stops, mover))
+    return RefChain(mover, tuple(zip(stops, stops[1:])),
+                    QubitMapping.from_dict(moves), ref_search_cost(stops, mover))
 
 
 def ref_relabeled(perm, stops):

@@ -14,6 +14,11 @@ cx q[1],q[4];
 """
 
 
+BELL_QASM = "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\nu1(0.3) q[1];\n"
+# BELL_QASM with its two qubits exchanged
+BELL_SWAPPED_QASM = "OPENQASM 2.0;\nqreg q[2];\nh q[1];\ncx q[1],q[0];\nu1(0.3) q[0];\n"
+
+
 @pytest.fixture
 def workdir(tmp_path):
     (tmp_path / "in.qasm").write_text(CHAIN5_QASM)
@@ -151,6 +156,29 @@ class TestVerifyCommand:
         r.write_text('{"final_mapping": {"0": 1, "1": 0}, "initial_mapping": {"0": 1, "1": 0}}')
         assert main(["verify", "--original", str(a), "--transpiled", str(b),
                      "--mapping", str(r)]) == 0
+
+    @pytest.mark.parametrize("report", [
+        '{"final_mapping": {"0": 5, "5": 0}, "initial_mapping": {"0": 1, "1": 0}}',
+        '{"final_mapping": {"0": 1, "1": 0}, "initial_mapping": {"0": 5, "5": 0}}',
+    ])
+    def test_mapping_outside_the_register_exits_2(self, workdir, capsys, report):
+        a, b, r = workdir / "a.qasm", workdir / "b.qasm", workdir / "rep.json"
+        a.write_text(BELL_QASM)
+        b.write_text(BELL_SWAPPED_QASM)
+        args = ["verify", "--original", str(a), "--transpiled", str(b), "--mapping", str(r)]
+        r.write_text('{"final_mapping": {"0": 1, "1": 0}, "initial_mapping": {"0": 1, "1": 0}}')
+        assert main(args) == 0  # the exchange at both ends verifies
+        r.write_text(report)
+        assert main(args) == 2
+        assert "outside 0..1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"0": [1]}', "[0, 1]", '{"final_mapping": 3}'])
+    def test_malformed_mapping_exits_2(self, workdir, capsys, text):
+        m = workdir / "map.json"
+        m.write_text(text)
+        assert main(["verify", "--original", str(workdir / "in.qasm"),
+                     "--transpiled", str(workdir / "in.qasm"), "--mapping", str(m)]) == 2
+        assert "JSON object of integers" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, workdir):
         assert main(["verify", "--original", str(workdir / "nope.qasm"),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import qlayout as ql
 from conftest import circuits, connected_graphs
+from qlayout import routing
 from qlayout.coupling import CouplingGraph, DisconnectedGraphError, make_layout
 from qlayout.ir import Gate, GateKind, QubitMapping
 from qlayout.routing import (
@@ -15,6 +16,7 @@ from qlayout.routing import (
     LegalityError,
     Mover,
     SWAP_COST,
+    _repairs,
     brute_force_route_cost,
     estimate_cost,
     fix_directions,
@@ -73,12 +75,10 @@ class TestLookaheadChoose:
         assert mapping.as_dict() == {2: 1, 1: 2}
 
     def test_control_branch_cost_is_target_plus_four(self):
-        # expose both leaf costs by forcing each mover through the oracle
-        from qlayout.routing import _chain
-        path = CHAIN3.shortest_path(0, 2)
-        control = _chain((0, 2), path, Mover.CONTROL)
-        target = _chain((0, 2), path, Mover.TARGET)
-        assert control.search_cost == target.search_cost + 4
+        # expose both leaf costs by reading each mover's repair
+        (c_mover, c_cost, _, _), (t_mover, t_cost, _, _) = _repairs((0, 2), CHAIN3, {})
+        assert (c_mover, t_mover) == (Mover.CONTROL, Mover.TARGET)
+        assert c_cost == t_cost + 4
 
     def test_immediate_legalization_cost(self):
         mapping, cost = lookahead_choose((0, 3), [], CHAIN5)
@@ -166,6 +166,24 @@ class TestRouteCircuit:
     def test_circuit_wider_than_graph_rejected(self):
         with pytest.raises(ValueError, match="uses 4 qubits but the layout has only 3"):
             route_circuit(ql.Circuit(4, 0, (ql.cx(0, 3),)), CHAIN3)
+
+    def test_repair_that_leaves_the_pair_apart_raises(self, monkeypatch):
+        # identity steps never bring cx(0, 2) together on the line: a router
+        # that retried the repair would ask for repairs forever
+        calls = 0
+
+        def idle_repairs(ill, graph, table):
+            nonlocal calls
+            calls += 1
+            if calls > 8:
+                raise RuntimeError("the router keeps asking for repairs")
+            same = tuple(range(graph.num_qubits))
+            return ((Mover.CONTROL, SWAP_COST, same, (ill[0],)),
+                    (Mover.TARGET, SWAP_COST, same, (ill[1],)))
+
+        monkeypatch.setattr(routing, "_repairs", idle_repairs)
+        with pytest.raises(LegalityError, match="left its wires apart"):
+            route_circuit(ql.Circuit(3, 0, (ql.cx(0, 2),)), CHAIN3)
 
     @settings(deadline=None)
     @given(data=st.data())

@@ -153,6 +153,15 @@ class TestEquivalent:
         assert ql.equivalent(c, relabeled, m, 1e-12, initial_map=m)
         assert not ql.equivalent(c, relabeled, m, 1e-6)
 
+    def test_mapping_outside_the_register_rejected(self):
+        # qubit 5 of a 2-qubit register must not be read as some other qubit
+        c = ql.Circuit(2, 0, (ql.h(0), ql.cx(0, 1), ql.u1(0.3, 1)))
+        outside = QubitMapping.from_dict({0: 5, 5: 0})
+        with pytest.raises(ValueError, match=r"outside 0\.\.1"):
+            probe_fidelity(c, c, outside)
+        with pytest.raises(ValueError, match=r"outside 0\.\.1"):
+            probe_fidelity(c, c, initial_map=outside)
+
     def test_probe_fidelity_is_one_for_self(self):
         c = random_unitary_circuit(np.random.default_rng(6), 3, 12)
         assert probe_fidelity(c, c) == pytest.approx(1.0, abs=1e-12)
