@@ -199,13 +199,20 @@ def make_layout(kind: LayoutKind | str, n: int) -> CouplingGraph:
 
 
 def coupling_from_json(text: str) -> CouplingGraph:
+    """A graph from ``{"n": int, "edges": [[int, int], ...], "directed": bool}``;
+    ``directed`` defaults to false.  Values are not coerced: a float, a
+    string or a boolean where an integer belongs is an error."""
     data = json.loads(text)
     try:
-        return CouplingGraph(int(data["n"]),
-                             frozenset((int(a), int(b)) for a, b in data["edges"]),
-                             directed=bool(data.get("directed", False)))
+        n, edges, directed = data["n"], data["edges"], data.get("directed", False)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed coupling graph JSON: {exc}") from exc
+    if not (type(n) is int and type(directed) is bool and type(edges) is list
+            and all(type(e) is list and len(e) == 2 and all(type(q) is int for q in e)
+                    for e in edges)):
+        raise ValueError("malformed coupling graph JSON: expected an integer n, "
+                         "[integer, integer] edges and a boolean directed")
+    return CouplingGraph(n, frozenset(map(tuple, edges)), directed)
 
 
 def load_coupling(spec: str | Path) -> CouplingGraph:

@@ -257,16 +257,10 @@ class QubitMapping:
         return QubitMapping(tuple((b, a) for a, b in self.pairs))
 
 
-def apply_mapping(circuit: Circuit, mapping: QubitMapping | Mapping[int, int],
-                  from_gate: int = 0) -> Circuit:
-    """Rewrite qubit indices of every gate at position >= ``from_gate``.
-
-    Gates before ``from_gate`` and all classical bits are untouched.
-    """
+def apply_mapping(circuit: Circuit, mapping: QubitMapping | Mapping[int, int]) -> Circuit:
+    """Rewrite the qubit indices of every gate; classical bits are untouched."""
     if not isinstance(mapping, QubitMapping):
         mapping = QubitMapping.from_dict(mapping)
-    if not (0 <= from_gate <= len(circuit.gates)):
-        raise ValueError(f"from_gate {from_gate} outside 0..{len(circuit.gates)}")
     if mapping.is_identity:
         return circuit
     n = circuit.num_qubits
@@ -274,12 +268,11 @@ def apply_mapping(circuit: Circuit, mapping: QubitMapping | Mapping[int, int],
     for a, b in mapping.pairs:
         if 0 <= a < n:  # no gate touches a qubit outside the register
             perm[a] = b
-    gates = circuit.gates[:from_gate] + tuple(g._moved(perm)
-                                              for g in circuit.gates[from_gate:])
+    gates = tuple(g._moved(perm) for g in circuit.gates)
     if all(0 <= q < n for q in perm):
         return Circuit._unchecked(n, circuit.num_clbits, gates)
     # Some qubit is sent outside the register: that is an error only if a
-    # rewritten gate touches it, and the checked constructor says which.
+    # gate touches it, and the checked constructor says which.
     return Circuit(n, circuit.num_clbits, gates)
 
 
@@ -319,14 +312,23 @@ Mat2 = tuple[complex, complex, complex, complex]
 IDENTITY_2: Mat2 = (1 + 0j, 0j, 0j, 1 + 0j)
 
 
-def u1_matrix(lam: float) -> Mat2:
-    return (1 + 0j, 0j, 0j, cmath.exp(1j * lam))
+#: per single-qubit kind, the u3 angles it fixes, ahead of its own
+#: parameters: u1(lam) is u3(0, 0, lam), u2(phi, lam) is u3(pi/2, phi, lam)
+#: and h is u2(0, pi)
+_U3_PREFIX = {
+    GateKind.U3: (),
+    GateKind.U2: (math.pi / 2,),
+    GateKind.U1: (0.0, 0.0),
+    GateKind.H: (math.pi / 2, 0.0, math.pi),
+}
 
 
-def u2_matrix(phi: float, lam: float) -> Mat2:
-    s = 1 / math.sqrt(2)
-    return (s + 0j, -s * cmath.exp(1j * lam),
-            s * cmath.exp(1j * phi), s * cmath.exp(1j * (lam + phi)))
+def u3_angles(gate: Gate) -> tuple[float, float, float]:
+    """(theta, phi, lam) of the u3 equal to a single-qubit gate."""
+    try:
+        return _U3_PREFIX[gate.kind] + gate.params
+    except KeyError:
+        raise ValueError(f"{gate.kind.value} is not a single-qubit gate") from None
 
 
 def u3_matrix(theta: float, phi: float, lam: float) -> Mat2:
@@ -337,16 +339,8 @@ def u3_matrix(theta: float, phi: float, lam: float) -> Mat2:
 
 
 def single_qubit_matrix(gate: Gate) -> Mat2:
-    """Matrix of a single-qubit gate; h is exactly u2(0, pi)."""
-    if gate.kind is GateKind.U1:
-        return u1_matrix(*gate.params)
-    if gate.kind is GateKind.U2:
-        return u2_matrix(*gate.params)
-    if gate.kind is GateKind.U3:
-        return u3_matrix(*gate.params)
-    if gate.kind is GateKind.H:
-        return u2_matrix(0.0, math.pi)
-    raise ValueError(f"{gate.kind.value} has no 2x2 matrix")
+    """Matrix of a single-qubit gate, the u3 of :func:`u3_angles`."""
+    return u3_matrix(*u3_angles(gate))
 
 
 def mat2_mul(x: Mat2, y: Mat2) -> Mat2:

@@ -1,10 +1,11 @@
 """Single-qubit gate fusion.
 
 Any single-qubit gate factors as Rz(phi) Ry(theta) Rz(lam), which is the
-u3 parameterization up to global phase (u1 is a bare Rz, u2 pins theta to
-pi/2, h is u2(0, pi)).  Multiplying two such gates therefore reduces to
-rewriting the inner Ry(t1) Rz(mid) Ry(t2) sandwich back into Z-Y order;
-:func:`yz_to_zy` does that rewrite and everything else is angle addition.
+u3 parameterization up to global phase; :func:`~qlayout.ir.u3_angles`
+reads every kind as a u3 (u1 is a bare Rz, u2 pins theta to pi/2, h is
+u2(0, pi)).  Multiplying two such gates therefore reduces to rewriting the
+inner Ry(t1) Rz(mid) Ry(t2) sandwich back into Z-Y order; :func:`yz_to_zy`
+does that rewrite and everything else is angle addition.
 
 All identities here hold modulo global phase, which is physically
 unobservable and discarded throughout.
@@ -15,14 +16,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .ir import (
-    Circuit,
-    Gate,
-    GateKind,
-    Mat2,
-    mat2_mul,
-    single_qubit_matrix,
-)
+from .ir import Circuit, Gate, GateKind, Mat2, single_qubit_matrix, u3_angles
 
 #: below this, sin/cos of half-angles are treated as zero (gimbal lock)
 ATOL = 1e-9
@@ -74,19 +68,6 @@ def yz_to_zy(theta1: float, mid: float, theta2: float) -> ZYTriple:
     return ZYTriple(theta, _wrap(phi), _wrap(lam))
 
 
-def _as_zyz(gate: Gate) -> tuple[float, float, float]:
-    """(theta, phi, lam) of a single-qubit gate, h included."""
-    if gate.kind is GateKind.U1:
-        return 0.0, gate.params[0], 0.0
-    if gate.kind is GateKind.U2:
-        return math.pi / 2, gate.params[0], gate.params[1]
-    if gate.kind is GateKind.U3:
-        return gate.params
-    if gate.kind is GateKind.H:
-        return math.pi / 2, 0.0, math.pi
-    raise ValueError(f"{gate.kind.value} is not a single-qubit gate")
-
-
 def _from_zyz(theta: float, phi: float, lam: float, qubit: int) -> Gate:
     """Cheapest gate kind realizing Rz(phi) Ry(theta) Rz(lam)."""
     if abs(theta) < ATOL:
@@ -122,34 +103,28 @@ def merge_adjacent(later: Gate, earlier: Gate) -> Gate:
     if later.kind is GateKind.U1 and earlier.kind is GateKind.U1:
         return _fused(GateKind.U1, qubit, (_wrap(later.params[0] + earlier.params[0]),))
     if later.kind is GateKind.U1:
-        t, p, l = _as_zyz(earlier)
-        kind = GateKind.U2 if earlier.kind in (GateKind.U2, GateKind.H) else earlier.kind
-        if kind is GateKind.U2:
-            return _fused(GateKind.U2, qubit, (_wrap(p + later.params[0]), _wrap(l)))
-        return _fused(GateKind.U3, qubit, (t, _wrap(p + later.params[0]), l))
+        t, p, l = u3_angles(earlier)
+        if earlier.kind is GateKind.U3:
+            return _fused(GateKind.U3, qubit, (t, _wrap(p + later.params[0]), l))
+        return _fused(GateKind.U2, qubit, (_wrap(p + later.params[0]), _wrap(l)))
     if earlier.kind is GateKind.U1:
-        t, p, l = _as_zyz(later)
-        kind = GateKind.U2 if later.kind in (GateKind.U2, GateKind.H) else later.kind
-        if kind is GateKind.U2:
-            return _fused(GateKind.U2, qubit, (_wrap(p), _wrap(l + earlier.params[0])))
-        return _fused(GateKind.U3, qubit, (t, p, _wrap(l + earlier.params[0])))
+        t, p, l = u3_angles(later)
+        if later.kind is GateKind.U3:
+            return _fused(GateKind.U3, qubit, (t, p, _wrap(l + earlier.params[0])))
+        return _fused(GateKind.U2, qubit, (_wrap(p), _wrap(l + earlier.params[0])))
 
-    t1, p1, l1 = _as_zyz(later)
-    t2, p2, l2 = _as_zyz(earlier)
+    t1, p1, l1 = u3_angles(later)
+    t2, p2, l2 = u3_angles(earlier)
     theta, alpha, gamma = yz_to_zy(t1, l1 + p2, t2)
     return _from_zyz(theta, p1 + alpha, gamma + l2, qubit)
 
 
 def _may_be_identity(gate: Gate) -> bool:
     """False for a gate whose matrix :func:`_is_identity` must reject, read
-    off the angles before any matrix is built.  u2 and h have
-    |m01| = 1/sqrt(2); a u3 has |m01| = |sin(theta/2)|, up to rounding of a
-    unit phase, so above 2 * ATOL it fails the off-diagonal test.  Only
-    rules out: a True still needs the matrix."""
-    kind = gate.kind
-    if kind is GateKind.U2 or kind is GateKind.H:
-        return False
-    return kind is not GateKind.U3 or abs(math.sin(gate.params[0] / 2)) <= 2 * ATOL
+    off the angles before any matrix is built: |m01| = |sin(theta/2)|, up
+    to rounding of a unit phase, so above 2 * ATOL the gate fails the
+    off-diagonal test.  Only rules out: a True still needs the matrix."""
+    return abs(math.sin(u3_angles(gate)[0] / 2)) <= 2 * ATOL
 
 
 def _is_identity(m: Mat2, atol: float = ATOL) -> bool:

@@ -8,11 +8,11 @@ keeping only candidates that leave every already-passed CNOT legal.  Each
 branch relabels the whole list and recurses, so the first-illegal index
 strictly increases and every branch terminates.
 
-Terminal relabelings (fully legal, dead end, or capped by the search
-limits) are ranked by the estimated SWAP cost of whatever is still
-illegal; the identity relabeling is always ranked as a fallback, last, so
-a relabeling that removes every illegal CNOT beats doing nothing even
-when the estimate rounds to zero.
+Terminal relabelings (fully legal, dead end, or cut by the node budget)
+are ranked by the estimated SWAP cost of whatever is still illegal; the
+identity relabeling is always ranked as a fallback, last, so a relabeling
+that removes every illegal CNOT beats doing nothing even when the
+estimate rounds to zero.
 
 The search runs on plain arrays and bitmasks.  The CNOTs stay as
 (control, target) pairs of the input, and the accumulated relabeling is
@@ -31,14 +31,14 @@ CNOTs as a rescan, and keeps the same candidates in the same order.  The
 search visits the same nodes in the same order as a search that
 relabels the whole list, at a fraction of the cost per node.
 
-Terminals are ranked in blocks.  Neither the node budget nor the depth
-cap looks at a cost, so the search never needs a terminal's estimate
-while it runs: each terminal's relabeling is queued in exploration order,
-and whenever a few thousand terminal x CNOT elements wait, the queue is
-scored at once (see :class:`~qlayout.routing._Leaves`) and only the
-running best is kept.  The estimate is exact, whatever the block, and
-the first cheapest terminal wins, so the result is the one a search that
-scored every terminal on the spot would return.
+Terminals are ranked in blocks.  The node budget does not look at a
+cost, so the search never needs a terminal's estimate while it runs:
+each terminal's relabeling is queued in exploration order, and whenever
+a few thousand terminal x CNOT elements wait, the queue is scored at
+once (see :class:`~qlayout.routing._Leaves`) and only the running best
+is kept.  The estimate is exact, whatever the block, and the first
+cheapest terminal wins, so the result is the one a search that scored
+every terminal on the spot would return.
 """
 from __future__ import annotations
 
@@ -50,28 +50,19 @@ from .ir import Circuit, GateKind, QubitMapping
 from .routing import _first_illegal, _Leaves, fit_to_graph
 
 
-def _is_count(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 @dataclass(frozen=True)
 class SearchLimits:
-    """Caps on the relabeling search; on either cap the best terminal seen
-    so far wins.  ``max_nodes`` is an int >= 0; ``max_depth`` is an int
-    >= 0, or None for twice the graph size."""
+    """Cap on the relabeling search: after ``max_nodes`` (an int >= 0)
+    branching nodes, the best terminal seen so far wins.  No depth cap is
+    needed: each level legalizes one more qubit pair and keeps the passed
+    ones legal, and legal pairs sit on distinct edges, so a search path is
+    at most as deep as the graph has edges."""
 
     max_nodes: int = 4096
-    max_depth: int | None = None
 
     def __post_init__(self):
-        if not _is_count(self.max_nodes):
+        if type(self.max_nodes) is not int or self.max_nodes < 0:
             raise ValueError(f"max_nodes must be an integer >= 0, got {self.max_nodes!r}")
-        if self.max_depth is not None and not _is_count(self.max_depth):
-            raise ValueError(f"max_depth must be None or an integer >= 0, "
-                             f"got {self.max_depth!r}")
-
-    def depth_for(self, graph: CouplingGraph) -> int:
-        return self.max_depth if self.max_depth is not None else 2 * graph.num_qubits
 
 
 def _partners(row: Sequence[int], cnots: Sequence[tuple[int, int]],
@@ -158,7 +149,6 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
     """
     circuit = fit_to_graph(circuit, graph)
     limits = limits or SearchLimits()
-    max_depth = limits.depth_for(graph)
     cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
     perm = list(range(graph.num_qubits))  # input qubit -> wire, the accumulated relabeling
     inverse = list(range(graph.num_qubits))
@@ -175,7 +165,7 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
     # partner masks of cnots[:i], for each i a node has asked for
     passed: dict[int, list[int]] = {0: [0] * graph.num_qubits}
 
-    def search(start: int, depth: int, parent: int) -> None:
+    def search(start: int, parent: int) -> None:
         # cnots[:start] are legal under perm, so the scan starts there;
         # passed has a row for parent <= start, where the parent node branched
         nonlocal budget
@@ -183,7 +173,7 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
         if i < 0:
             offer(len(cnots))
             return
-        if depth >= max_depth or budget <= 0:
+        if budget <= 0:
             offer(i)
             return
         budget -= 1
@@ -207,12 +197,12 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
             perm[a], perm[b], inverse[moved], inverse[nbr] = nbr, moved, b, a
             for u in flips:
                 near[u] ^= ab
-            search(i + 1, depth + 1, i)
+            search(i + 1, i)
             perm[a], perm[b], inverse[moved], inverse[nbr] = moved, nbr, a, b
             for u in flips:
                 near[u] ^= ab
 
-    search(0, 0, 0)
+    search(0, 0)
     # every transposition has been undone: perm is the identity fallback
     offer(0)
     cost, wires = leaves.take()

@@ -109,9 +109,9 @@ def estimate_cost(intermediate_counts: Sequence[int]) -> float:
 
 
 def _check_lookahead(lookahead: int) -> None:
-    if not 1 <= lookahead <= MAX_LOOKAHEAD:
-        raise ValueError(f"lookahead must be between 1 and {MAX_LOOKAHEAD} "
-                         f"(MAX_LOOKAHEAD), got {lookahead}")
+    if type(lookahead) is not int or not 1 <= lookahead <= MAX_LOOKAHEAD:
+        raise ValueError(f"lookahead must be an integer between 1 and {MAX_LOOKAHEAD} "
+                         f"(MAX_LOOKAHEAD), got {lookahead!r}")
 
 
 #: one repair of an illegal CNOT: (mover, search cost, step, stops)

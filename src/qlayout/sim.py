@@ -39,12 +39,21 @@ before.
 """
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
-from .ir import IDENTITY_2, Circuit, Gate, GateKind, Mat2, QubitMapping, mat2_mul
+from .ir import (
+    IDENTITY_2,
+    SINGLE_QUBIT_KINDS,
+    Circuit,
+    Gate,
+    GateKind,
+    Mat2,
+    QubitMapping,
+    mat2_mul,
+    u3_angles,
+)
 
 MAX_QUBITS = 16
 
@@ -52,28 +61,13 @@ MAX_QUBITS = 16
 BASIS_PROBES = 32
 PRODUCT_PROBES = 8
 
-# (theta, phi, lam) of a u3 equal to each fixed-angle kind: u1(lam) is
-# u3(0, 0, lam), u2(phi, lam) is u3(pi/2, phi, lam) and h is u2(0, pi).
-_HALF_PI = math.pi / 2
-_H_ANGLES = (_HALF_PI, 0.0, math.pi)
-
 
 def _single_matrices(gates: Sequence[Gate]) -> list[list[complex]]:
     """The row-major 2x2 of every single-qubit gate, in order, from one
-    vectorized evaluation of ``ir.u3_matrix``'s formula over all of them;
-    each agrees with ``ir.single_qubit_matrix`` to rounding."""
-    u1, u2, u3, h = GateKind.U1, GateKind.U2, GateKind.U3, GateKind.H  # fast local names
-    angles = []
-    for g in gates:
-        kind = g.kind
-        if kind is u3:
-            angles.append(g.params)
-        elif kind is u2:
-            angles.append((_HALF_PI, *g.params))
-        elif kind is u1:
-            angles.append((0.0, 0.0, *g.params))
-        elif kind is h:
-            angles.append(_H_ANGLES)
+    vectorized evaluation of ``ir.u3_matrix``'s formula over the
+    ``ir.u3_angles`` of all of them; each agrees with
+    ``ir.single_qubit_matrix`` to rounding."""
+    angles = [u3_angles(g) for g in gates if g.kind in SINGLE_QUBIT_KINDS]
     theta, phi, lam = np.array(angles, dtype=float).reshape(-1, 3).T
     cos, sin = np.cos(theta / 2), np.sin(theta / 2)
     e_phi, e_lam = np.exp(1j * phi), np.exp(1j * lam)

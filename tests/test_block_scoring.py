@@ -105,7 +105,6 @@ def ref_repairs(ill, graph, perm):
 def oracle_global_adjust(circuit, graph, limits=None):
     """The relabel search with every leaf scored when it is reached."""
     limits = limits or SearchLimits()
-    max_depth = limits.depth_for(graph)
     cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
     width = max(circuit.num_qubits, graph.num_qubits)
     passed = ref_cnot_index(cnots, width)
@@ -119,13 +118,13 @@ def oracle_global_adjust(circuit, graph, limits=None):
         if best is None or cost < best[1]:
             best = (tuple(perm), cost)
 
-    def search(start, depth):
+    def search(start):
         nonlocal budget
         i = _first_illegal(cnots, graph, start, perm)
         if i < 0:
             offer(0.0)
             return
-        if depth >= max_depth or budget <= 0:
+        if budget <= 0:
             offer(estimate_cost(_residual_intermediates(cnots, graph, i, perm)))
             return
         budget -= 1
@@ -140,10 +139,10 @@ def oracle_global_adjust(circuit, graph, limits=None):
                 break
             a, b = inverse[moved], inverse[nbr]
             perm[a], perm[b], inverse[moved], inverse[nbr] = nbr, moved, b, a
-            search(i + 1, depth + 1)
+            search(i + 1)
             perm[a], perm[b], inverse[moved], inverse[nbr] = moved, nbr, a, b
 
-    search(0, 0)
+    search(0)
     offer(estimate_cost(_residual_intermediates(cnots, graph, 0, perm)))
     wires, cost = best
     return QubitMapping(tuple(enumerate(wires))), cost
@@ -233,12 +232,11 @@ def block_sizes(request):
 class TestGlobalAdjustMatchesLeafByLeaf:
     @settings(max_examples=40, deadline=None)
     @given(case=graph_and_cnots(),
-           max_nodes=st.sampled_from([1, 3, 17, 4096]),
-           max_depth=st.sampled_from([None, 1, 3]))
-    def test_cnot_circuits(self, case, max_nodes, max_depth):
+           max_nodes=st.sampled_from([1, 3, 17, 4096]))
+    def test_cnot_circuits(self, case, max_nodes):
         graph, pairs = case
         circuit = cnot_circuit(graph.num_qubits, pairs)
-        limits = SearchLimits(max_nodes=max_nodes, max_depth=max_depth)
+        limits = SearchLimits(max_nodes=max_nodes)
         mapping, est = global_adjust(circuit, graph, limits)
         ref_mapping, ref_est = oracle_global_adjust(circuit, graph, limits)
         assert mapping == ref_mapping

@@ -213,3 +213,20 @@ class TestConstruction:
         path.write_text('{"n": 3}')
         with pytest.raises(ValueError, match="malformed"):
             ql.load_coupling(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 2, "directed": "false", "edges": [[0, 1]]}',  # bool("false") is True
+        '{"n": 2, "directed": 0, "edges": [[0, 1]]}',
+        '{"n": 3.9, "edges": [[0, 1]]}',
+        '{"n": true, "edges": []}',
+        '{"n": "3", "edges": [[0, 1]]}',
+        '{"n": 3, "edges": [[0, 1.9]]}',
+        '{"n": 3, "edges": [[0, "1"]]}',
+        '{"n": 3, "edges": [[0, false]]}',
+        '{"n": 3, "edges": [[0, 1, 2]]}',
+        '{"n": 3, "edges": [0, 1]}',
+        '{"n": 3, "edges": {"0": 1}}',
+    ])
+    def test_json_values_are_not_coerced(self, text):
+        with pytest.raises(ValueError, match="malformed coupling graph JSON"):
+            ql.coupling_from_json(text)

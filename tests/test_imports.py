@@ -40,3 +40,17 @@ def test_package_imports_only_at_module_level():
     for name, tree in modules().items():
         nested = package_imports(ast.walk(tree)) - package_imports(tree.body)
         assert not nested, f"{name} imports {sorted(nested)} inside a function or block"
+
+
+def test_every_import_is_used():
+    for name, tree in modules().items():
+        if name == "__init__":
+            continue  # it imports to re-export
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted(imported - used)
+        assert not unused, f"{name} imports {unused} and never uses them"

@@ -1,4 +1,5 @@
 """Gate/circuit construction rules, relabeling, and gate counting."""
+import cmath
 import math
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qlayout as ql
-from qlayout.ir import Gate, GateKind, QubitMapping
+from qlayout.ir import Gate, GateKind, QubitMapping, single_qubit_matrix, u3_angles
 
 from conftest import phase_aligned_error
 
@@ -38,10 +39,40 @@ class TestGate:
 
     def test_h_matrix_equals_u2_of_0_pi(self):
         assert ql.h(0) != ql.u2(0.0, math.pi, 0)  # distinct kinds in the IR
-        from qlayout.ir import single_qubit_matrix
         err = phase_aligned_error(single_qubit_matrix(ql.u2(0.0, math.pi, 0)),
                                   single_qubit_matrix(ql.h(0)))
         assert err == 0.0
+
+
+def _e(angle: float) -> complex:
+    return cmath.exp(1j * angle)
+
+
+_R = 1 / math.sqrt(2)
+
+
+class TestU3Angles:
+    """``single_qubit_matrix`` reads every kind through ``u3_angles``; these
+    are the textbook matrices, written out without it."""
+
+    @pytest.mark.parametrize("gate, expected", [
+        (ql.u1(0.7, 0), (1, 0, 0, _e(0.7))),
+        (ql.u1(-2.9, 0), (1, 0, 0, _e(-2.9))),
+        (ql.u2(0.4, -1.3, 0), (_R, -_R * _e(-1.3), _R * _e(0.4), _R * _e(0.4 - 1.3))),
+        (ql.u2(0.0, math.pi, 0), (_R, _R, _R, -_R)),
+        (ql.u3(1.1, 0.2, -0.5, 0),
+         (math.cos(0.55), -_e(-0.5) * math.sin(0.55),
+          _e(0.2) * math.sin(0.55), _e(0.2 - 0.5) * math.cos(0.55))),
+        (ql.u3(math.pi, 0.0, 0.0, 0), (0, -1, 1, 0)),
+        (ql.h(0), (_R, _R, _R, -_R)),
+    ])
+    def test_matrix_is_the_textbook_one(self, gate, expected):
+        assert phase_aligned_error(expected, single_qubit_matrix(gate)) < 1e-15
+
+    @pytest.mark.parametrize("gate", [ql.cx(0, 1), ql.measure(0, 0), ql.barrier(0, 1)])
+    def test_non_single_qubit_kind_rejected(self, gate):
+        with pytest.raises(ValueError, match="not a single-qubit gate"):
+            u3_angles(gate)
 
 
 class TestCircuit:
@@ -104,11 +135,6 @@ class TestApplyMapping:
         c = ql.Circuit(3, 0, (ql.cx(0, 1), ql.h(2)))
         assert ql.apply_mapping(c, {}) == c
 
-    def test_suffix_only_rewrite(self):
-        c = ql.Circuit(2, 0, (ql.u1(0.3, 0), ql.cx(0, 1)))
-        out = ql.apply_mapping(c, {0: 1, 1: 0}, from_gate=1)
-        assert out.gates == (ql.u1(0.3, 0), ql.cx(1, 0))
-
     def test_measure_clbit_untouched(self):
         c = ql.Circuit(2, 2, (ql.measure(0, 1),))
         out = ql.apply_mapping(c, {0: 1, 1: 0})
@@ -130,18 +156,11 @@ class TestApplyMapping:
             with pytest.raises(ValueError, match=r"^gate h touches qubit outside 0\.\.2$"):
                 ql.apply_mapping(c, mapping)
 
-    def test_only_rewritten_gates_must_stay_inside(self):
-        c = ql.Circuit(3, 0, (ql.h(0), ql.cx(0, 1)))
-        assert ql.apply_mapping(c, {0: 5, 5: 0}, from_gate=2) == c
-        with pytest.raises(ValueError, match=r"^gate cx touches qubit outside 0\.\.2$"):
-            ql.apply_mapping(c, {0: 5, 5: 0}, from_gate=1)
-
-    @given(perm=st.permutations(list(range(4))),
-           cut=st.integers(min_value=0, max_value=3))
-    def test_mapping_then_inverse_restores(self, perm, cut):
+    @given(perm=st.permutations(list(range(4))))
+    def test_mapping_then_inverse_restores(self, perm):
         c = ql.Circuit(4, 0, (ql.cx(0, 1), ql.h(2), ql.u1(0.5, 3), ql.cx(3, 2)))
         m = QubitMapping.from_dict({i: p for i, p in enumerate(perm)})
-        assert ql.apply_mapping(ql.apply_mapping(c, m, cut), m.inverse(), cut) == c
+        assert ql.apply_mapping(ql.apply_mapping(c, m), m.inverse()) == c
 
 
 class TestGateCounts:

@@ -87,8 +87,9 @@ class TestTranspile:
             assert res.report()["stage_seconds"] == res.stage_seconds
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(lookahead=0)
+        for bad in (0, 2.5, True):
+            with pytest.raises(ValueError, match="lookahead"):
+                PipelineConfig(lookahead=bad)
         with pytest.raises(ValueError, match=f"between 1 and {MAX_LOOKAHEAD}"):
             PipelineConfig(lookahead=MAX_LOOKAHEAD + 1)
         assert PipelineConfig(lookahead=MAX_LOOKAHEAD).lookahead == MAX_LOOKAHEAD

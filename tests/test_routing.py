@@ -150,7 +150,7 @@ class TestRouteCircuit:
     def test_lookahead_bounds(self):
         c = ql.Circuit(5, 0, (ql.cx(0, 4), ql.cx(1, 3), ql.cx(0, 2)))
         assert route_circuit(c, CHAIN5, lookahead=MAX_LOOKAHEAD).swaps_emitted > 0
-        for bad in (0, MAX_LOOKAHEAD + 1):
+        for bad in (0, MAX_LOOKAHEAD + 1, 2.5, True):
             with pytest.raises(ValueError, match=f"between 1 and {MAX_LOOKAHEAD}"):
                 route_circuit(c, CHAIN5, lookahead=bad)
             with pytest.raises(ValueError, match="MAX_LOOKAHEAD"):
