@@ -11,12 +11,11 @@ from .bench import BenchRecord, BenchResult, gen_random_circuit, run_benchmark
 from .coupling import (
     CouplingGraph,
     DisconnectedGraphError,
-    LayoutKind,
     coupling_from_json,
     load_coupling,
     make_layout,
 )
-from .relabel import SearchLimits, candidate_mappings, global_adjust
+from .relabel import SearchLimits, global_adjust
 from .ir import (
     Circuit,
     Gate,
@@ -42,7 +41,6 @@ from .routing import (
     brute_force_route_cost,
     estimate_cost,
     fix_directions,
-    lookahead_choose,
     naive_route,
     route_circuit,
 )
@@ -52,14 +50,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchRecord", "BenchResult", "Circuit", "CouplingGraph",
-    "DisconnectedGraphError", "Gate", "GateKind", "LayoutKind", "LegalityError",
+    "DisconnectedGraphError", "Gate", "GateKind", "LegalityError",
     "PipelineConfig", "QasmError", "QubitMapping", "RouteResult", "SearchLimits",
     "TranspileResult", "ZYTriple", "apply_mapping", "barrier",
-    "brute_force_route_cost", "candidate_mappings", "cost", "coupling_from_json",
-    "cx", "emit_qasm", "equivalent", "estimate_cost", "fix_directions",
-    "gate_counts", "gen_random_circuit", "global_adjust", "h", "load_coupling",
-    "lookahead_choose", "make_layout", "measure", "merge_adjacent",
-    "merge_single_qubit_runs", "naive_route", "parse_qasm", "probe_fidelity",
-    "route_circuit", "run_benchmark", "simulate", "transpile",
-    "transpile_baseline", "u1", "u2", "u3", "yz_to_zy",
+    "brute_force_route_cost", "cost", "coupling_from_json", "cx", "emit_qasm",
+    "equivalent", "estimate_cost", "fix_directions", "gate_counts",
+    "gen_random_circuit", "global_adjust", "h", "load_coupling", "make_layout",
+    "measure", "merge_adjacent", "merge_single_qubit_runs", "naive_route",
+    "parse_qasm", "probe_fidelity", "route_circuit", "run_benchmark", "simulate",
+    "transpile", "transpile_baseline", "u1", "u2", "u3", "yz_to_zy",
 ]

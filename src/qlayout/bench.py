@@ -24,7 +24,7 @@ import numpy as np
 from .coupling import make_layout
 from .ir import Circuit, Gate, GateKind, cost, u3
 from .pipeline import PipelineConfig, transpile, transpile_baseline
-from .sim import equivalent
+from .sim import _check_tol, equivalent
 
 
 def _random_u3(rng: np.random.Generator, q: int) -> Gate:
@@ -163,6 +163,7 @@ def run_benchmark(layouts: Sequence[str], qubits: Sequence[int],
     """
     if trials < 1 or not layouts or not qubits or not depths:
         raise ValueError("empty benchmark grid")
+    _check_tol(tol)
     records: list[BenchRecord] = []
     for li, layout in enumerate(layouts):
         for n in qubits:

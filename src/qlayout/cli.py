@@ -7,8 +7,9 @@ aggregate JSON.
 
 Exit codes -- transpile: 1 parse/usage error, 2 disconnected layout,
 3 internal legality failure; verify: 1 not equivalent, 2 I/O or size
-error, or a mapping that is malformed or moves a qubit outside the
-register; bench: 1 if any record failed verification, 2 usage error.
+error, a mapping that is malformed or moves a qubit outside the
+register, or a --tol outside 0 <= tol < 1; bench: 1 if any record failed
+verification, 2 usage error (a bad --tol included).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .ir import QubitMapping
 from .pipeline import PipelineConfig, transpile, transpile_baseline
 from .qasm import QasmError, emit_qasm, parse_qasm
 from .routing import DEFAULT_LOOKAHEAD, LegalityError
-from .sim import probe_fidelity
+from .sim import _check_tol, probe_fidelity
 
 
 def _load_circuit(path: str):
@@ -77,6 +78,7 @@ def cmd_transpile(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
+        _check_tol(args.tol)
         original = _load_circuit(args.original)
         transpiled = _load_circuit(args.transpiled)
         final_map = QubitMapping.identity()

@@ -12,7 +12,6 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
@@ -23,11 +22,8 @@ class DisconnectedGraphError(ValueError):
     """Raised when routing needs a path that does not exist."""
 
 
-class LayoutKind(Enum):
-    LINEAR = "linear"
-    CIRCLE = "circle"
-    CENTRAL = "central"
-    NEIGHBOUR = "neighbour"
+#: the four canonical layouts, by name
+LAYOUTS = ("linear", "circle", "central", "neighbour")
 
 
 @dataclass(frozen=True)
@@ -88,8 +84,7 @@ class CouplingGraph:
     @cached_property
     def intermediates_matrix(self) -> tuple[tuple[int, ...], ...]:
         """n x n: interior vertices on a shortest path, ``max(distance - 1, 0)``,
-        or -1 where no path exists.  Unchecked table for hot loops; see
-        :meth:`intermediates`."""
+        or -1 where no path exists.  Unchecked table for hot loops."""
         return tuple(tuple(max(d - 1, 0) if d >= 0 else -1 for d in row)
                      for row in self.distances)
 
@@ -105,13 +100,6 @@ class CouplingGraph:
     def is_connected(self) -> bool:
         return self.num_qubits > 0 and all(d >= 0 for d in self.distances[0])
 
-    def adjacent(self, q: int) -> tuple[int, ...]:
-        self._check_index(q)
-        return self.neighbors[q]
-
-    def degree(self, q: int) -> int:
-        return len(self.adjacent(q))
-
     def is_legal_cnot(self, control: int, target: int, respect_direction: bool = True) -> bool:
         """Whether cx(control, target) can run as written.
 
@@ -123,18 +111,6 @@ class CouplingGraph:
         if self.directed and respect_direction:
             return (control, target) in self.edges
         return self.adjacency_matrix[control][target]
-
-    def distance(self, a: int, b: int) -> int:
-        self._check_index(a)
-        self._check_index(b)
-        d = self.distances[a][b]
-        if d < 0:
-            raise DisconnectedGraphError(f"no path between qubits {a} and {b}")
-        return d
-
-    def intermediates(self, a: int, b: int) -> int:
-        """Number of interior vertices on a shortest a-b path."""
-        return max(self.distance(a, b) - 1, 0)
 
     def shortest_path(self, a: int, b: int) -> list[int]:
         """Minimal-hop path a..b; among ties, the lexicographically smallest
@@ -155,35 +131,28 @@ class CouplingGraph:
             path.append(cur := v)
         return path
 
-    def to_json(self) -> str:
-        payload = {"n": self.num_qubits, "directed": self.directed,
-                   "edges": sorted([a, b] for a, b in self.edges)}
-        return json.dumps(payload)
 
-
-def make_layout(kind: LayoutKind | str, n: int) -> CouplingGraph:
-    """Build one of the four canonical undirected layouts.
+def make_layout(kind: str, n: int) -> CouplingGraph:
+    """Build one of the four canonical undirected layouts, named in
+    :data:`LAYOUTS` (in any case).
 
     linear: chain i-(i+1).  circle: chain plus the closing edge (n-1)-0.
     central: star with hub 0.  neighbour: row-major 2D grid, ceil(sqrt(n))
     columns, horizontal and vertical edges.
     """
-    if isinstance(kind, str):
-        try:
-            kind = LayoutKind(kind.lower())
-        except ValueError:
-            raise ValueError(f"unknown layout {kind!r}; expected one of "
-                             f"{[k.value for k in LayoutKind]}") from None
-    minimum = 3 if kind is LayoutKind.CIRCLE else 2
+    name = kind.lower()
+    if name not in LAYOUTS:
+        raise ValueError(f"unknown layout {kind!r}; expected one of {list(LAYOUTS)}")
+    minimum = 3 if name == "circle" else 2
     if n < minimum:
-        raise ValueError(f"{kind.value} layout needs at least {minimum} qubits")
+        raise ValueError(f"{name} layout needs at least {minimum} qubits")
     edges: set[tuple[int, int]]
-    if kind is LayoutKind.LINEAR:
+    if name == "linear":
         edges = {(i, i + 1) for i in range(n - 1)}
-    elif kind is LayoutKind.CIRCLE:
+    elif name == "circle":
         edges = {(i, i + 1) for i in range(n - 1)}
         edges.add((n - 1, 0))
-    elif kind is LayoutKind.CENTRAL:
+    elif name == "central":
         edges = {(0, i) for i in range(1, n)}
     else:
         cols = math.isqrt(n)

@@ -11,10 +11,10 @@ Everything here is immutable; transformations return new values.
 
 Values are checked once, where they enter the program.  The public
 constructors (``Gate(...)``, ``Circuit(...)``, ``cx``/``h``/``u1``/...,
-``Gate.relabeled``, ``QubitMapping``) check every field: parameter count,
-finite angles, operand count and distinctness, qubit and clbit bounds.  The
-QASM reader makes the same checks on its input and builds its gates and
-circuit without a second pass.  A rewrite inside the program (relabeling
+``QubitMapping``) check every field: parameter count, finite angles,
+operand count and distinctness, qubit and clbit bounds.  The QASM reader
+makes the same checks on its input and builds its gates and circuit
+without a second pass.  A rewrite inside the program (relabeling
 through a permutation, a SWAP triple on a graph edge, a reversed CNOT, a
 fused single-qubit gate, a widened register) builds values whose validity
 follows from valid inputs, so it uses ``Gate._unchecked`` and
@@ -109,11 +109,6 @@ class Gate:
     @property
     def is_single_qubit(self) -> bool:
         return self.kind in SINGLE_QUBIT_KINDS
-
-    def relabeled(self, mapping: "QubitMapping") -> "Gate":
-        """Rewrite qubit indices through ``mapping``; clbits stay pinned."""
-        return Gate(self.kind, tuple(mapping(q) for q in self.qubits),
-                    self.params, self.clbit)
 
     def _moved(self, perm: Sequence[int]) -> "Gate":
         """This gate with each qubit q on ``perm[q]``, unchecked: ``perm``
@@ -238,9 +233,6 @@ class QubitMapping:
                 return b
         return q
 
-    def __bool__(self) -> bool:
-        return bool(self.pairs)
-
     @property
     def is_identity(self) -> bool:
         return not self.pairs
@@ -252,9 +244,6 @@ class QubitMapping:
         """Composition: apply ``self`` first, then ``later``."""
         keys = {a for a, _ in self.pairs + later.pairs}
         return QubitMapping.from_dict({q: later(self(q)) for q in keys})
-
-    def inverse(self) -> "QubitMapping":
-        return QubitMapping(tuple((b, a) for a, b in self.pairs))
 
 
 def apply_mapping(circuit: Circuit, mapping: QubitMapping | Mapping[int, int]) -> Circuit:

@@ -114,28 +114,6 @@ def _candidates(ill: tuple[int, int], graph: CouplingGraph, partners: Sequence[i
     return found
 
 
-def candidate_mappings(ill: tuple[int, int], graph: CouplingGraph,
-                       prefix: Sequence[tuple[int, int]]) -> list[QubitMapping]:
-    """Transpositions that legalize ``ill`` without breaking ``prefix``.
-
-    ``prefix`` holds the CNOTs before ``ill``; they must all be legal on the
-    undirected view.  Control-side swaps (control with each neighbour of
-    the target) come first, then target-side, each in ascending neighbour
-    order.
-    """
-    prefix = [(c, t) for c, t in prefix]
-    if not all(graph.is_legal_cnot(c, t, respect_direction=False) for c, t in prefix):
-        raise ValueError("every CNOT of prefix must already be legal")
-    control, target = ill
-    for q in (control, target):
-        if not 0 <= q < graph.num_qubits:
-            raise IndexError(f"qubit {q} outside 0..{graph.num_qubits - 1}")
-    partners = _partners([0] * graph.num_qubits, prefix, 0, len(prefix))
-    identity = range(graph.num_qubits)
-    return [QubitMapping.swap(moved, nbr) for moved, nbr in _candidates(
-        (control, target), graph, partners, _near_masks(graph), identity)]
-
-
 def global_adjust(circuit: Circuit, graph: CouplingGraph,
                   limits: SearchLimits | None = None) -> tuple[QubitMapping, float]:
     """Best zero-gate relabeling for ``circuit`` and its estimated residual

@@ -46,7 +46,6 @@ it is the oracle the lookahead router is certified against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import islice
 from typing import Any, Sequence
@@ -70,11 +69,6 @@ MAX_LOOKAHEAD = 12
 
 class LegalityError(RuntimeError):
     """A CNOT that no orientation of the coupling graph can execute."""
-
-
-class Mover(Enum):
-    CONTROL = "control"
-    TARGET = "target"
 
 
 def _swap_gates(a: int, b: int) -> list[Gate]:
@@ -114,19 +108,19 @@ def _check_lookahead(lookahead: int) -> None:
                          f"(MAX_LOOKAHEAD), got {lookahead!r}")
 
 
-#: one repair of an illegal CNOT: (mover, search cost, step, stops)
-_Repair = tuple[Mover, int, tuple[int, ...], tuple[int, ...]]
+#: one repair of an illegal CNOT: (search cost, step, stops)
+_Repair = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
 def _repairs(ill: tuple[int, int], graph: CouplingGraph,
              table: dict[tuple[int, int], tuple[_Repair, _Repair]]) -> tuple[_Repair, _Repair]:
     """Both SWAP chains that repair the wire pair ``ill``, control moved
-    first, as (mover, search cost, step, stops).  The mover's state visits
-    the ``stops`` -- its own wire, then the shortest path's interior toward
-    the other endpoint -- and each consecutive pair of them is one SWAP.
-    The cost is one SWAP per hop, plus :data:`CONTROL_MOVE_COST` when the
-    control moves; the step is the chain's relabeling as a dense
-    ``step[wire]``.
+    first, as (search cost, step, stops).  The mover is the endpoint on
+    wire ``stops[0]``; its state visits the ``stops`` -- its own wire, then
+    the shortest path's interior toward the other endpoint -- and each
+    consecutive pair of them is one SWAP.  The cost is one SWAP per hop,
+    plus :data:`CONTROL_MOVE_COST` when the control moves; the step is the
+    chain's relabeling as a dense ``step[wire]``.
 
     They depend only on the graph and the ordered pair, so they are built
     on first use and kept in ``table``, which one routing call owns: it
@@ -134,16 +128,15 @@ def _repairs(ill: tuple[int, int], graph: CouplingGraph,
     """
     repairs = table.get(ill)
     if repairs is None:
-        c, t = int(ill[0]), int(ill[1])
+        c, t = ill
         inter = graph.shortest_path(c, t)[1:-1]
         built = []
-        for mover, stops, extra in ((Mover.CONTROL, [c, *inter], CONTROL_MOVE_COST),
-                                    (Mover.TARGET, [t, *inter[::-1]], 0)):
+        for stops, extra in (([c, *inter], CONTROL_MOVE_COST), ([t, *inter[::-1]], 0)):
             step = list(range(graph.num_qubits))
             step[stops[0]] = stops[-1]
             for prev, cur in zip(stops, stops[1:]):
                 step[cur] = prev
-            built.append((mover, SWAP_COST * len(inter) + extra, tuple(step), tuple(stops)))
+            built.append((SWAP_COST * len(inter) + extra, tuple(step), tuple(stops)))
         repairs = table[ill] = tuple(built)
     return repairs
 
@@ -282,7 +275,7 @@ def _choose_repair(ill: tuple[int, int], leaves: _Leaves, start: int,
     def descend(ill: tuple[int, int], start: int, perm: Sequence[int], acc: float,
                 lead: _Repair | None, depth: int) -> None:
         for repair in _repairs(ill, graph, table):
-            _, step_cost, step, _ = repair
+            step_cost, step, _ = repair
             moved = [step[q] for q in perm]
             cost = acc + step_cost
             first = repair if lead is None else lead
@@ -296,23 +289,6 @@ def _choose_repair(ill: tuple[int, int], leaves: _Leaves, start: int,
     descend(ill, start, perm, 0.0, None, 1)
     best_cost, best = leaves.take()
     return best, best_cost
-
-
-def lookahead_choose(ill: tuple[int, int], rest: Sequence[tuple[int, int]],
-                     graph: CouplingGraph,
-                     lookahead: int = DEFAULT_LOOKAHEAD) -> tuple[QubitMapping, float]:
-    """Relabeling of the chosen repair for ``ill`` and its search cost
-    (exact over the horizon, estimated below it)."""
-    _check_lookahead(lookahead)
-    rest = [(c, t) for c, t in rest]
-    n = graph.num_qubits
-    if not all(0 <= q < n for pair in rest for q in pair):
-        raise IndexError(f"a CNOT in rest touches a qubit outside 0..{n - 1}")
-    if any(c == t for c, t in rest):
-        raise ValueError("a CNOT in rest has the same control and target")
-    (_, _, step, _), cost = _choose_repair(tuple(ill), _Leaves(rest, graph), 0, range(n),
-                                           lookahead)
-    return QubitMapping(tuple(enumerate(step))), cost
 
 
 @dataclass(frozen=True)
@@ -364,7 +340,7 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
             k += 1
             c, t = g.qubits
             if not adjacent[wire[c]][wire[t]]:
-                (_, step_cost, step, stops), _ = _choose_repair(
+                (step_cost, step, stops), _ = _choose_repair(
                     (wire[c], wire[t]), leaves, k, wire, lookahead)
                 for a, b in zip(stops, stops[1:]):
                     out += _swap_gates(a, b)
@@ -388,10 +364,11 @@ def brute_force_route_cost(circuit: Circuit, graph: CouplingGraph) -> int:
 
     Walks the same decision tree as the router but exhaustively: at each
     illegal CNOT both the control and the target displacement are realized
-    (chain applied, remainder relabeled) and the cheaper subtree wins.  No
-    estimation anywhere, so this is the ground truth the lookahead router
-    is measured against; cost units match the router's accounting
-    (34 per intermediate vertex, +4 per displaced control).
+    (chain applied, its relabeling applied to the remainder) and the
+    cheaper subtree wins.  No estimation anywhere, so this is the ground
+    truth the lookahead router is measured against; cost units match the
+    router's accounting (34 per intermediate vertex, +4 per displaced
+    control).
     """
     cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
     illegal = sum(1 for c, t in cnots
@@ -409,7 +386,7 @@ def brute_force_route_cost(circuit: Circuit, graph: CouplingGraph) -> int:
             return 0
         c, t = cnots[i]
         return min(cost + best(i + 1, [step[q] for q in perm])
-                   for _, cost, step, _ in _repairs((perm[c], perm[t]), graph, table))
+                   for cost, step, _ in _repairs((perm[c], perm[t]), graph, table))
 
     return best(0, list(range(graph.num_qubits)))
 

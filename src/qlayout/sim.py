@@ -39,6 +39,7 @@ before.
 """
 from __future__ import annotations
 
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -206,25 +207,20 @@ def simulate(circuit: Circuit, initial: int | np.ndarray = 0) -> np.ndarray:
     return _apply(circuit, state.reshape(dim, 1)).reshape(dim)
 
 
-def permutation_vector(mapping: QubitMapping, num_qubits: int) -> np.ndarray:
-    """sigma with sigma[b] = the basis index where bit q of b lands on wire
-    mapping(q); permuting amplitudes by ``out[sigma] = psi`` relabels the
-    state's qubits.  A mapping that moves a qubit of the register outside
-    0..num_qubits-1 is a ValueError."""
+def permute_amplitudes(state: np.ndarray, mapping: QubitMapping,
+                       num_qubits: int) -> np.ndarray:
+    """``state`` (rows indexed by basis state) under the relabeling
+    ``mapping``: the amplitude of basis index b moves to sigma[b], where
+    bit q of b lands on wire mapping(q).  A mapping that moves a qubit of the register
+    outside 0..num_qubits-1 is a ValueError."""
     wires = [mapping(q) for q in range(num_qubits)]
     if not all(0 <= w < num_qubits for w in wires):
         raise ValueError(f"mapping {mapping.as_dict()} moves a qubit outside "
                          f"0..{num_qubits - 1}")
     idx = np.arange(1 << num_qubits)
-    out = np.zeros_like(idx)
+    sigma = np.zeros_like(idx)
     for q, w in enumerate(wires):
-        out |= ((idx >> q) & 1) << w
-    return out
-
-
-def permute_amplitudes(state: np.ndarray, mapping: QubitMapping,
-                       num_qubits: int) -> np.ndarray:
-    sigma = permutation_vector(mapping, num_qubits)
+        sigma |= ((idx >> q) & 1) << w
     out = np.empty_like(state)
     out[sigma] = state
     return out
@@ -281,11 +277,20 @@ def probe_fidelity(original: Circuit, transpiled: Circuit,
     return float(np.abs(ref.sum(axis=0)).min())
 
 
+def _check_tol(tol: float) -> None:
+    """A fidelity tolerance is a real number, not a bool, with 0 <= tol < 1:
+    at 1 or above every pair of circuits would pass."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < 1:
+        raise ValueError(f"tol must be a real number with 0 <= tol < 1, got {tol!r}")
+
+
 def equivalent(original: Circuit, transpiled: Circuit,
                final_map: QubitMapping | None = None, tol: float = 1e-6, *,
                initial_map: QubitMapping | None = None, seed: int = 0) -> bool:
     """Whether the circuits agree on every probe, up to the given
-    relabeling and global phase, within ``tol`` of perfect fidelity."""
+    relabeling and global phase, within ``tol`` (see :func:`_check_tol`)
+    of perfect fidelity."""
+    _check_tol(tol)
     worst = probe_fidelity(original, transpiled, final_map,
                            initial_map=initial_map, seed=seed)
     return worst >= 1 - tol

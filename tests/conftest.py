@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import qlayout as ql
 from qlayout.coupling import CouplingGraph
-from qlayout.ir import Gate, GateKind
+from qlayout.ir import Gate, GateKind, QubitMapping
+from qlayout.routing import DEFAULT_LOOKAHEAD, _choose_repair, _Leaves
 
 finite_angles = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi,
                           allow_nan=False, allow_infinity=False)
@@ -65,6 +66,16 @@ def connected_graphs(draw, min_qubits: int = 3, max_qubits: int = 7):
             edges.add((a, b))
     return CouplingGraph(n, frozenset((label[a], label[b]) for a, b in edges),
                          directed=draw(st.booleans()))
+
+
+def lookahead_choose(ill, rest, graph, lookahead=DEFAULT_LOOKAHEAD):
+    """The router's decision for the illegal wire pair ``ill`` followed by
+    the CNOTs ``rest``, from the identity relabeling: the chosen repair's
+    relabeling as a mapping, and its search cost (exact over the horizon,
+    estimated below it)."""
+    (_, step, _), cost = _choose_repair(ill, _Leaves(rest, graph), 0,
+                                        range(graph.num_qubits), lookahead)
+    return QubitMapping(tuple(enumerate(step))), cost
 
 
 def random_unitary_circuit(rng: np.random.Generator, n: int, n_gates: int) -> ql.Circuit:

@@ -132,6 +132,11 @@ class TestRunBenchmark:
         assert agg["records_total"] == 2 and agg["records_verified"] == 1
         assert agg["per_layout"]["linear"]["cost_ratio_pipeline"] == 1.5
 
+    @pytest.mark.parametrize("tol", [2.0, 1.0, -0.5, True, math.nan])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            run_benchmark(["linear"], [3], [1], trials=1, seed=0, tol=tol)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             run_benchmark([], [3], [1], trials=1, seed=0)

@@ -184,6 +184,17 @@ class TestVerifyCommand:
         assert main(["verify", "--original", str(workdir / "nope.qasm"),
                      "--transpiled", str(workdir / "in.qasm")]) == 2
 
+    @pytest.mark.parametrize("tol", ["2", "1", "inf", "nan", "-0.1"])
+    def test_tol_outside_the_unit_interval_exits_2(self, workdir, capsys, tol):
+        # a CNOT against an H: with tol >= 1 any fidelity would read as equivalent
+        a, b = workdir / "a.qasm", workdir / "b.qasm"
+        a.write_text("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n")
+        b.write_text("OPENQASM 2.0;\nqreg q[2];\nh q[0];\n")
+        assert main(["verify", "--original", str(a), "--transpiled", str(b),
+                     "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert "tol" in captured.err and "equivalent" not in captured.out
+
 
 class TestBenchCommand:
     def test_small_grid(self, workdir, capsys):
@@ -212,6 +223,14 @@ class TestBenchCommand:
             main(["bench", "--layouts", "linear", "--qubits", "4..3",
                   "--depths", "1..1", "--csv", str(workdir / "x.csv")])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("tol", ["2", "inf"])
+    def test_tol_outside_the_unit_interval_exits_2(self, workdir, capsys, tol):
+        csv_path = workdir / "x.csv"
+        assert main(["bench", "--layouts", "linear", "--qubits", "3..3",
+                     "--depths", "1..1", "--trials", "1", "--tol", tol,
+                     "--csv", str(csv_path)]) == 2
+        assert "tol" in capsys.readouterr().err and not csv_path.exists()
 
     def test_unknown_layout_exits_2(self, workdir):
         assert main(["bench", "--layouts", "mesh", "--qubits", "3..3",

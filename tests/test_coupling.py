@@ -43,12 +43,12 @@ class TestLayouts:
     def test_central_edges(self):
         g = make_layout("central", 5)
         assert {frozenset(e) for e in g.edges} == {frozenset((0, i)) for i in range(1, 5)}
-        assert g.adjacent(0) == (1, 2, 3, 4)
+        assert g.neighbors[0] == (1, 2, 3, 4)
 
     def test_circle_edges(self):
         g = make_layout("circle", 5)
-        assert g.adjacent(0) == (1, 4)
-        assert all(g.degree(q) == 2 for q in range(5))
+        assert g.neighbors[0] == (1, 4)
+        assert all(len(g.neighbors[q]) == 2 for q in range(5))
 
     def test_grid_2x2(self):
         g = make_layout("neighbour", 4)
@@ -77,8 +77,8 @@ class TestLayouts:
 
     def test_linear_ends_have_degree_one(self):
         g = make_layout("linear", 6)
-        assert g.degree(0) == 1 and g.degree(5) == 1
-        assert all(g.degree(q) == 2 for q in range(1, 5))
+        assert len(g.neighbors[0]) == 1 and len(g.neighbors[5]) == 1
+        assert all(len(g.neighbors[q]) == 2 for q in range(1, 5))
 
     def test_minimum_sizes(self):
         with pytest.raises(ValueError):
@@ -116,12 +116,12 @@ class TestShortestPath:
     def test_unique_chain_path(self):
         g = make_layout("linear", 4)
         assert g.shortest_path(0, 3) == [0, 1, 2, 3]
-        assert g.intermediates(0, 3) == 2
+        assert g.intermediates_matrix[0][3] == 2
 
     def test_adjacent_has_no_intermediates(self):
         g = make_layout("circle", 5)
         assert g.shortest_path(0, 4) == [0, 4]
-        assert g.intermediates(0, 4) == 0
+        assert g.intermediates_matrix[0][4] == 0
 
     def test_star_routes_through_hub(self):
         g = make_layout("central", 5)
@@ -161,8 +161,7 @@ class TestShortestPath:
         assert not g.is_connected
         with pytest.raises(DisconnectedGraphError):
             g.shortest_path(0, 3)
-        with pytest.raises(DisconnectedGraphError):
-            g.distance(1, 2)
+        assert g.distances[1][2] == g.intermediates_matrix[1][2] == -1
 
 
 def _all_paths(g: CouplingGraph, a: int, b: int, depth: int) -> list[list[int]]:
@@ -175,7 +174,7 @@ def _all_paths(g: CouplingGraph, a: int, b: int, depth: int) -> list[list[int]]:
         if v == b and len(path) - 1 == depth:
             out.append(list(path))
             return
-        for w in g.adjacent(v):
+        for w in g.neighbors[v]:
             if w not in path:
                 path.append(w)
                 walk(w, path)
@@ -196,7 +195,9 @@ class TestConstruction:
 
     def test_json_round_trip(self):
         g = CouplingGraph(4, frozenset({(0, 1), (1, 2), (3, 2)}), directed=True)
-        back = ql.coupling_from_json(g.to_json())
+        text = json.dumps({"n": g.num_qubits, "directed": g.directed,
+                           "edges": sorted([a, b] for a, b in g.edges)})
+        back = ql.coupling_from_json(text)
         assert back == g
 
     def test_layout_shorthand(self):

@@ -1,9 +1,16 @@
-"""Module structure: how the modules of ``src/qlayout`` import each other."""
+"""Module structure: how the modules of ``src/qlayout`` import each other,
+and which of their public names the program uses."""
 import ast
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qlayout"
+import qlayout
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qlayout"
+
+#: the directories besides the package whose programs call the library
+CALLERS = ("perfbench", "demos", "tools")
 
 
 def package_imports(nodes) -> set[str]:
@@ -54,3 +61,27 @@ def test_every_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted(imported - used)
         assert not unused, f"{name} imports {unused} and never uses them"
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """The names a module reads: bare names, attributes and the names it
+    imports.  A ``def`` or ``class`` statement does not read its own name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    # a public name only the tests call belongs in the tests
+    trees = [tree for name, tree in modules().items() if name != "__init__"]
+    trees += [ast.parse(path.read_text())
+              for caller in CALLERS for path in sorted((ROOT / caller).glob("*.py"))]
+    used = set().union(*map(referenced_names, trees))
+    unused = sorted(set(qlayout.__all__) - used)
+    assert not unused, f"qlayout exports {unused}, which nothing outside the tests uses"

@@ -92,6 +92,10 @@ class TestCircuit:
             c.widened(1)
 
 
+def inverse(m: QubitMapping) -> QubitMapping:
+    return QubitMapping(tuple((b, a) for a, b in m.pairs))
+
+
 class TestQubitMapping:
     def test_identity_is_empty(self):
         m = QubitMapping.identity()
@@ -116,13 +120,13 @@ class TestQubitMapping:
         ab = a.then(b)
         for q in range(4):
             assert ab(q) == b(a(q))
-        assert a.then(a.inverse()).is_identity
+        assert a.then(inverse(a)).is_identity
 
     @given(perm=st.permutations(list(range(5))))
     def test_random_permutations_round_trip(self, perm):
         m = QubitMapping.from_dict({i: p for i, p in enumerate(perm)})
-        assert m.then(m.inverse()).is_identity
-        assert m.inverse().then(m).is_identity
+        assert m.then(inverse(m)).is_identity
+        assert inverse(m).then(m).is_identity
 
 
 class TestApplyMapping:
@@ -160,7 +164,7 @@ class TestApplyMapping:
     def test_mapping_then_inverse_restores(self, perm):
         c = ql.Circuit(4, 0, (ql.cx(0, 1), ql.h(2), ql.u1(0.5, 3), ql.cx(3, 2)))
         m = QubitMapping.from_dict({i: p for i, p in enumerate(perm)})
-        assert ql.apply_mapping(ql.apply_mapping(c, m), m.inverse()) == c
+        assert ql.apply_mapping(ql.apply_mapping(c, m), inverse(m)) == c
 
 
 class TestGateCounts:

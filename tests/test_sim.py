@@ -177,6 +177,20 @@ class TestEquivalent:
         wide = small.widened(4)
         assert ql.equivalent(small, wide, tol=1e-12)
 
+    @pytest.mark.parametrize("tol", [True, False, 1, 1.0, 1.5, 2, -1e-9, math.inf,
+                                     math.nan, "1e-6", None, QubitMapping.swap(0, 1)])
+    def test_tol_outside_the_unit_interval_rejected(self, tol):
+        # at tol >= 1 every pair would pass; a mapping passed third lands here
+        a = ql.Circuit(2, 0, (ql.cx(0, 1),))
+        b = ql.Circuit(2, 0, (ql.h(0),))
+        with pytest.raises(ValueError, match="tol"):
+            ql.equivalent(a, b, None, tol)
+
+    @pytest.mark.parametrize("tol", [0, 0.0, 1e-6, 0.5, np.float64(1e-9), np.float32(0.25)])
+    def test_tol_in_the_unit_interval_accepted(self, tol):
+        c = random_unitary_circuit(np.random.default_rng(8), 3, 12)
+        assert ql.equivalent(c, c, tol=tol) is (probe_fidelity(c, c) >= 1 - tol)
+
 
 class TestBruteForceOracle:
     def test_legal_circuit_costs_nothing(self):
