@@ -246,10 +246,16 @@ class QubitMapping:
         return QubitMapping.from_dict({q: later(self(q)) for q in keys})
 
 
+def _as_mapping(mapping: QubitMapping | Mapping[int, int]) -> QubitMapping:
+    """``mapping`` itself, or the :class:`QubitMapping` of a ``{from: to}`` dict."""
+    if isinstance(mapping, QubitMapping):
+        return mapping
+    return QubitMapping.from_dict(mapping)
+
+
 def apply_mapping(circuit: Circuit, mapping: QubitMapping | Mapping[int, int]) -> Circuit:
     """Rewrite the qubit indices of every gate; classical bits are untouched."""
-    if not isinstance(mapping, QubitMapping):
-        mapping = QubitMapping.from_dict(mapping)
+    mapping = _as_mapping(mapping)
     if mapping.is_identity:
         return circuit
     n = circuit.num_qubits

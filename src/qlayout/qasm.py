@@ -4,18 +4,32 @@ Accepted grammar: the ``OPENQASM 2.0;`` header, an optional
 ``include "qelib1.inc";`` (ignored), one ``qreg``, at most one ``creg``,
 and statements built from u1/u2/u3/cx/h/measure/barrier.  Angle arguments
 are arithmetic over float literals and ``pi`` (e.g. ``pi/2``, ``3*pi/4``).
+A register holds at most ``MAX_REGISTER`` qubits or bits.
 
-Reading is one regex scan: ``findall`` returns the tokens as strings,
-comments and whitespace dropped, and the parser walks that list with an
-index, reading a token's kind from its first character.  No position is
-tracked; an error scans the text again up to its token to find one.
+There are two readers, and ``parse_qasm`` picks one from the text itself.
 
-The reader checks everything a checked ``Gate`` and ``Circuit`` would
+- The statement reader reads the text ``emit_qasm`` writes, one compiled
+  pattern match per statement: the header (``OPENQASM 2.0;``, the
+  optional include, the ``qreg``, an optional ``creg``) and then gates
+  whose angles are numeric literals with an optional sign.  Any other
+  spelling -- an angle expression such as ``pi/2``, a comment, a
+  declaration after the first gate, a bare-register barrier -- and any
+  input it would reject makes it give up, returning ``None``.
+- The token walk reads the whole grammar.  One regex scan, ``findall``,
+  returns the tokens as strings, comments and whitespace dropped, and the
+  walk steps through that list with an index, reading a token's kind from
+  its first character.  No position is tracked; an error scans the text
+  again up to its token to find one.  It runs on every text the statement
+  reader gives up on, from the start.
+
+Both readers check everything a checked ``Gate`` and ``Circuit`` would
 (operand and angle counts, finite angles, distinct operands, indices within
-the declared registers) and so builds its gates and circuit unchecked.
+the declared registers) and so build their gates and circuit unchecked, and
+both return the same circuit for any text the statement reader accepts.
 
-Malformed input, including an angle that is infinite or NaN or that nests
-more than ``MAX_NESTING`` parentheses and unary signs, raises
+Errors come from the walk alone.  Malformed input, including an angle that
+is infinite or NaN or that nests more than ``MAX_NESTING`` parentheses and
+unary signs, and a register larger than ``MAX_REGISTER``, raises
 :class:`QasmError`: a ``ValueError`` carrying the 1-based ``line`` and
 ``column`` of the offending token, or of the point just past the last
 token when the input runs out.  The first error in reading order is
@@ -30,6 +44,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from itertools import islice
 
 from .ir import _PARAM_COUNT, SINGLE_QUBIT_KINDS, Circuit, Gate, GateKind
@@ -39,6 +54,10 @@ _GATE_KINDS = {k.value: k for k in SINGLE_QUBIT_KINDS | {GateKind.CNOT}}
 
 #: parentheses and unary signs an angle may nest, so reading one needs bounded stack
 MAX_NESTING = 64
+
+#: qubits or bits a register may declare, so that a short text cannot make
+#: the reader build huge operand lists (``barrier q;`` names every qubit)
+MAX_REGISTER = 2**16
 
 
 class QasmError(ValueError):
@@ -91,6 +110,106 @@ def _error(text: str, index: int, message: str) -> QasmError:
 def parse_qasm(text: str) -> Circuit:
     """Parse source text into a :class:`Circuit`; malformed input raises
     :class:`QasmError` with line/column, as the module docstring sets out."""
+    circuit = _read_statements(text)
+    return circuit if circuit is not None else _walk(text)
+
+
+# The statement reader's token classes are _TOKEN_RE's, made stricter where
+# that is simpler: ASCII digits only (``\d`` is any Unicode digit), no ``_``
+# between digits (``float`` and ``int`` take ``1_0``; the tokenizer splits
+# it), at most as many digits in an index or size as MAX_REGISTER has, and
+# a sign only directly before a number.
+_NUMBER = (r"[+-]?(?:[0-9]+\.[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+           r"|[0-9]+(?:[eE][+-]?[0-9]+)?)")
+_NAME = r"[A-Za-z_][A-Za-z0-9_.]*"
+_INDEX = rf"[0-9]{{1,{len(str(MAX_REGISTER))}}}"
+_OPERAND = rf"({_NAME})\s*\[\s*({_INDEX})\s*\]"
+_OPERAND_RE = re.compile(_OPERAND)
+
+_HEADER_RE = re.compile(rf"""
+    \s*OPENQASM\s+2\.0\s*;
+    (?:\s*include\s*"qelib1\.inc"\s*;)?
+    \s*qreg\s+{_OPERAND}\s*;
+    (?:\s*creg\s+{_OPERAND}\s*;)?
+    """, re.VERBOSE)
+
+# One match is one statement, with the whitespace before it.  A character
+# that starts no statement matches the last alternative, which sets no group
+# and takes the rest of the text, so the scan ends there.  The reader scans
+# only up to the trailing whitespace, so ``findall`` covers every character
+# it scans and the reader need not check that matches abut.  The whole scan
+# is linear: each match attempt is linear in what it scans (the one repeated
+# group starts with a comma, so it splits a text in one way only) and
+# consumes it, which a ``\s*`` that ran to the end of the text would not --
+# hence the trailing whitespace is left out.
+_STATEMENT_RE = re.compile(rf"""\s*(?:
+      (u[123]|h|cx)(?![A-Za-z0-9_.])  # the keyword, not the start of a longer name
+      (?:\s*\(\s*({_NUMBER})\s*(?:,\s*({_NUMBER})\s*)?(?:,\s*({_NUMBER})\s*)?\))?
+      \s*{_OPERAND}(?:\s*,\s*{_OPERAND})?\s*;
+    | measure\s+{_OPERAND}\s*->\s*{_OPERAND}\s*;
+    | barrier\s+({_NAME}\s*\[\s*{_INDEX}\s*\](?:\s*,\s*{_NAME}\s*\[\s*{_INDEX}\s*\])*)\s*;
+    | \S[\s\S]* )""", re.VERBOSE)
+
+
+def _read_statements(text: str) -> Circuit | None:
+    """The circuit of ``text`` if it is spelled as the statement reader reads
+    it and is valid, else ``None``; see the module docstring."""
+    header = _HEADER_RE.match(text)
+    if header is None:
+        return None
+    qname, qsize, cname, csize = header.groups()
+    qsize = int(qsize)
+    csize = int(csize) if cname else 0
+    if qsize > MAX_REGISTER or csize > MAX_REGISTER:
+        return None
+    gates: list[Gate] = []
+    for (kw, a1, a2, a3, r1, i1, r2, i2,
+         mq, mi, mc, mj, listed) in _STATEMENT_RE.findall(text, header.end(),
+                                                           len(text.rstrip())):
+        if kw:
+            kind = _GATE_KINDS[kw]
+            q = int(i1)
+            if r1 != qname or q >= qsize:
+                return None
+            if r2:  # a second operand: cx, which takes no angles
+                t = int(i2)
+                if kind is not GateKind.CNOT or a1 or r2 != qname or t >= qsize or t == q:
+                    return None
+                gates.append(Gate._unchecked(kind, (q, t)))
+                continue
+            if a3:
+                params = (float(a1), float(a2), float(a3))
+            elif a2:
+                params = (float(a1), float(a2))
+            elif a1:
+                params = (float(a1),)
+            else:
+                params = ()
+            if (kind is GateKind.CNOT or len(params) != _PARAM_COUNT[kind]
+                    or not all(map(math.isfinite, params))):
+                return None
+            gates.append(Gate._unchecked(kind, (q,), params))
+        elif mq:
+            q, c = int(mi), int(mj)
+            if mq != qname or mc != cname or q >= qsize or c >= csize:
+                return None
+            gates.append(Gate._unchecked(GateKind.MEASURE, (q,), (), c))
+        elif listed:
+            operands = []
+            for name, index in _OPERAND_RE.findall(listed):
+                if name != qname:
+                    return None
+                operands.append(int(index))
+            if max(operands) >= qsize or len(set(operands)) != len(operands):
+                return None
+            gates.append(Gate._unchecked(GateKind.BARRIER, tuple(operands)))
+        else:
+            return None
+    return Circuit._unchecked(qsize, csize, tuple(gates))
+
+
+def _walk(text: str) -> Circuit:
+    """The token walk: the whole grammar, and every error."""
     toks = list(filter(None, _TOKEN_RE.findall(text)))
     toks.append("")  # end of input: equal to no expected token
     try:
@@ -183,10 +302,22 @@ def _index(toks: list[str], i: int, name: str, size: int) -> int:
     _expect(toks, i + 1, "]")
     if not idx.isdecimal():  # an exponent (1e3); checked here, a missing "]" comes first
         raise _Reject(i, "register index must be an integer")
-    k = int(idx)
-    if k >= size:
-        raise _Reject(i, f"index {k} out of range for {name}[{size}]")
+    k = _integer(idx)
+    if k is None or k >= size:
+        raise _Reject(i, f"index {idx if k is None else k} out of range for {name}[{size}]")
     return k
+
+
+def _integer(digits: str) -> int | None:
+    """``int(digits)`` for a string of decimal digits, or ``None`` when it has
+    more significant digits than ``int`` reads (``sys.get_int_max_str_digits()``,
+    a count that takes in leading zeros, so they are dropped first)."""
+    try:
+        return int(digits)
+    except ValueError:
+        pass
+    digits = digits[next((k for k, d in enumerate(digits) if int(d)), len(digits) - 1):]
+    return int(digits) if len(digits) <= sys.get_int_max_str_digits() else None
 
 
 def _qubit(toks: list[str], i: int, qreg: tuple[str, int] | None) -> int:
@@ -214,6 +345,7 @@ def _parse(toks: list[str]) -> Circuit:
 
     qreg: tuple[str, int] | None = None  # (name, size) once declared
     creg: tuple[str, int] | None = None
+    every: tuple[int, ...] | None = None  # the operands of a bare-name barrier
     gates: list[Gate] = []
     while toks[i]:
         tok, start = toks[i], i
@@ -259,17 +391,21 @@ def _parse(toks: list[str]) -> Circuit:
             if qreg is None:
                 raise _Reject(i, "barrier before qreg declaration")
             if toks[i + 1] == qreg[0] and toks[i + 2] == ";":  # bare name: every qubit
-                operands, i = list(range(qreg[1])), i + 2
+                if every is None:  # one tuple for all of them, not one per statement
+                    every = tuple(range(qreg[1]))
+                operands, i = every, i + 3
             else:
                 operands, i = _qubits(toks, i + 1, qreg)
-            i = _expect(toks, i, ";")
-            if len(set(operands)) != len(operands):
-                k = next(k for k, q in enumerate(operands) if q in operands[:k])
-                raise _Reject(start + 1 + 5 * k,
-                              f"repeated qubit {qreg[0]}[{operands[k]}] in barrier")
+                i = _expect(toks, i, ";")
+                if len(set(operands)) != len(operands):
+                    first: dict[int, int] = {}  # qubit -> where it is first named
+                    k = next(k for k, q in enumerate(operands) if first.setdefault(q, k) != k)
+                    raise _Reject(start + 1 + 5 * k,
+                                  f"repeated qubit {qreg[0]}[{operands[k]}] in barrier")
+                operands = tuple(operands)
             if not operands:  # the bare name of an empty register
                 raise ValueError("barrier needs a nonempty set of distinct qubits")
-            gates.append(Gate._unchecked(GateKind.BARRIER, tuple(operands)))
+            gates.append(Gate._unchecked(GateKind.BARRIER, operands))
         elif tok == "qreg" or tok == "creg":
             name = toks[i + 1]
             if name[:1] not in _NAME_START:
@@ -283,10 +419,13 @@ def _parse(toks: list[str]) -> Circuit:
                 raise _Reject(start, f"only one {tok} is supported")
             if not size.isdecimal():  # an exponent (1e3), checked after the statement's form
                 raise _Reject(start + 3, "register size must be an integer")
+            n = _integer(size)
+            if n is None or n > MAX_REGISTER:
+                raise _Reject(start + 3, f"register size must be at most {MAX_REGISTER}")
             if tok == "qreg":
-                qreg = (name, int(size))
+                qreg = (name, n)
             else:
-                creg = (name, int(size))
+                creg = (name, n)
         elif tok == "include":
             if toks[i + 1] != '"qelib1.inc"':
                 raise _unexpected(toks, i + 1, f"unsupported include {toks[i + 1]}")
@@ -301,6 +440,17 @@ def _parse(toks: list[str]) -> Circuit:
     return Circuit._unchecked(qreg[1], creg[1] if creg else 0, tuple(gates))
 
 
+#: per unitary kind, the bound ``format`` of its statement, taking the
+#: angles and then the qubits; ``!r`` prints an angle as ``repr`` does
+_STATEMENT_FORMATS = {
+    GateKind.U1: "u1({!r}) q[{}];".format,
+    GateKind.U2: "u2({!r},{!r}) q[{}];".format,
+    GateKind.U3: "u3({!r},{!r},{!r}) q[{}];".format,
+    GateKind.H: "h q[{}];".format,
+    GateKind.CNOT: "cx q[{}],q[{}];".format,
+}
+
+
 def emit_qasm(circuit: Circuit) -> str:
     """Render a circuit back to source text.
 
@@ -310,13 +460,11 @@ def emit_qasm(circuit: Circuit) -> str:
     if circuit.num_clbits:
         lines.append(f"creg c[{circuit.num_clbits}];")
     for g in circuit.gates:
-        if g.kind is GateKind.MEASURE:
+        fmt = _STATEMENT_FORMATS.get(g.kind)
+        if fmt is not None:
+            lines.append(fmt(*g.params, *g.qubits))
+        elif g.kind is GateKind.MEASURE:
             lines.append(f"measure q[{g.qubits[0]}] -> c[{g.clbit}];")
-        elif g.kind is GateKind.BARRIER:
-            lines.append("barrier " + ",".join(f"q[{q}]" for q in g.qubits) + ";")
-        elif g.kind is GateKind.CNOT:
-            lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
         else:
-            args = f"({','.join(repr(p) for p in g.params)})" if g.params else ""
-            lines.append(f"{g.kind.value}{args} q[{g.qubits[0]}];")
+            lines.append("barrier " + ",".join(f"q[{q}]" for q in g.qubits) + ";")
     return "\n".join(lines) + "\n"

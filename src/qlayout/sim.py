@@ -40,7 +40,7 @@ before.
 from __future__ import annotations
 
 import numbers
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .ir import (
     GateKind,
     Mat2,
     QubitMapping,
+    _as_mapping,
     mat2_mul,
     u3_angles,
 )
@@ -250,8 +251,8 @@ def _probe_block(n: int, seed: int) -> np.ndarray:
 
 
 def probe_fidelity(original: Circuit, transpiled: Circuit,
-                   final_map: QubitMapping | None = None, *,
-                   initial_map: QubitMapping | None = None,
+                   final_map: QubitMapping | Mapping[int, int] | None = None, *,
+                   initial_map: QubitMapping | Mapping[int, int] | None = None,
                    seed: int = 0) -> float:
     """Worst |<P(final_map) U_original probe, U_transpiled probe'>| over the
     probe set.
@@ -259,11 +260,13 @@ def probe_fidelity(original: Circuit, transpiled: Circuit,
     ``final_map`` says where each original qubit's state ends up in the
     transpiled circuit; ``initial_map`` (for circuits whose very first
     wires were renamed, with no gates moving states there) says where it
-    begins, and permutes the transpiled side's probes accordingly.  The
-    narrower circuit runs on the wider register as it is.
+    begins, and permutes the transpiled side's probes accordingly.  Either
+    may be a :class:`QubitMapping` or a ``{from: to}`` dict, as for
+    ``apply_mapping``.  The narrower circuit runs on the wider register as
+    it is.
     """
-    final_map = final_map or QubitMapping.identity()
-    initial_map = initial_map or QubitMapping.identity()
+    final_map = _as_mapping(final_map or {})
+    initial_map = _as_mapping(initial_map or {})
     n = max(original.num_qubits, transpiled.num_qubits)
     if n > MAX_QUBITS:
         raise ValueError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit simulator limit")
@@ -285,8 +288,10 @@ def _check_tol(tol: float) -> None:
 
 
 def equivalent(original: Circuit, transpiled: Circuit,
-               final_map: QubitMapping | None = None, tol: float = 1e-6, *,
-               initial_map: QubitMapping | None = None, seed: int = 0) -> bool:
+               final_map: QubitMapping | Mapping[int, int] | None = None,
+               tol: float = 1e-6, *,
+               initial_map: QubitMapping | Mapping[int, int] | None = None,
+               seed: int = 0) -> bool:
     """Whether the circuits agree on every probe, up to the given
     relabeling and global phase, within ``tol`` (see :func:`_check_tol`)
     of perfect fidelity."""

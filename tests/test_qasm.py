@@ -1,14 +1,18 @@
 """Parser/emitter contract: grammar subset, errors, exact round trips."""
 import math
 import random
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import qlayout as ql
-from qlayout.qasm import MAX_NESTING, QasmError
+from qlayout import qasm
+from qlayout.qasm import MAX_NESTING, MAX_REGISTER, QasmError, _read_statements, _walk
 
 from conftest import circuits, random_unitary_circuit
+from test_qasm_errors import _mutate_once
 
 
 HEADER = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n"
@@ -113,6 +117,59 @@ class TestParse:
             ql.parse_qasm(text)
         assert (err.value.line, err.value.column) == position
 
+    @pytest.mark.parametrize("text", [
+        "OPENQASM 2.0; qreg q[10000000]; barrier q;",
+        "OPENQASM 2.0;\nqreg q[2];\ncreg c[65537];",
+        "OPENQASM 2.0;\nqreg q[" + "9" * 5000 + "];",
+    ])
+    def test_register_above_the_bound_carries_position(self, text):
+        # at the size token, before a barrier could list every qubit
+        with pytest.raises(QasmError) as err:
+            ql.parse_qasm(text)
+        line = text.count("\n", 0, text.rindex("[")) + 1
+        column = text.rindex("[") - text.rfind("\n", 0, text.rindex("[")) + 1
+        assert str(err.value) == (f"line {line}, column {column}: "
+                                  "register size must be at most 65536")
+
+    def test_index_of_any_length_carries_position(self):
+        for digits in ("1" * 5000, "0" * 5000 + "2"):
+            with pytest.raises(QasmError, match=f"index {digits.lstrip('0')} out of range") as err:
+                ql.parse_qasm(HEADER + f"h q[{digits}];")
+            assert (err.value.line, err.value.column) == (4, 5)
+        assert ql.parse_qasm(HEADER + "h q[" + "0" * 5000 + "1];").gates == (ql.h(1),)
+
+    def test_unicode_digits_are_read_as_int_reads_them(self):
+        # the tokenizer's \\d takes any decimal digit, and int() reads it
+        assert ql.parse_qasm(HEADER + "h q[\u0660\u0661];").gates == (ql.h(1),)
+        c = ql.parse_qasm("OPENQASM 2.0; qreg q[" + "\u0660" * 5 + "\u0662];")
+        assert c == ql.Circuit(2)
+        with pytest.raises(QasmError, match=r"index 5 out of range for q\[2\]") as err:
+            ql.parse_qasm(HEADER + "h q[\u0665];")
+        assert (err.value.line, err.value.column) == (4, 5)
+        text = HEADER + "h q[" + "\u0660" * 5000 + "\u0661];"
+        assert ql.parse_qasm(text).gates == (ql.h(1),)
+
+    def test_register_at_the_bound_is_read(self):
+        assert MAX_REGISTER == 2**16
+        c = ql.parse_qasm(f"OPENQASM 2.0; qreg q[{MAX_REGISTER}]; creg c[{MAX_REGISTER}];")
+        assert (c.num_qubits, c.num_clbits) == (MAX_REGISTER, MAX_REGISTER)
+        # one register-sized tuple serves every bare-name barrier of a text
+        c = ql.parse_qasm(f"OPENQASM 2.0; qreg q[{MAX_REGISTER}];" + " barrier q;" * 20)
+        assert c.gates[0].qubits == tuple(range(MAX_REGISTER))
+        assert len({id(g.qubits) for g in c.gates}) == 1
+        # leading zeros count for nothing, however many there are
+        assert ql.parse_qasm("OPENQASM 2.0; qreg q[" + "0" * 5000 + "2];") == ql.Circuit(2)
+
+    def test_repeated_barrier_qubit_in_a_long_list_is_found_in_linear_time(self):
+        # a quadratic search for the repeat takes about a minute here
+        names = ",".join(f"q[{k}]" for k in range(MAX_REGISTER))
+        text = f"OPENQASM 2.0;\nqreg q[{MAX_REGISTER}];\nbarrier {names},q[7];"
+        start = time.perf_counter()
+        with pytest.raises(QasmError, match=r"repeated qubit q\[7\] in barrier") as err:
+            ql.parse_qasm(text)
+        assert time.perf_counter() - start < 5.0
+        assert (err.value.line, err.value.column) == (3, text.rindex("q[7]") - text.rfind("\n"))
+
     def test_repeated_barrier_qubit_carries_position(self):
         with pytest.raises(QasmError, match=r"repeated qubit q\[0\] in barrier") as err:
             ql.parse_qasm(HEADER + "barrier q[0],q[1],q[0];")
@@ -164,7 +221,6 @@ class TestRoundTrip:
 
     def test_thousand_random_circuits(self):
         # independent generator: plain RNG over the whole gate set
-        import numpy as np
         rng = np.random.default_rng(20240811)
         for trial in range(1000):
             n = int(rng.integers(2, 7))
@@ -173,3 +229,127 @@ class TestRoundTrip:
                 extra = ql.Circuit(n, n, c.gates + (ql.measure(0, n - 1), ql.barrier(0)))
                 c = extra
             assert ql.parse_qasm(ql.emit_qasm(c)) == c
+
+
+def _walked(text):
+    """What the token walk makes of ``text``: its circuit and that circuit's
+    emitted text (which tells -0.0 from 0.0), or the error it raises."""
+    try:
+        c = _walk(text)
+    except ValueError as e:
+        return type(e), str(e)
+    return c, ql.emit_qasm(c)
+
+
+def _read(text):
+    """The statement reader's circuit for ``text`` and its emitted text, or
+    ``None`` where it gives up.  The reader must not raise."""
+    c = _read_statements(text)
+    return c if c is None else (c, ql.emit_qasm(c))
+
+
+def _emitted_with_measures(seed: int, count: int) -> list[str]:
+    """``emit_qasm`` text of small seeded circuits with a creg, measures
+    and barriers among their gates."""
+    rng = np.random.default_rng(seed)
+    texts = []
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        gates = list(random_unitary_circuit(rng, n, int(rng.integers(1, 9))).gates)
+        for _ in range(2):
+            gates.insert(int(rng.integers(0, len(gates) + 1)),
+                         ql.measure(int(rng.integers(0, n)), int(rng.integers(0, n))))
+        gates.insert(int(rng.integers(0, len(gates) + 1)), ql.barrier(*range(n)))
+        gates.insert(int(rng.integers(0, len(gates) + 1)), ql.barrier(n - 1))
+        texts.append(ql.emit_qasm(ql.Circuit(n, n, tuple(gates))))
+    return texts
+
+
+class TestStatementReader:
+    """``parse_qasm`` tries the statement reader first and walks the tokens
+    when it gives up; these tests hold the reader to the walk directly."""
+
+    def test_mutations_of_emitted_text_are_read_as_the_walk_reads_them(self):
+        rng = random.Random(20250808)
+        bases = _emitted_with_measures(20250808, 20)
+        read = 0
+        for _ in range(2000):
+            text = rng.choice(bases)
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                text = _mutate_once(rng, text)
+            got = _read(text)
+            if got is not None:
+                read += 1
+                assert got == _walked(text), text
+        assert read >= 200  # the mutations leave many texts in the reader's spelling
+
+    @pytest.mark.parametrize("body", [
+        "u1(pi) q[0];", "u1(pi/2) q[0];", "u2(-(1),2) q[0];", "u1(+-1) q[0];",
+        "u1(- 1) q[0];", "u1(1_0) q[0];", "u1(1_0.5) q[0];", "u1(.5_0) q[0];",
+        "u1(1e999) q[0];", "u3(1,2) q[0];", "u1(0.5,1) q[0];", "h(0.5) q[0];", "u1 q[0];",
+        "hq[0];", "cxq[0],q[1];", "u1.5(1) q[0];", "h q[0],q[1];", "cx q[0];", "cx(1) q[0],q[1];",
+        "cx q[1],q[1];", "h q[2];", "h r[0];", "h q[\u0661];", "h q[1e0];", "h q[007];",
+        "h q[0]; // note", "h q[0] h q[1];", "h q[0];;", "barrier q;", "barrier ;",
+        "barrier q[0],q[0];", "barrier q[0],q[2];", "barrier q[0],;", "barrier q[0] q[1];",
+        "measure q[0] -> c[2];", "measure q[0] - > c[0];", "measure q[0] -> q[0];",
+        "creg d[1];", "qreg r[1];", 'include "qelib1.inc";', "@",
+    ])
+    def test_other_spellings_and_bad_statements_are_left_to_the_walk(self, body):
+        for text in (HEADER + body, "OPENQASM 2.0;\nqreg q[2];\n" + body):
+            got = _read(text)
+            assert got is None or got == _walked(text), text
+
+    @pytest.mark.parametrize("text", [
+        "  OPENQASM   2.0 ;qreg\tq [ 2 ] ;creg c[2];\n\n",
+        'OPENQASM 2.0;include"qelib1.inc";qreg q.a[2];u1 ( -0.0 ) q.a[ 1 ];',
+        "OPENQASM 2.0;\nqreg q[2];\nu3(+1,.5,2.) q[0];\nu2(1E3,-7e-2) q[1];\n",
+        "OPENQASM 2.0;\nqreg q[2];\ncx q[0] , q[1] ;measure q[0]->c[0];",  # no creg
+        "OPENQASM 2.0;\nqreg q[2];\ncreg q[1];\nmeasure q[1] -> q[0];\n",
+        "OPENQASM 2.0;\nqreg q[3];\nbarrier q[2] ,\n q[0];\n",
+        "OPENQASM 2.0;\nqreg q[0];\n",
+        "OPENQASM 2.0;\nqreg q[70000];\n",
+        "OPENQASM 3.0;\nqreg q[1];\n", "OPENQASM 2.0;\n", "OPENQASM2.0; qreg q[1];",
+        "OPENQASM 2.0; qregq[1];", "",
+    ])
+    def test_headers_and_spacing(self, text):
+        got = _read(text)
+        assert got is None or got == _walked(text)
+
+    @pytest.mark.parametrize("tail", [
+        " " * 100_000,  # trailing whitespace: each scan position would rescan it
+        "barrier " * 12_500,
+        "measure q[0] -> " * 6_000,
+        "barrier " + "q[0]," * 20_000,
+        "h " * 50_000,
+        "u3(" + " " * 100_000 + "x",
+    ], ids=["trailing-space", "barrier-keywords", "measure-heads", "unclosed-barrier",
+            "h-keywords", "open-angles"])
+    def test_reading_time_is_linear(self, tail):
+        # a quadratic scan takes minutes on these 100 kB texts; a linear one, milliseconds
+        text = HEADER + tail
+        start = time.perf_counter()
+        got = _read(text)
+        assert time.perf_counter() - start < 2.0
+        assert got is None or got == _walked(text)
+
+    def test_whitespace_between_tokens_is_read(self):
+        text = "OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nu1 ( -0.0 ) q [ 1 ] ;\t"
+        assert _read_statements(text) == ql.Circuit(2, 1, (ql.u1(-0.0, 1),))
+        assert math.copysign(1, _read_statements(text).gates[0].params[0]) == -1
+
+    def test_emitted_text_takes_the_statement_reader(self, monkeypatch):
+        # a silent fallback would keep every result and lose the speed
+        def no_walk(text):
+            raise AssertionError(f"parse_qasm walked the tokens of\n{text}")
+
+        monkeypatch.setattr(qasm, "_walk", no_walk)
+        texts = _emitted_with_measures(4242, 20)
+        for layout in ("linear", "circle", "central", "neighbour"):
+            for n in (3, 5, 8):
+                graph = ql.make_layout(layout, n)
+                circuit = ql.gen_random_circuit(n, 3, 100 * n + len(layout))
+                texts.append(ql.emit_qasm(circuit))
+                texts.append(ql.emit_qasm(ql.transpile(circuit, graph).circuit))
+                texts.append(ql.emit_qasm(ql.transpile_baseline(circuit, graph).circuit))
+        for text in texts:
+            assert ql.parse_qasm(text) == _walk(text)

@@ -153,6 +153,19 @@ class TestEquivalent:
         assert ql.equivalent(c, relabeled, m, 1e-12, initial_map=m)
         assert not ql.equivalent(c, relabeled, m, 1e-6)
 
+    def test_dict_mapping_gives_the_verdict_of_its_qubit_mapping(self):
+        c = ql.Circuit(2, 0, (ql.h(0), ql.cx(0, 1), ql.u1(0.3, 1)))
+        d = {0: 1, 1: 0}
+        m = QubitMapping.from_dict(d)
+        relabeled = ql.apply_mapping(c, d)
+        for kwargs in ({"initial_map": d}, {}):  # equivalent, then not
+            as_mapping = {k: m for k in kwargs}
+            assert (ql.equivalent(c, relabeled, d, 1e-12, **kwargs)
+                    is ql.equivalent(c, relabeled, m, 1e-12, **as_mapping)
+                    is bool(kwargs))
+            assert (probe_fidelity(c, relabeled, d, **kwargs)
+                    == probe_fidelity(c, relabeled, m, **as_mapping))
+
     def test_mapping_outside_the_register_rejected(self):
         # qubit 5 of a 2-qubit register must not be read as some other qubit
         c = ql.Circuit(2, 0, (ql.h(0), ql.cx(0, 1), ql.u1(0.3, 1)))
