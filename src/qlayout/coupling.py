@@ -55,22 +55,23 @@ class CouplingGraph:
             adj[b].add(a)
         return tuple(tuple(sorted(s)) for s in adj)
 
+    def _bfs(self, src: int) -> list[int]:
+        """BFS distances from ``src`` on the undirected view; -1 if unreachable."""
+        dist = [-1] * self.num_qubits
+        dist[src] = 0
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for v in self.neighbors[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        return dist
+
     @cached_property
     def distances(self) -> tuple[tuple[int, ...], ...]:
         """All-pairs BFS distances on the undirected view; -1 if unreachable."""
-        rows = []
-        for src in range(self.num_qubits):
-            dist = [-1] * self.num_qubits
-            dist[src] = 0
-            queue = deque([src])
-            while queue:
-                u = queue.popleft()
-                for v in self.neighbors[u]:
-                    if dist[v] < 0:
-                        dist[v] = dist[u] + 1
-                        queue.append(v)
-            rows.append(tuple(dist))
-        return tuple(rows)
+        return tuple(tuple(self._bfs(src)) for src in range(self.num_qubits))
 
     @cached_property
     def adjacency_matrix(self) -> tuple[tuple[bool, ...], ...]:
@@ -98,7 +99,7 @@ class CouplingGraph:
 
     @cached_property
     def is_connected(self) -> bool:
-        return self.num_qubits > 0 and all(d >= 0 for d in self.distances[0])
+        return self.num_qubits > 0 and -1 not in self._bfs(0)
 
     def is_legal_cnot(self, control: int, target: int, respect_direction: bool = True) -> bool:
         """Whether cx(control, target) can run as written.

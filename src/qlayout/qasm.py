@@ -6,35 +6,28 @@ and statements built from u1/u2/u3/cx/h/measure/barrier.  Angle arguments
 are arithmetic over float literals and ``pi`` (e.g. ``pi/2``, ``3*pi/4``).
 A register holds at most ``MAX_REGISTER`` qubits or bits.
 
-There are two readers, and ``parse_qasm`` picks one from the text itself.
+``parse_qasm`` reads a text once, a statement at a time.  A statement
+spelled as ``emit_qasm`` writes it -- a gate whose angles are numeric
+literals with an optional sign, a ``measure``, a ``barrier`` that lists its
+qubits or names the register -- is one match of a compiled pattern, with
+the comments before it; the header in that spelling is one match of another.
+Any other statement (an angle such as ``pi/2``, a later declaration, a
+comment inside a statement, a header spelled otherwise, anything malformed)
+is read by a recursive-descent grammar over its tokens, up to and including
+its first ``;``, and reading then goes back to the pattern.  Both ways check
+everything a checked ``Gate`` and ``Circuit`` would (operand and angle
+counts, finite angles, distinct operands, indices within the declared
+registers) and so build gates and circuit unchecked; a statement that
+matches the pattern but fails a check goes to the grammar, which reports
+the error.
 
-- The statement reader reads the text ``emit_qasm`` writes, one compiled
-  pattern match per statement: the header (``OPENQASM 2.0;``, the
-  optional include, the ``qreg``, an optional ``creg``) and then gates
-  whose angles are numeric literals with an optional sign.  Any other
-  spelling -- an angle expression such as ``pi/2``, a comment, a
-  declaration after the first gate, a bare-register barrier -- and any
-  input it would reject makes it give up, returning ``None``.
-- The token walk reads the whole grammar.  One regex scan, ``findall``,
-  returns the tokens as strings, comments and whitespace dropped, and the
-  walk steps through that list with an index, reading a token's kind from
-  its first character.  No position is tracked; an error scans the text
-  again up to its token to find one.  It runs on every text the statement
-  reader gives up on, from the start.
-
-Both readers check everything a checked ``Gate`` and ``Circuit`` would
-(operand and angle counts, finite angles, distinct operands, indices within
-the declared registers) and so build their gates and circuit unchecked, and
-both return the same circuit for any text the statement reader accepts.
-
-Errors come from the walk alone.  Malformed input, including an angle that
-is infinite or NaN or that nests more than ``MAX_NESTING`` parentheses and
-unary signs, and a register larger than ``MAX_REGISTER``, raises
-:class:`QasmError`: a ``ValueError`` carrying the 1-based ``line`` and
-``column`` of the offending token, or of the point just past the last
-token when the input runs out.  The first error in reading order is
-raised, except that a character which starts no token is reported
-wherever it stands.
+Malformed input, including an angle that is infinite or NaN or that nests
+more than ``MAX_NESTING`` parentheses and unary signs, and a register
+larger than ``MAX_REGISTER``, raises :class:`QasmError`: a ``ValueError``
+carrying the 1-based ``line`` and ``column`` of the offending token, or of
+the point just past the last token when the input runs out.  The first
+error in reading order is raised, except that a character which starts no
+token is reported wherever it stands.
 
 Emitted text parses back to a structurally equal circuit: angles are
 printed with ``repr``, the shortest decimal that round-trips the double
@@ -45,7 +38,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from itertools import islice
 
 from .ir import _PARAM_COUNT, SINGLE_QUBIT_KINDS, Circuit, Gate, GateKind
 
@@ -93,28 +85,10 @@ def _is_stray(tok: str) -> bool:
 
 
 class _Reject(Exception):
-    """``(index, message)``: a parse failure at a token, before its position is known."""
+    """``(index, message)``: a parse failure at a token of one statement."""
 
 
-def _error(text: str, index: int, message: str) -> QasmError:
-    """``message`` at the ``index``-th token of ``text``, or just past the
-    last token when there are fewer; (1, 1) when there are none."""
-    tokens = list(islice((m for m in _TOKEN_RE.finditer(text) if m.lastindex), index + 1))
-    if not tokens:
-        return QasmError(message, 1, 1)
-    offset = tokens[index].start() if index < len(tokens) else tokens[-1].end()
-    return QasmError(message, text.count("\n", 0, offset) + 1,
-                     offset - text.rfind("\n", 0, offset))
-
-
-def parse_qasm(text: str) -> Circuit:
-    """Parse source text into a :class:`Circuit`; malformed input raises
-    :class:`QasmError` with line/column, as the module docstring sets out."""
-    circuit = _read_statements(text)
-    return circuit if circuit is not None else _walk(text)
-
-
-# The statement reader's token classes are _TOKEN_RE's, made stricter where
+# The statement pattern's token classes are _TOKEN_RE's, made stricter where
 # that is simpler: ASCII digits only (``\d`` is any Unicode digit), no ``_``
 # between digits (``float`` and ``int`` take ``1_0``; the tokenizer splits
 # it), at most as many digits in an index or size as MAX_REGISTER has, and
@@ -133,50 +107,53 @@ _HEADER_RE = re.compile(rf"""
     (?:\s*creg\s+{_OPERAND}\s*;)?
     """, re.VERBOSE)
 
-# One match is one statement, with the whitespace before it.  A character
-# that starts no statement matches the last alternative, which sets no group
-# and takes the rest of the text, so the scan ends there.  The reader scans
-# only up to the trailing whitespace, so ``findall`` covers every character
-# it scans and the reader need not check that matches abut.  The whole scan
-# is linear: each match attempt is linear in what it scans (the one repeated
-# group starts with a comma, so it splits a text in one way only) and
-# consumes it, which a ``\s*`` that ran to the end of the text would not --
-# hence the trailing whitespace is left out.
-_STATEMENT_RE = re.compile(rf"""\s*(?:
-      (u[123]|h|cx)(?![A-Za-z0-9_.])  # the keyword, not the start of a longer name
-      (?:\s*\(\s*({_NUMBER})\s*(?:,\s*({_NUMBER})\s*)?(?:,\s*({_NUMBER})\s*)?\))?
-      \s*{_OPERAND}(?:\s*,\s*{_OPERAND})?\s*;
-    | measure\s+{_OPERAND}\s*->\s*{_OPERAND}\s*;
-    | barrier\s+({_NAME}\s*\[\s*{_INDEX}\s*\](?:\s*,\s*{_NAME}\s*\[\s*{_INDEX}\s*\])*)\s*;
-    | \S[\s\S]* )""", re.VERBOSE)
+# A statement as the tokenizer splits it: up to and including its first ";"
+# token, or to the end of the text.  It always matches, so a match never
+# gives back what it took and is linear in what it reads.
+_EXTENT = r'''(?:[^;"/]+|//[^\n]*|"[^"\n]*"|["/])*;?'''
+_EXTENT_RE = re.compile(_EXTENT)
+
+# One match is a statement with the whitespace and comments before it, all
+# in group 1.  Of the other groups, a statement the pattern does not spell
+# sets only the last, to its extent, which is empty at the end of the text.
+# As that alternative always matches, nothing taken before it is given back
+# and ``findall`` skips nothing; the others fail or end by a statement's
+# first ";", and the one repeated group starts with a comma: each attempt is
+# linear in the statement it reads.
+_STATEMENT_RE = re.compile(rf"""
+    ( \s*(?://[^\n]*\s*)*(?:
+        (u[123]|h)(?![A-Za-z0-9_.])  # the keyword, not the start of a longer name
+        (?:\s*\(\s*({_NUMBER})\s*(?:,\s*({_NUMBER})\s*)?(?:,\s*({_NUMBER})\s*)?\))?
+        \s*{_OPERAND}\s*;
+      | cx(?![A-Za-z0-9_.])\s*{_OPERAND}\s*,\s*{_OPERAND}\s*;
+      | measure\s+{_OPERAND}\s*->\s*{_OPERAND}\s*;
+      | barrier\s+({_NAME}\s*\[\s*{_INDEX}\s*\](?:\s*,\s*{_NAME}\s*\[\s*{_INDEX}\s*\])*)\s*;
+      | barrier\s+({_NAME})\s*;
+      | ({_EXTENT}) ))
+    """, re.VERBOSE)
 
 
-def _read_statements(text: str) -> Circuit | None:
-    """The circuit of ``text`` if it is spelled as the statement reader reads
-    it and is valid, else ``None``; see the module docstring."""
-    header = _HEADER_RE.match(text)
-    if header is None:
-        return None
-    qname, qsize, cname, csize = header.groups()
-    qsize = int(qsize)
-    csize = int(csize) if cname else 0
-    if qsize > MAX_REGISTER or csize > MAX_REGISTER:
-        return None
+def parse_qasm(text: str) -> Circuit:
+    """Parse source text into a :class:`Circuit`; malformed input raises
+    :class:`QasmError` with line/column, as the module docstring sets out."""
+    regs: dict[str, tuple] = {}  # "qreg" and "creg": (name, size); "every": see _every
     gates: list[Gate] = []
-    for (kw, a1, a2, a3, r1, i1, r2, i2,
-         mq, mi, mc, mj, listed) in _STATEMENT_RE.findall(text, header.end(),
-                                                           len(text.rstrip())):
+    append, make, isfinite = gates.append, Gate._unchecked, math.isfinite
+    header = _HEADER_RE.match(text)
+    if header and max(int(header[2]), int(header[4] or 0)) <= MAX_REGISTER:
+        regs["qreg"] = (header[1], int(header[2]))
+        if header[3]:
+            regs["creg"] = (header[3], int(header[4]))
+        pos = header.end()
+    else:  # the grammar reads the first statement, the version
+        pos = _EXTENT_RE.match(text).end()
+        _grammar(text, 0, pos, _version, regs)
+    qname, qsize = regs.get("qreg", (None, 0))
+    cname, csize = regs.get("creg", (None, 0))
+    for (read, kw, a1, a2, a3, r, i, r1, i1, r2, i2, mq, mi, mc, mj, listed, bare,
+         other) in _STATEMENT_RE.findall(text, pos):
         if kw:
-            kind = _GATE_KINDS[kw]
-            q = int(i1)
-            if r1 != qname or q >= qsize:
-                return None
-            if r2:  # a second operand: cx, which takes no angles
-                t = int(i2)
-                if kind is not GateKind.CNOT or a1 or r2 != qname or t >= qsize or t == q:
-                    return None
-                gates.append(Gate._unchecked(kind, (q, t)))
-                continue
+            q = int(i)
             if a3:
                 params = (float(a1), float(a2), float(a3))
             elif a2:
@@ -185,44 +162,73 @@ def _read_statements(text: str) -> Circuit | None:
                 params = (float(a1),)
             else:
                 params = ()
-            if (kind is GateKind.CNOT or len(params) != _PARAM_COUNT[kind]
-                    or not all(map(math.isfinite, params))):
-                return None
-            gates.append(Gate._unchecked(kind, (q,), params))
+            kind = _GATE_KINDS[kw]
+            # a sum of finite angles is finite unless it overflows (then the grammar reads it)
+            gate = (make(kind, (q,), params)
+                    if r == qname and q < qsize and len(params) == _PARAM_COUNT[kind]
+                    and isfinite(sum(params)) else None)
+        elif r1:
+            q, t = int(i1), int(i2)
+            gate = (make(GateKind.CNOT, (q, t))
+                    if r1 == qname and r2 == qname and q < qsize and t < qsize and q != t
+                    else None)
         elif mq:
             q, c = int(mi), int(mj)
-            if mq != qname or mc != cname or q >= qsize or c >= csize:
-                return None
-            gates.append(Gate._unchecked(GateKind.MEASURE, (q,), (), c))
+            gate = (make(GateKind.MEASURE, (q,), (), c)
+                    if mq == qname and mc == cname and q < qsize and c < csize else None)
         elif listed:
-            operands = []
-            for name, index in _OPERAND_RE.findall(listed):
-                if name != qname:
-                    return None
-                operands.append(int(index))
-            if max(operands) >= qsize or len(set(operands)) != len(operands):
-                return None
-            gates.append(Gate._unchecked(GateKind.BARRIER, tuple(operands)))
-        else:
-            return None
+            names, indices = zip(*_OPERAND_RE.findall(listed))
+            operands = tuple(map(int, indices))
+            gate = (make(GateKind.BARRIER, operands)
+                    if set(names) == {qname} and max(operands) < qsize
+                    and len(set(operands)) == len(operands) else None)
+        elif bare:
+            gate = make(GateKind.BARRIER, _every(regs)) if bare == qname and qsize else None
+        elif other:
+            gate = None
+        else:  # only whitespace and comments are left
+            break
+        end = pos + len(read)
+        if gate is None:  # a spelling the pattern does not read, or a failed check
+            gate = _grammar(text, pos, end, _statement, regs)
+            qname, qsize = regs.get("qreg", (None, 0))
+            cname, csize = regs.get("creg", (None, 0))
+        if gate is not None:
+            append(gate)
+        pos = end
+    if "qreg" not in regs:
+        raise QasmError("missing qreg declaration", 1, 1)
     return Circuit._unchecked(qsize, csize, tuple(gates))
 
 
-def _walk(text: str) -> Circuit:
-    """The token walk: the whole grammar, and every error."""
-    toks = list(filter(None, _TOKEN_RE.findall(text)))
-    toks.append("")  # end of input: equal to no expected token
+def _every(regs: dict[str, tuple]) -> tuple[int, ...]:
+    """Every qubit, in one tuple for all the bare-register barriers of a text."""
+    if "every" not in regs:
+        regs["every"] = tuple(range(regs["qreg"][1]))
+    return regs["every"]
+
+
+def _grammar(text: str, pos: int, end: int, parse, regs: dict[str, tuple]) -> Gate | None:
+    """What ``parse`` reads in the statement ``text[pos:end]``: its gate, or
+    ``None`` for a declaration, which it records in ``regs``."""
+    toks = [*filter(None, _TOKEN_RE.findall(text, pos, end)), ""]  # "": end of input
     try:
-        return _parse(toks)
-    except (_Reject, ValueError) as exc:
-        # A stray character is reported before any other error, wherever it
-        # stands.  A parse that succeeds matched every token, so has none.
-        stray = next((k for k, t in enumerate(toks) if _is_stray(t)), None)
-        if stray is not None:
-            raise _error(text, stray, f"unexpected character {toks[stray]!r}") from None
-        if isinstance(exc, _Reject):
-            raise _error(text, *exc.args) from None
-        raise
+        return parse(toks, regs)
+    except _Reject as exc:
+        index, message = exc.args
+    # The error stands at the index-th token from ``pos``, or just past the
+    # last.  A stray character is reported first, wherever it stands; the
+    # statements before ``pos`` were read, so they hold none.
+    found = [m for m in _TOKEN_RE.finditer(text, pos) if m.lastindex]
+    stray = next((m for m in found if _is_stray(m[1])), None)
+    if stray is not None:
+        offset, message = stray.start(), f"unexpected character {stray[1]!r}"
+    elif index < len(found):
+        offset = found[index].start()
+    else:  # end of input: just past the last token, if there is one
+        offset = found[-1].end() if found else 0
+    raise QasmError(message, text.count("\n", 0, offset) + 1,
+                    offset - text.rfind("\n", 0, offset))
 
 
 # Each function below takes the index of its first token and returns the index
@@ -287,7 +293,7 @@ def _factor(toks: list[str], i: int, depth: int) -> tuple[float, int]:
         return (-value if tok == "-" else value), i
     if not tok:
         raise _Reject(i, "unexpected end of angle expression")
-    if tok[0].isdecimal() or tok[0] == ".":
+    if tok[0].isdecimal() or tok[0] == "." and tok != ".":  # a lone "." is a stray
         return float(tok), i + 1
     if tok == "pi":
         return math.pi, i + 1
@@ -337,107 +343,98 @@ def _qubits(toks: list[str], i: int, qreg: tuple[str, int] | None) -> tuple[list
     return out, i
 
 
-def _parse(toks: list[str]) -> Circuit:
+def _version(toks: list[str], regs: dict[str, tuple]) -> None:
+    """The first statement, ``OPENQASM 2.0;``."""
     _expect(toks, 0, "OPENQASM")
     if toks[1] != "2.0":
         raise _unexpected(toks, 1, f"unsupported version {toks[1]!r}")
-    i = _expect(toks, 2, ";")
+    _expect(toks, 2, ";")
 
-    qreg: tuple[str, int] | None = None  # (name, size) once declared
-    creg: tuple[str, int] | None = None
-    every: tuple[int, ...] | None = None  # the operands of a bare-name barrier
-    gates: list[Gate] = []
-    while toks[i]:
-        tok, start = toks[i], i
-        kind = _GATE_KINDS.get(tok)
-        if kind is not None:
-            params: list[float] = []
-            i += 1
-            n_angles = _PARAM_COUNT[kind]
-            if n_angles:
-                value, i = _expression(toks, _expect(toks, i, "("))
+
+def _statement(toks: list[str], regs: dict[str, tuple]) -> Gate | None:
+    """The gate of any later statement, or ``None`` for a declaration,
+    which is recorded in ``regs``, or an include."""
+    tok = toks[0]
+    qreg = regs.get("qreg")
+    kind = _GATE_KINDS.get(tok)
+    if kind is not None:
+        params: list[float] = []
+        i = 1
+        n_angles = _PARAM_COUNT[kind]
+        if n_angles:
+            value, i = _expression(toks, _expect(toks, i, "("))
+            params.append(value)
+            while toks[i] == ",":
+                value, i = _expression(toks, i + 1)
                 params.append(value)
-                while toks[i] == ",":
-                    value, i = _expression(toks, i + 1)
-                    params.append(value)
-                i = _expect(toks, i, ")")
-                if len(params) != n_angles:
-                    raise _Reject(start, f"{tok} takes {n_angles} angle(s), got {len(params)}")
-            operands, i = _qubits(toks, i, qreg)
-            i = _expect(toks, i, ";")
-            if kind is GateKind.CNOT:
-                if len(operands) != 2:
-                    raise _Reject(start, "cx takes two qubits")
-                if operands[0] == operands[1]:
-                    raise _Reject(start, "cx control and target must differ")
-            elif len(operands) != 1:
-                raise _Reject(start, f"{tok} takes one qubit")
-            if not all(map(math.isfinite, params)):
-                i = start + 2  # walk the angles again to the first non-finite one
-                for value in params:
-                    if not math.isfinite(value):
-                        raise _Reject(i, f"non-finite angle in {tok} gate")
-                    i = _expression(toks, i)[1] + 1
-            gates.append(Gate._unchecked(kind, tuple(operands), tuple(params)))
-        elif tok == "measure":
-            q = _qubit(toks, i + 1, qreg)
-            i = _expect(toks, i + 5, "->")
-            if creg is None or toks[i] != creg[0]:
-                raise _unexpected(toks, i, f"unknown classical register {toks[i]!r}")
-            c = _index(toks, _expect(toks, i + 1, "["), *creg)
-            i = _expect(toks, i + 4, ";")
-            gates.append(Gate._unchecked(GateKind.MEASURE, (q,), (), c))
-        elif tok == "barrier":
-            if qreg is None:
-                raise _Reject(i, "barrier before qreg declaration")
-            if toks[i + 1] == qreg[0] and toks[i + 2] == ";":  # bare name: every qubit
-                if every is None:  # one tuple for all of them, not one per statement
-                    every = tuple(range(qreg[1]))
-                operands, i = every, i + 3
-            else:
-                operands, i = _qubits(toks, i + 1, qreg)
-                i = _expect(toks, i, ";")
-                if len(set(operands)) != len(operands):
-                    first: dict[int, int] = {}  # qubit -> where it is first named
-                    k = next(k for k, q in enumerate(operands) if first.setdefault(q, k) != k)
-                    raise _Reject(start + 1 + 5 * k,
-                                  f"repeated qubit {qreg[0]}[{operands[k]}] in barrier")
-                operands = tuple(operands)
-            if not operands:  # the bare name of an empty register
-                raise ValueError("barrier needs a nonempty set of distinct qubits")
-            gates.append(Gate._unchecked(GateKind.BARRIER, operands))
-        elif tok == "qreg" or tok == "creg":
-            name = toks[i + 1]
-            if name[:1] not in _NAME_START:
-                raise _unexpected(toks, i + 1, "expected a register name")
-            i = _expect(toks, i + 2, "[")
-            size = toks[i]
-            if "." in size or not size[:1].isdecimal():
-                raise _unexpected(toks, i, "register size must be an integer")
-            i = _expect(toks, _expect(toks, i + 1, "]"), ";")
-            if (qreg if tok == "qreg" else creg) is not None:
-                raise _Reject(start, f"only one {tok} is supported")
-            if not size.isdecimal():  # an exponent (1e3), checked after the statement's form
-                raise _Reject(start + 3, "register size must be an integer")
-            n = _integer(size)
-            if n is None or n > MAX_REGISTER:
-                raise _Reject(start + 3, f"register size must be at most {MAX_REGISTER}")
-            if tok == "qreg":
-                qreg = (name, n)
-            else:
-                creg = (name, n)
-        elif tok == "include":
-            if toks[i + 1] != '"qelib1.inc"':
-                raise _unexpected(toks, i + 1, f"unsupported include {toks[i + 1]}")
-            i = _expect(toks, i + 2, ";")
-        elif tok[0] in _NAME_START:
-            raise _Reject(i, f"unsupported gate {tok!r}")
-        else:
-            raise _Reject(i, f"unexpected {tok!r}")
-
-    if qreg is None:
-        raise QasmError("missing qreg declaration", 1, 1)
-    return Circuit._unchecked(qreg[1], creg[1] if creg else 0, tuple(gates))
+            i = _expect(toks, i, ")")
+            if len(params) != n_angles:
+                raise _Reject(0, f"{tok} takes {n_angles} angle(s), got {len(params)}")
+        operands, i = _qubits(toks, i, qreg)
+        _expect(toks, i, ";")
+        if kind is GateKind.CNOT:
+            if len(operands) != 2:
+                raise _Reject(0, "cx takes two qubits")
+            if operands[0] == operands[1]:
+                raise _Reject(0, "cx control and target must differ")
+        elif len(operands) != 1:
+            raise _Reject(0, f"{tok} takes one qubit")
+        if not all(map(math.isfinite, params)):
+            i = 2  # walk the angles again to the first non-finite one
+            for value in params:
+                if not math.isfinite(value):
+                    raise _Reject(i, f"non-finite angle in {tok} gate")
+                i = _expression(toks, i)[1] + 1
+        return Gate._unchecked(kind, tuple(operands), tuple(params))
+    if tok == "measure":
+        q = _qubit(toks, 1, qreg)
+        i = _expect(toks, 5, "->")
+        creg = regs.get("creg")
+        if creg is None or toks[i] != creg[0]:
+            raise _unexpected(toks, i, f"unknown classical register {toks[i]!r}")
+        c = _index(toks, _expect(toks, i + 1, "["), *creg)
+        _expect(toks, i + 4, ";")
+        return Gate._unchecked(GateKind.MEASURE, (q,), (), c)
+    if tok == "barrier":
+        if qreg is None:
+            raise _Reject(0, "barrier before qreg declaration")
+        if toks[1] == qreg[0] and toks[2] == ";":  # bare name: every qubit
+            if not qreg[1]:
+                raise _Reject(0, "barrier needs a nonempty set of distinct qubits")
+            return Gate._unchecked(GateKind.BARRIER, _every(regs))
+        operands, i = _qubits(toks, 1, qreg)
+        _expect(toks, i, ";")
+        if len(set(operands)) != len(operands):
+            first: dict[int, int] = {}  # qubit -> where it is first named
+            k = next(k for k, q in enumerate(operands) if first.setdefault(q, k) != k)
+            raise _Reject(1 + 5 * k, f"repeated qubit {qreg[0]}[{operands[k]}] in barrier")
+        return Gate._unchecked(GateKind.BARRIER, tuple(operands))
+    if tok == "qreg" or tok == "creg":
+        name = toks[1]
+        if name[:1] not in _NAME_START:
+            raise _unexpected(toks, 1, "expected a register name")
+        _expect(toks, 2, "[")
+        size = toks[3]
+        if "." in size or not size[:1].isdecimal():
+            raise _unexpected(toks, 3, "register size must be an integer")
+        _expect(toks, _expect(toks, 4, "]"), ";")
+        if tok in regs:
+            raise _Reject(0, f"only one {tok} is supported")
+        if not size.isdecimal():  # an exponent (1e3), checked after the statement's form
+            raise _Reject(3, "register size must be an integer")
+        n = _integer(size)
+        if n is None or n > MAX_REGISTER:
+            raise _Reject(3, f"register size must be at most {MAX_REGISTER}")
+        regs[tok] = (name, n)
+        return None
+    if tok == "include":
+        if toks[1] != '"qelib1.inc"':
+            raise _unexpected(toks, 1, f"unsupported include {toks[1]}")
+        _expect(toks, 2, ";")
+        return None
+    if tok[0] in _NAME_START:
+        raise _Reject(0, f"unsupported gate {tok!r}")
+    raise _Reject(0, f"unexpected {tok!r}")
 
 
 #: per unitary kind, the bound ``format`` of its statement, taking the

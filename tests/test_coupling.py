@@ -1,6 +1,7 @@
 """Layout generators, adjacency/legality queries, shortest paths vs BFS."""
 import itertools
 import json
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -162,6 +163,19 @@ class TestShortestPath:
         with pytest.raises(DisconnectedGraphError):
             g.shortest_path(0, 3)
         assert g.distances[1][2] == g.intermediates_matrix[1][2] == -1
+
+    def test_connectivity_check_needs_no_distance_table(self):
+        # the all-pairs table of 3000 vertices takes about 70 MB; one BFS and the
+        # adjacency lists it walks take under 1 MB
+        g = ql.coupling_from_json('{"n": 3000, "edges": [[0, 1]]}')
+        tracemalloc.start()
+        try:
+            assert not g.is_connected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert "distances" not in vars(g)  # the table is still built only on demand
 
 
 def _all_paths(g: CouplingGraph, a: int, b: int, depth: int) -> list[list[int]]:

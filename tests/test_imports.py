@@ -65,10 +65,11 @@ def test_every_import_is_used():
 
 def referenced_names(tree: ast.Module) -> set[str]:
     """The names a module reads: bare names, attributes and the names it
-    imports.  A ``def`` or ``class`` statement does not read its own name."""
+    imports.  A ``def`` or ``class`` statement does not read its own name,
+    nor does an assignment to it."""
     found = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
@@ -77,11 +78,36 @@ def referenced_names(tree: ast.Module) -> set[str]:
     return found
 
 
+def caller_trees() -> list[ast.Module]:
+    return [ast.parse(path.read_text())
+            for caller in CALLERS for path in sorted((ROOT / caller).glob("*.py"))]
+
+
 def test_every_public_name_has_a_caller():
     # a public name only the tests call belongs in the tests
-    trees = [tree for name, tree in modules().items() if name != "__init__"]
-    trees += [ast.parse(path.read_text())
-              for caller in CALLERS for path in sorted((ROOT / caller).glob("*.py"))]
+    trees = [tree for name, tree in modules().items() if name != "__init__"] + caller_trees()
     used = set().union(*map(referenced_names, trees))
     unused = sorted(set(qlayout.__all__) - used)
     assert not unused, f"qlayout exports {unused}, which nothing outside the tests uses"
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """The functions, classes and constants a module defines at its top level."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Assign):
+            found.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            found.add(node.target.id)
+    return found
+
+
+def test_every_private_name_is_read():
+    # a helper or constant left behind by a rewrite is dead code, however small
+    trees = modules()
+    used = set().union(*map(referenced_names, [*trees.values(), *caller_trees()]))
+    unread = sorted(f"{name}.{defined}" for name, tree in trees.items()
+                    for defined in defined_names(tree) - used)
+    assert not unread, f"nothing in the package or its callers reads {unread}"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 import qlayout as ql
 from qlayout import qasm
-from qlayout.qasm import MAX_NESTING, MAX_REGISTER, QasmError, _read_statements, _walk
+from qlayout.qasm import MAX_NESTING, MAX_REGISTER, QasmError
 
 from conftest import circuits, random_unitary_circuit
 from test_qasm_errors import _mutate_once
@@ -176,8 +176,10 @@ class TestParse:
         assert (err.value.line, err.value.column) == (4, 19)
 
     def test_bare_barrier_on_empty_register_rejected(self):
-        with pytest.raises(ValueError, match="^barrier needs a nonempty set of distinct qubits$"):
+        with pytest.raises(QasmError, match="^line 3, column 1: barrier needs a nonempty set "
+                                            "of distinct qubits$") as err:
             ql.parse_qasm("OPENQASM 2.0;\nqreg q[0];\nbarrier q;")
+        assert (err.value.line, err.value.column) == (3, 1)
         assert ql.parse_qasm("OPENQASM 2.0;\nqreg q[0];") == ql.Circuit(0)
 
     @pytest.mark.parametrize("angle,column", [
@@ -231,21 +233,66 @@ class TestRoundTrip:
             assert ql.parse_qasm(ql.emit_qasm(c)) == c
 
 
-def _walked(text):
-    """What the token walk makes of ``text``: its circuit and that circuit's
-    emitted text (which tells -0.0 from 0.0), or the error it raises."""
+#: the grammar itself, whatever a test stubs in its place
+_GRAMMAR = qasm._grammar
+
+
+def _outcome(read):
+    """A reading's circuit and that circuit's emitted text (which tells -0.0
+    from 0.0), or the error it raised."""
     try:
-        c = _walk(text)
+        c = read()
     except ValueError as e:
         return type(e), str(e)
     return c, ql.emit_qasm(c)
 
 
-def _read(text):
-    """The statement reader's circuit for ``text`` and its emitted text, or
-    ``None`` where it gives up.  The reader must not raise."""
-    c = _read_statements(text)
-    return c if c is None else (c, ql.emit_qasm(c))
+def _statement_end(text, pos):
+    """Just past the first ";" token from ``pos``, or the end of the text."""
+    return next((m.end() for m in qasm._TOKEN_RE.finditer(text, pos) if m[1] == ";"), len(text))
+
+
+def _by_grammar(text):
+    """What the grammar makes of ``text`` when it reads every statement, the
+    header too; built with the checked ``Circuit``."""
+    def read():
+        regs, gates = {}, []
+        end = _statement_end(text, 0)
+        _GRAMMAR(text, 0, end, qasm._version, regs)
+        while any(m[1] for m in qasm._TOKEN_RE.finditer(text, end)):  # stops at the next token
+            pos, end = end, _statement_end(text, end)
+            gate = _GRAMMAR(text, pos, end, qasm._statement, regs)
+            if gate is not None:
+                gates.append(gate)
+        if "qreg" not in regs:
+            raise QasmError("missing qreg declaration", 1, 1)
+        return ql.Circuit(regs["qreg"][1], regs.get("creg", ("", 0))[1], tuple(gates))
+    return _outcome(read)
+
+
+def _parsed(text):
+    return _outcome(lambda: ql.parse_qasm(text))
+
+
+@pytest.fixture
+def grammar_reads(monkeypatch):
+    """The statements ``parse_qasm`` hands to the grammar, as text."""
+    seen = []
+
+    def spy(text, pos, end, *args):
+        seen.append(text[pos:end].strip())
+        return _GRAMMAR(text, pos, end, *args)
+
+    monkeypatch.setattr(qasm, "_grammar", spy)
+    return seen
+
+
+@pytest.fixture
+def no_grammar(monkeypatch):
+    def fail(text, pos, *args):
+        raise AssertionError(f"the grammar read {text[pos:pos + 40]!r}... of\n{text}")
+
+    monkeypatch.setattr(qasm, "_grammar", fail)
 
 
 def _emitted_with_measures(seed: int, count: int) -> list[str]:
@@ -266,22 +313,22 @@ def _emitted_with_measures(seed: int, count: int) -> list[str]:
 
 
 class TestStatementReader:
-    """``parse_qasm`` tries the statement reader first and walks the tokens
-    when it gives up; these tests hold the reader to the walk directly."""
+    """``parse_qasm`` reads a statement with one pattern match where it can
+    and with the grammar where it cannot; these tests hold every reading to
+    the grammar's."""
 
-    def test_mutations_of_emitted_text_are_read_as_the_walk_reads_them(self):
+    def test_mutations_of_emitted_text_are_read_as_the_grammar_reads_them(self, grammar_reads):
         rng = random.Random(20250808)
         bases = _emitted_with_measures(20250808, 20)
-        read = 0
+        matched = 0
         for _ in range(2000):
             text = rng.choice(bases)
             for _ in range(rng.choice((1, 1, 2, 3))):
                 text = _mutate_once(rng, text)
-            got = _read(text)
-            if got is not None:
-                read += 1
-                assert got == _walked(text), text
-        assert read >= 200  # the mutations leave many texts in the reader's spelling
+            grammar_reads.clear()
+            assert _parsed(text) == _by_grammar(text), text
+            matched += not grammar_reads
+        assert matched >= 200  # the mutations leave many texts in the pattern's spelling
 
     @pytest.mark.parametrize("body", [
         "u1(pi) q[0];", "u1(pi/2) q[0];", "u2(-(1),2) q[0];", "u1(+-1) q[0];",
@@ -291,13 +338,14 @@ class TestStatementReader:
         "cx q[1],q[1];", "h q[2];", "h r[0];", "h q[\u0661];", "h q[1e0];", "h q[007];",
         "h q[0]; // note", "h q[0] h q[1];", "h q[0];;", "barrier q;", "barrier ;",
         "barrier q[0],q[0];", "barrier q[0],q[2];", "barrier q[0],;", "barrier q[0] q[1];",
-        "measure q[0] -> c[2];", "measure q[0] - > c[0];", "measure q[0] -> q[0];",
-        "creg d[1];", "qreg r[1];", 'include "qelib1.inc";', "@",
+        "barrier r;", "barrier q ; // all", "// c\nh q[0];", "h q[0]; // a; b\nh q[1];",
+        "h // c\n q[0];", "measure q[0] -> c[2];", "measure q[0] - > c[0];",
+        "measure q[0] -> q[0];", "creg d[1];", "qreg r[1];", 'include "qelib1.inc";', "@",
     ])
-    def test_other_spellings_and_bad_statements_are_left_to_the_walk(self, body):
-        for text in (HEADER + body, "OPENQASM 2.0;\nqreg q[2];\n" + body):
-            got = _read(text)
-            assert got is None or got == _walked(text), text
+    def test_other_spellings_and_bad_statements_are_read_as_the_grammar_reads_them(self, body):
+        for text in (HEADER + body, "OPENQASM 2.0;\nqreg q[2];\n" + body,
+                     "OPENQASM 2.0;\nqreg q[0];\n" + body):
+            assert _parsed(text) == _by_grammar(text), text
 
     @pytest.mark.parametrize("text", [
         "  OPENQASM   2.0 ;qreg\tq [ 2 ] ;creg c[2];\n\n",
@@ -306,14 +354,15 @@ class TestStatementReader:
         "OPENQASM 2.0;\nqreg q[2];\ncx q[0] , q[1] ;measure q[0]->c[0];",  # no creg
         "OPENQASM 2.0;\nqreg q[2];\ncreg q[1];\nmeasure q[1] -> q[0];\n",
         "OPENQASM 2.0;\nqreg q[3];\nbarrier q[2] ,\n q[0];\n",
+        "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncreg c[1];\nmeasure q[1] -> c[0];\n",
+        "// header\nOPENQASM 2.0;\nqreg q[2];\nh q[0];\n",
         "OPENQASM 2.0;\nqreg q[0];\n",
         "OPENQASM 2.0;\nqreg q[70000];\n",
         "OPENQASM 3.0;\nqreg q[1];\n", "OPENQASM 2.0;\n", "OPENQASM2.0; qreg q[1];",
-        "OPENQASM 2.0; qregq[1];", "",
+        "OPENQASM 2.0; qregq[1];", "", "// only a comment\n", "OPENQASM 2.0; qreg q[1]; //",
     ])
     def test_headers_and_spacing(self, text):
-        got = _read(text)
-        assert got is None or got == _walked(text)
+        assert _parsed(text) == _by_grammar(text)
 
     @pytest.mark.parametrize("tail", [
         " " * 100_000,  # trailing whitespace: each scan position would rescan it
@@ -322,27 +371,27 @@ class TestStatementReader:
         "barrier " + "q[0]," * 20_000,
         "h " * 50_000,
         "u3(" + " " * 100_000 + "x",
+        "u1(pi/2) q[0];" * 7_000,  # every statement read by the grammar
+        "// c\nh q[0];" * 8_500,
+        "barrier q;" * 10_000,
     ], ids=["trailing-space", "barrier-keywords", "measure-heads", "unclosed-barrier",
-            "h-keywords", "open-angles"])
+            "h-keywords", "open-angles", "pi-angles", "comment-lines", "bare-barriers"])
     def test_reading_time_is_linear(self, tail):
         # a quadratic scan takes minutes on these 100 kB texts; a linear one, milliseconds
         text = HEADER + tail
         start = time.perf_counter()
-        got = _read(text)
+        got = _parsed(text)
         assert time.perf_counter() - start < 2.0
-        assert got is None or got == _walked(text)
+        assert got == _by_grammar(text)
 
-    def test_whitespace_between_tokens_is_read(self):
+    def test_whitespace_between_tokens_is_read(self, no_grammar):
         text = "OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nu1 ( -0.0 ) q [ 1 ] ;\t"
-        assert _read_statements(text) == ql.Circuit(2, 1, (ql.u1(-0.0, 1),))
-        assert math.copysign(1, _read_statements(text).gates[0].params[0]) == -1
+        c = ql.parse_qasm(text)
+        assert c == ql.Circuit(2, 1, (ql.u1(-0.0, 1),))
+        assert math.copysign(1, c.gates[0].params[0]) == -1
 
-    def test_emitted_text_takes_the_statement_reader(self, monkeypatch):
+    def test_emitted_text_never_reaches_the_grammar(self, no_grammar):
         # a silent fallback would keep every result and lose the speed
-        def no_walk(text):
-            raise AssertionError(f"parse_qasm walked the tokens of\n{text}")
-
-        monkeypatch.setattr(qasm, "_walk", no_walk)
         texts = _emitted_with_measures(4242, 20)
         for layout in ("linear", "circle", "central", "neighbour"):
             for n in (3, 5, 8):
@@ -352,4 +401,12 @@ class TestStatementReader:
                 texts.append(ql.emit_qasm(ql.transpile(circuit, graph).circuit))
                 texts.append(ql.emit_qasm(ql.transpile_baseline(circuit, graph).circuit))
         for text in texts:
-            assert ql.parse_qasm(text) == _walk(text)
+            assert _parsed(text) == _by_grammar(text)
+
+    @pytest.mark.parametrize("statement", ["u1(pi/2) q[1];", "h // c\n q[0];", "u2(-(1),2) q[0];"])
+    def test_one_hand_written_statement_is_all_the_grammar_reads(self, grammar_reads, statement):
+        lines = _emitted_with_measures(7, 1)[0].splitlines()
+        lines.insert(len(lines) // 2, statement)
+        text = "\n".join(lines) + "\n"
+        assert _parsed(text) == _by_grammar(text)
+        assert grammar_reads == [statement]
