@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .ir import MAX_REGISTER
+
 
 class DisconnectedGraphError(ValueError):
     """Raised when routing needs a path that does not exist."""
@@ -28,13 +30,22 @@ LAYOUTS = ("linear", "circle", "central", "neighbour")
 
 @dataclass(frozen=True)
 class CouplingGraph:
-    """``num_qubits`` vertices and a set of (control, target) edges."""
+    """``num_qubits`` vertices, at most :data:`~qlayout.ir.MAX_REGISTER`, and
+    a set of (control, target) edges.
+
+    One table, :attr:`distances`, built on first use, answers every
+    question the searches ask of a qubit pair: it is an edge of the
+    undirected view exactly at distance 1, and a shortest path between
+    the two has distance - 1 intermediate vertices."""
 
     num_qubits: int
     edges: frozenset[tuple[int, int]]
     directed: bool = False
 
     def __post_init__(self):
+        if self.num_qubits > MAX_REGISTER:
+            raise ValueError(f"a coupling graph has at most {MAX_REGISTER} qubits "
+                             f"(MAX_REGISTER), got {self.num_qubits}")
         object.__setattr__(self, "edges", frozenset((int(a), int(b)) for a, b in self.edges))
         for a, b in self.edges:
             if a == b:
@@ -74,28 +85,10 @@ class CouplingGraph:
         return tuple(tuple(self._bfs(src)) for src in range(self.num_qubits))
 
     @cached_property
-    def adjacency_matrix(self) -> tuple[tuple[bool, ...], ...]:
-        """n x n: whether a CNOT between the two qubits is legal in some
-        orientation.  Unchecked table for hot loops; see :meth:`is_legal_cnot`."""
-        rows = [[False] * self.num_qubits for _ in range(self.num_qubits)]
-        for a, b in self.edges:
-            rows[a][b] = rows[b][a] = True
-        return tuple(tuple(row) for row in rows)
-
-    @cached_property
-    def intermediates_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """n x n: interior vertices on a shortest path, ``max(distance - 1, 0)``,
-        or -1 where no path exists.  Unchecked table for hot loops."""
-        return tuple(tuple(max(d - 1, 0) if d >= 0 else -1 for d in row)
-                     for row in self.distances)
-
-    @cached_property
-    def intermediates_array(self) -> np.ndarray:
-        """:attr:`intermediates_matrix` as an int64 array, for gathers over
-        many qubit pairs at once: 0 on edges, at least 1 off them, -1
-        across components."""
-        return np.array(self.intermediates_matrix, dtype=np.int64).reshape(
-            self.num_qubits, self.num_qubits)
+    def distance_array(self) -> np.ndarray:
+        """:attr:`distances` as an int64 array, for gathers over many qubit
+        pairs at once."""
+        return np.array(self.distances, dtype=np.int64).reshape(self.num_qubits, self.num_qubits)
 
     @cached_property
     def is_connected(self) -> bool:
@@ -111,7 +104,7 @@ class CouplingGraph:
         self._check_index(target)
         if self.directed and respect_direction:
             return (control, target) in self.edges
-        return self.adjacency_matrix[control][target]
+        return self.distances[control][target] == 1
 
     def shortest_path(self, a: int, b: int) -> list[int]:
         """Minimal-hop path a..b; among ties, the lexicographically smallest
@@ -145,8 +138,8 @@ def make_layout(kind: str, n: int) -> CouplingGraph:
     if name not in LAYOUTS:
         raise ValueError(f"unknown layout {kind!r}; expected one of {list(LAYOUTS)}")
     minimum = 3 if name == "circle" else 2
-    if n < minimum:
-        raise ValueError(f"{name} layout needs at least {minimum} qubits")
+    if not minimum <= n <= MAX_REGISTER:
+        raise ValueError(f"{name} layout needs {minimum} to {MAX_REGISTER} qubits (MAX_REGISTER)")
     edges: set[tuple[int, int]]
     if name == "linear":
         edges = {(i, i + 1) for i in range(n - 1)}

@@ -48,6 +48,12 @@ class GateKind(Enum):
 #: kinds counted as single-qubit gates (measure/barrier are bookkeeping, not gates)
 SINGLE_QUBIT_KINDS = frozenset({GateKind.U1, GateKind.U2, GateKind.U3, GateKind.H})
 
+#: qubits or bits a register may hold.  It bounds a QASM register, so that a
+#: short text cannot make the reader build huge operand lists (``barrier q;``
+#: names every qubit), and a coupling graph, whose width a transpiled
+#: circuit takes on
+MAX_REGISTER = 2**16
+
 _PARAM_COUNT = {
     GateKind.U1: 1,
     GateKind.U2: 2,

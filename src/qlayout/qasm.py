@@ -39,17 +39,13 @@ import math
 import re
 import sys
 
-from .ir import _PARAM_COUNT, SINGLE_QUBIT_KINDS, Circuit, Gate, GateKind
+from .ir import _PARAM_COUNT, MAX_REGISTER, SINGLE_QUBIT_KINDS, Circuit, Gate, GateKind
 
 #: gate statements by name: the unitary kinds, spelled as ``emit_qasm`` prints them
 _GATE_KINDS = {k.value: k for k in SINGLE_QUBIT_KINDS | {GateKind.CNOT}}
 
 #: parentheses and unary signs an angle may nest, so reading one needs bounded stack
 MAX_NESTING = 64
-
-#: qubits or bits a register may declare, so that a short text cannot make
-#: the reader build huge operand lists (``barrier q;`` names every qubit)
-MAX_REGISTER = 2**16
 
 
 class QasmError(ValueError):

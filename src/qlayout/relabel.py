@@ -17,14 +17,13 @@ estimate rounds to zero.
 The search runs on plain arrays and bitmasks.  The CNOTs stay as
 (control, target) pairs of the input, and the accumulated relabeling is
 one dense permutation that a transposition updates in place (and undoes
-on backtrack); legality and distances are read from the graph's
-precomputed tables.  A candidate is checked with two integer masks, not
-by rereading the passed CNOTs: ``partners[i][q]``, the input qubits that
-share a CNOT with q in ``cnots[:i]``, depends only on the CNOT list, and
-is built only for the indices i at which the search branches, each row
-from the row of the node above; and ``near[w]``, the input qubits on the
-wires adjacent to wire w, is kept current as transpositions are applied
-and undone.  A transposition only moves the two qubits it exchanges, so
+on backtrack); legality is read from the graph's distance table.  A
+candidate is checked with two integer masks, not by rereading the passed
+CNOTs: ``partners[i][q]``, the input qubits that share a CNOT with q in
+``cnots[:i]``, depends only on the CNOT list, and is built only for the
+indices i at which the search branches, each row from the row of the
+node above; and ``near[w]``, the input qubits on the wires adjacent to
+wire w, is kept current as transpositions are applied and undone.  A transposition only moves the two qubits it exchanges, so
 the passed CNOTs stay legal exactly when each of the two finds its
 partners among the qubits next to its new wire: the test covers the same
 CNOTs as a rescan, and keeps the same candidates in the same order.  The
@@ -95,7 +94,7 @@ def _candidates(ill: tuple[int, int], graph: CouplingGraph, partners: Sequence[i
     of the target) come first, then target-side, each in ascending
     neighbour order.
     """
-    adjacent = graph.adjacency_matrix
+    dist = graph.distances
     control, target = ill
     found = []
     for fixed, moved in ((target, control), (control, target)):
@@ -108,7 +107,7 @@ def _candidates(ill: tuple[int, int], graph: CouplingGraph, partners: Sequence[i
             # a lands on nbr and b on moved: each must find its partners
             # next to its new wire, where, if the two wires are adjacent,
             # the other one's qubit has changed too
-            flip = (1 << a) | (1 << b) if adjacent[moved][nbr] else 0
+            flip = (1 << a) | (1 << b) if dist[moved][nbr] == 1 else 0
             if not (of_a & ~(near[nbr] ^ flip) or partners[b] & ~(near_moved ^ flip)):
                 found.append((moved, nbr))
     return found

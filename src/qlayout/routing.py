@@ -19,23 +19,25 @@ The search runs on plain arrays.  The remaining CNOTs stay as the input's
 (control, target) pairs and every relabeling is a dense permutation
 ``perm[q]``: a branch composes its chain onto the permutation and scans
 the CNOTs through it, instead of rewriting them.  Legality and
-intermediate-vertex counts are read from the coupling graph's precomputed
-tables.  The two repairs of an ordered wire pair -- each chain's cost,
-its relabeling as a dense step and the wires its mover visits -- depend
-only on the graph, so a routing call builds them the first time it meets
-the pair and keeps them until it returns (:func:`_repairs`): a tree node
-only composes a step onto its permutation.  The router keeps one running
-wire permutation, applies the chosen step to it, and builds each output
-gate once, when it is emitted.
+intermediate-vertex counts are both read from the coupling graph's one
+table, its distances: a pair is an edge exactly at distance 1, and a
+shortest path has distance - 1 intermediate vertices.  The two repairs of
+an ordered wire pair -- each chain's cost, its relabeling as a dense step
+and the wires its mover visits -- depend only on the graph, so a routing
+call builds them the first time it meets the pair and keeps them until it
+returns (:func:`_repairs`): a tree node only composes a step onto its
+permutation.  The router keeps one running wire permutation, applies the
+chosen step to it, and builds each output gate once, when it is emitted.
 
 Each leaf still scores its whole residue, but not one at a time.  No
 cost is read while the tree is descended, so the leaves are collected in
 exploration order and scored in blocks (:class:`_Leaves`), and the first
 cheapest one wins, as if each had been scored when it was reached.  A
 block large enough to pay for it is scored with numpy
-(:meth:`_Leaves.score`): one gather of intermediate-vertex counts over
-every leaf and CNOT, and an exact integer sum per leaf, so the estimates,
-and with them the decisions, are the same bits as leaf by leaf.
+(:meth:`_Leaves.score`): one gather of distances over every leaf and
+CNOT, less 1 for the intermediate-vertex counts, and an exact integer sum
+per leaf, so the estimates, and with them the decisions, are the same
+bits as leaf by leaf.
 
 Orientation (on directed graphs) is repaired afterwards by
 :func:`fix_directions`, and :func:`naive_route` provides the classic
@@ -142,28 +144,26 @@ def _repairs(ill: tuple[int, int], graph: CouplingGraph,
 
 
 def _first_illegal(cnots: Sequence[tuple[int, int]], graph: CouplingGraph,
-                   start: int = 0, perm: Sequence[int] | None = None) -> int:
+                   start: int, perm: Sequence[int]) -> int:
     """Index of the first CNOT at or after ``start`` that is not an edge of
     the undirected view, each qubit q read as ``perm[q]``; -1 if none."""
-    adjacent = graph.adjacency_matrix
-    p = range(graph.num_qubits) if perm is None else perm
+    dist = graph.distances
     for i in range(start, len(cnots)):
         c, t = cnots[i]
-        if not adjacent[p[c]][p[t]]:
+        if dist[perm[c]][perm[t]] != 1:
             return i
     return -1
 
 
 def _residual_intermediates(cnots: Sequence[tuple[int, int]], graph: CouplingGraph,
-                            start: int = 0, perm: Sequence[int] | None = None) -> list[int]:
-    """Intermediate-vertex counts of the illegal CNOTs at or after
-    ``start``, in order, each qubit q read as ``perm[q]``.  Between two
-    distinct qubits the count is 0 exactly on an edge, so it alone tells
-    which CNOTs are illegal."""
-    between = graph.intermediates_matrix
-    p = range(graph.num_qubits) if perm is None else perm
-    counts = [m for c, t in islice(cnots, start, None) if (m := between[p[c]][p[t]])]
-    if not graph.is_connected and -1 in counts:
+                            start: int, perm: Sequence[int]) -> list[int]:
+    """Intermediate-vertex counts, distance - 1, of the illegal CNOTs at or
+    after ``start``, in order, each qubit q read as ``perm[q]``.  A CNOT is
+    illegal exactly when its distance is not 1, and -2 marks a pair in two
+    components."""
+    dist = graph.distances
+    counts = [d - 1 for c, t in islice(cnots, start, None) if (d := dist[perm[c]][perm[t]]) != 1]
+    if not graph.is_connected and -2 in counts:
         raise DisconnectedGraphError("no path between the qubits of an illegal CNOT")
     return counts
 
@@ -228,8 +228,9 @@ class _Leaves:
         """``estimate_cost(_residual_intermediates(cnots, graph, start, perm))``
         for each leaf of ``block``, bit for bit.
 
-        A large block gathers the intermediate counts of every leaf over the
-        CNOTs from the smallest start on, zeroes those before each leaf's
+        A large block gathers the distances of every leaf over the CNOTs from
+        the smallest start on, less 1 for the intermediate counts (0 on an
+        edge, -2 across components), zeroes those before each leaf's
         own start (they may be illegal under its permutation), and ranks
         the illegal ones by a running count.  The weighted sum is exact in
         int64, so the one division per leaf rounds as in
@@ -245,7 +246,7 @@ class _Leaves:
         first = min(start for _, start, _, _ in block)
         controls, targets = self.columns[0][first:], self.columns[1][first:]
         perms = np.array([perm for perm, _, _, _ in block], dtype=np.intp)
-        gap = graph.intermediates_array[perms[:, controls], perms[:, targets]]
+        gap = graph.distance_array[perms[:, controls], perms[:, targets]] - 1
         starts = np.array([start - first for _, start, _, _ in block])
         gap[np.arange(size - first) < starts[:, None]] = 0
         if not graph.is_connected and (gap < 0).any():
@@ -327,7 +328,7 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
     circuit = fit_to_graph(circuit, graph)
     if not graph.is_connected:
         raise DisconnectedGraphError("coupling graph is not connected")
-    adjacent = graph.adjacency_matrix
+    dist = graph.distances
     cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
     leaves = _Leaves(cnots, graph)
     wire = list(range(graph.num_qubits))
@@ -339,7 +340,7 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
         if g.kind is GateKind.CNOT:
             k += 1
             c, t = g.qubits
-            if not adjacent[wire[c]][wire[t]]:
+            if dist[wire[c]][wire[t]] != 1:
                 (step_cost, step, stops), _ = _choose_repair(
                     (wire[c], wire[t]), leaves, k, wire, lookahead)
                 for a, b in zip(stops, stops[1:]):
@@ -347,7 +348,7 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
                 wire = [step[w] for w in wire]
                 search_cost += step_cost
                 swaps += len(stops) - 1
-                if not adjacent[wire[c]][wire[t]]:
+                if dist[wire[c]][wire[t]] != 1:
                     raise LegalityError(f"the repair of cx({c},{t}) left its wires apart")
         out.append(g._moved(wire))
     final = QubitMapping(tuple(enumerate(wire)))

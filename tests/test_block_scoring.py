@@ -36,7 +36,7 @@ def ref_legalizing_swaps(ill, graph, cnots, passed, end, perm, inverse):
     """Wire pairs (moved, nbr) whose transposition legalizes ``ill`` and
     keeps every CNOT in ``cnots[:end]`` legal, found by rereading the passed
     CNOTs on both exchanged qubits (``passed`` is :func:`ref_cnot_index`)."""
-    adjacent = graph.adjacency_matrix
+    dist = graph.distances
     control, target = ill
     for fixed, moved in ((target, control), (control, target)):
         for nbr in graph.neighbors[fixed]:
@@ -44,7 +44,7 @@ def ref_legalizing_swaps(ill, graph, cnots, passed, end, perm, inverse):
                 continue
             a, b = inverse[moved], inverse[nbr]
             perm[a], perm[b] = nbr, moved
-            ok = all(adjacent[perm[cnots[i][0]]][perm[cnots[i][1]]]
+            ok = all(dist[perm[cnots[i][0]]][perm[cnots[i][1]]] == 1
                      for q in (a, b) for i in passed[q][:bisect_left(passed[q], end)])
             perm[a], perm[b] = moved, nbr
             if ok:
@@ -176,7 +176,7 @@ def oracle_choose_chain(ill, cnots, start, perm, graph, lookahead):
 def oracle_route(circuit, graph, lookahead):
     """The router's loop over :func:`oracle_choose_chain`: gates, final
     wire permutation, search cost and SWAP count."""
-    adjacent = graph.adjacency_matrix
+    dist = graph.distances
     cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
     wire = list(range(graph.num_qubits))
     out = []
@@ -185,7 +185,7 @@ def oracle_route(circuit, graph, lookahead):
         if g.kind is GateKind.CNOT:
             k += 1
             c, t = g.qubits
-            while not adjacent[wire[c]][wire[t]]:
+            while dist[wire[c]][wire[t]] != 1:
                 chain, _ = oracle_choose_chain((wire[c], wire[t]), cnots, k, wire, graph,
                                                lookahead)
                 for a, b in chain.swaps:
@@ -349,7 +349,7 @@ class TestCandidateCheck:
         nodes = search_checked(graph, pairs, SearchLimits(max_nodes=10**6))
         swaps = [pair for found in nodes for pair in found]
         assert len(nodes) > 20
-        assert any(graph.adjacency_matrix[moved][nbr] for moved, nbr in swaps)
+        assert any(graph.distances[moved][nbr] == 1 for moved, nbr in swaps)
         assert any(set(graph.neighbors[moved]) & set(graph.neighbors[nbr]) for moved, nbr in swaps)
 
     def test_partner_rows(self):

@@ -5,6 +5,7 @@ import pytest
 
 import qlayout as ql
 from qlayout.cli import main
+from qlayout.ir import MAX_REGISTER
 
 
 CHAIN5_QASM = """OPENQASM 2.0;
@@ -50,6 +51,14 @@ class TestTranspileCommand:
                      "--coupling", "layout:linear:3", "--out", str(out)]) == 0
         merged = ql.parse_qasm(out.read_text())
         assert ql.gate_counts(merged) == (0, 1)
+
+    def test_graph_wider_than_a_register_exits_1(self, workdir, capsys):
+        wide = workdir / "wide.json"
+        wide.write_text(f'{{"n": {MAX_REGISTER + 1}, "edges": [[0, 1]]}}')
+        for coupling in (str(wide), f"layout:linear:{MAX_REGISTER + 1}"):
+            assert main(["transpile", "--qasm", str(workdir / "in.qasm"),
+                         "--coupling", coupling, "--out", str(workdir / "x.qasm")]) == 1
+            assert "MAX_REGISTER" in capsys.readouterr().err
 
     def test_parse_error_exits_1(self, workdir):
         bad = workdir / "bad.qasm"

@@ -6,9 +6,12 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import qlayout as ql
-from qlayout.coupling import CouplingGraph, DisconnectedGraphError, make_layout
+from conftest import connected_graphs
+from qlayout.coupling import LAYOUTS, CouplingGraph, DisconnectedGraphError, make_layout
+from qlayout.ir import MAX_REGISTER
 
 
 def bfs_distance(edges: set[tuple[int, int]], n: int, a: int, b: int) -> int:
@@ -117,12 +120,12 @@ class TestShortestPath:
     def test_unique_chain_path(self):
         g = make_layout("linear", 4)
         assert g.shortest_path(0, 3) == [0, 1, 2, 3]
-        assert g.intermediates_matrix[0][3] == 2
+        assert g.distances[0][3] == 3
 
     def test_adjacent_has_no_intermediates(self):
         g = make_layout("circle", 5)
         assert g.shortest_path(0, 4) == [0, 4]
-        assert g.intermediates_matrix[0][4] == 0
+        assert g.distances[0][4] == 1
 
     def test_star_routes_through_hub(self):
         g = make_layout("central", 5)
@@ -162,7 +165,7 @@ class TestShortestPath:
         assert not g.is_connected
         with pytest.raises(DisconnectedGraphError):
             g.shortest_path(0, 3)
-        assert g.distances[1][2] == g.intermediates_matrix[1][2] == -1
+        assert g.distances[1][2] == -1
 
     def test_connectivity_check_needs_no_distance_table(self):
         # the all-pairs table of 3000 vertices takes about 70 MB; one BFS and the
@@ -176,6 +179,60 @@ class TestShortestPath:
             tracemalloc.stop()
         assert peak < 1_000_000
         assert "distances" not in vars(g)  # the table is still built only on demand
+
+
+def check_distance_table(g: CouplingGraph) -> None:
+    """``distances`` against an independent BFS and the edge set: symmetric,
+    0 exactly on the diagonal, 1 exactly on the undirected edges and -1
+    exactly across components; its int64 array holds the same values."""
+    n = g.num_qubits
+    undirected = {frozenset(e) for e in g.edges}
+    for a in range(n):
+        assert not g.is_legal_cnot(a, a) and not g.is_legal_cnot(a, a, respect_direction=False)
+        for b in range(n):
+            d = g.distances[a][b]
+            assert d == g.distances[b][a]
+            assert (d == 0) == (a == b)
+            assert (d == 1) == (frozenset((a, b)) in undirected)
+            assert d == bfs_distance(set(g.edges), n, a, b)  # -1 across components
+    assert g.distance_array.dtype == np.int64
+    assert g.distance_array.tolist() == [list(row) for row in g.distances]
+
+
+class TestDistances:
+    @given(connected_graphs())
+    def test_connected_graphs(self, g):
+        check_distance_table(g)
+        assert -1 not in g.distance_array
+
+    @given(connected_graphs(), connected_graphs())
+    def test_two_components(self, left, right):
+        k = left.num_qubits
+        g = CouplingGraph(k + right.num_qubits,
+                          left.edges | {(a + k, b + k) for a, b in right.edges}, left.directed)
+        check_distance_table(g)
+        assert all(g.distances[a][b] == -1 for a in range(k) for b in range(k, g.num_qubits))
+
+
+class TestWidthBound:
+    def test_graph_and_json(self):
+        assert CouplingGraph(MAX_REGISTER, frozenset()).num_qubits == MAX_REGISTER
+        with pytest.raises(ValueError, match="MAX_REGISTER"):
+            CouplingGraph(MAX_REGISTER + 1, frozenset({(0, 1)}))
+        with pytest.raises(ValueError, match="MAX_REGISTER"):
+            ql.coupling_from_json(f'{{"n": {MAX_REGISTER + 1}, "edges": [[0, 1]]}}')
+
+    @pytest.mark.parametrize("kind", LAYOUTS)
+    def test_layout_checks_before_building_edges(self, kind):
+        # the edge set of MAX_REGISTER vertices alone takes several MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MAX_REGISTER"):
+                make_layout(kind, MAX_REGISTER + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 def _all_paths(g: CouplingGraph, a: int, b: int, depth: int) -> list[list[int]]:

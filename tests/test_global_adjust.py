@@ -151,7 +151,7 @@ class TestGlobalAdjust:
                 g = make_layout(kind, 6)
                 cnots = [(x.qubits[0], x.qubits[1]) for x in circ.gates
                          if x.kind is ql.GateKind.CNOT]
-                identity_est = estimate_cost(_residual_intermediates(cnots, g))
+                identity_est = estimate_cost(_residual_intermediates(cnots, g, 0, range(6)))
                 _, est = global_adjust(circ, g)
                 assert est <= identity_est
 

@@ -1,4 +1,6 @@
 """End-to-end pipeline contracts: stage order, mappings, reports."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,18 @@ class TestTranspile:
         g = CouplingGraph(4, frozenset({(0, 1), (2, 3)}))
         with pytest.raises(DisconnectedGraphError):
             transpile(ql.Circuit(2, 0, (ql.cx(0, 1),)), g)
+
+    def test_narrow_circuit_on_wide_layout_builds_only_the_distance_table(self):
+        # 600 vertices: building the distance table peaks at about 7 MB, and a
+        # second n x n table kept beside it takes the peak past 10 MB
+        g = make_layout("linear", 600)
+        tracemalloc.start()
+        try:
+            transpile(ql.Circuit(2, 0, (ql.cx(0, 1), ql.h(1))), g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
 
     def test_report_fields(self):
         c = ql.Circuit(5, 0, (ql.cx(1, 4),))

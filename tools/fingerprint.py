@@ -12,7 +12,9 @@ for every circuit in order,
 
 Two runs of the same code must print the same lines, whatever
 ``PYTHONHASHSEED`` is; a change that claims to keep every decision must
-print the lines of its parent.
+print the lines of its parent.  ``tools/fingerprint.expected`` holds the
+lines at seeds 20250808 and 4242, which CI compares against; they were
+recorded under numpy 2.4.6, whose generator draws the workloads' circuits.
 """
 from __future__ import annotations
 
