@@ -6,6 +6,14 @@ maximal pairing of the register, each pair filled with the universal
 three CNOTs), the odd qubit out getting a lone random u3.  Circuits are
 priced by ``ir.cost``.
 
+The draw contract: from ``np.random.default_rng(seed)``, each layer takes
+one ``permutation(n)``, then one ``uniform(0, 2*pi)`` block of three angles
+per u3, the rows in gate order (each pair's eight u3s, pair after pair,
+then the odd qubit's).  PCG64 yields the same doubles drawn in one block or
+three at a time, so this is the order a per-gate draw would take.
+Changing it changes every seeded workload, ``tools/fingerprint.expected``
+and ``tools/acceptance_grid.sha256``.
+
 ``run_benchmark`` sweeps layouts x qubit counts x layer depths, transpiles
 every circuit with both the full pipeline and the swap-there-and-back
 baseline, verifies both against the original on the statevector oracle,
@@ -15,6 +23,7 @@ that fail verification are flagged and kept out of the aggregates.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
@@ -22,43 +31,53 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .coupling import make_layout
-from .ir import Circuit, Gate, GateKind, cost, u3
+from .ir import Circuit, Gate, GateKind, cost
 from .pipeline import PipelineConfig, transpile, transpile_baseline
 from .sim import _check_tol, equivalent
 
 
-def _random_u3(rng: np.random.Generator, q: int) -> Gate:
-    theta, phi, lam = rng.uniform(0.0, 2 * np.pi, size=3)
-    return u3(theta, phi, lam, q)
-
-
-def _two_qubit_block(rng: np.random.Generator, a: int, b: int) -> list[Gate]:
-    gates = [_random_u3(rng, a), _random_u3(rng, b)]
-    for control, target in ((a, b), (b, a), (a, b)):
-        gates.append(Gate(GateKind.CNOT, (control, target)))
-        gates += [_random_u3(rng, a), _random_u3(rng, b)]
-    return gates
+def _int_arg(value: object, name: str) -> int:
+    """``value`` as a Python int; ``ValueError`` naming ``name`` if it is
+    not an integer (a bool is not one here)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def gen_random_circuit(num_qubits: int, su4_depth: int, seed: int) -> Circuit:
     """Deterministic random layered circuit on ``num_qubits`` qubits.
 
     Each of the ``su4_depth`` layers pairs the register at random; a pair
-    contributes 3 CNOTs and 8 u3 gates, an unpaired qubit one u3.
+    contributes 3 CNOTs and 8 u3 gates, an unpaired qubit one u3.  The
+    draws follow the contract in the module docstring.
     """
-    if num_qubits < 2:
+    n = _int_arg(num_qubits, "num_qubits")
+    depth = _int_arg(su4_depth, "su4_depth")
+    if n < 2:
         raise ValueError("need at least 2 qubits")
-    if su4_depth < 1:
+    if depth < 1:
         raise ValueError("need at least 1 layer")
     rng = np.random.default_rng(seed)
+    # Valid by construction, so built unchecked: the qubits are distinct
+    # Python ints from a permutation of range(n), the angles finite floats.
+    make, U3, CNOT = Gate._unchecked, GateKind.U3, GateKind.CNOT
     gates: list[Gate] = []
-    for _ in range(su4_depth):
-        order = [int(q) for q in rng.permutation(num_qubits)]
+    for _ in range(depth):
+        order = rng.permutation(n).tolist()
+        angles = map(tuple, rng.uniform(0.0, 2 * np.pi,
+                                        size=(8 * (n // 2) + n % 2, 3)).tolist())
         for a, b in zip(order[0::2], order[1::2]):
-            gates += _two_qubit_block(rng, a, b)
-        if num_qubits % 2:
-            gates.append(_random_u3(rng, order[-1]))
-    return Circuit(num_qubits, num_qubits, tuple(gates))
+            qa, qb = (a,), (b,)
+            ab = make(CNOT, (a, b))
+            for cnot in (ab, make(CNOT, (b, a)), ab):
+                gates += (make(U3, qa, next(angles)), make(U3, qb, next(angles)), cnot)
+            gates += (make(U3, qa, next(angles)), make(U3, qb, next(angles)))
+        if n % 2:
+            gates.append(make(U3, (order[-1],), next(angles)))
+    return Circuit._unchecked(n, n, tuple(gates))
 
 
 @dataclass(frozen=True)

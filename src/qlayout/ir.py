@@ -17,7 +17,9 @@ makes the same checks on its input and builds its gates and circuit
 without a second pass.  A rewrite inside the program (relabeling
 through a permutation, a SWAP triple on a graph edge, a reversed CNOT, a
 fused single-qubit gate, a widened register) builds values whose validity
-follows from valid inputs, so it uses ``Gate._unchecked`` and
+follows from valid inputs, and the seeded random generator
+(``bench.gen_random_circuit``) builds values valid by construction; both
+use ``Gate._unchecked`` and
 ``Circuit._unchecked``, which store their arguments as given.  Those must
 already be exactly what a checked construction would store: qubits as
 ``int`` in the register, angles as finite ``float``, in tuples.

@@ -402,13 +402,14 @@ def fix_directions(circuit: Circuit, graph: CouplingGraph) -> Circuit:
     """
     if not graph.directed:
         return circuit
+    edges = graph.edges
     out: list[Gate] = []
     for g in circuit.gates:
-        if g.kind is not GateKind.CNOT or graph.is_legal_cnot(*g.qubits):
+        if g.kind is not GateKind.CNOT or g.qubits in edges:
             out.append(g)
             continue
         c, t = g.qubits
-        if not graph.is_legal_cnot(t, c):
+        if (t, c) not in edges:
             raise LegalityError(f"cx({c},{t}) has no legal orientation")
         h_lo, h_hi = (Gate._unchecked(GateKind.H, (q,)) for q in sorted((c, t)))
         out += [h_lo, h_hi, Gate._unchecked(GateKind.CNOT, (t, c)), h_lo, h_hi]

@@ -52,6 +52,52 @@ class TestGenRandomCircuit:
         with pytest.raises(ValueError):
             gen_random_circuit(3, 0, seed=0)
 
+    @pytest.mark.parametrize("width, depth, name", [
+        (2.5, 1, "num_qubits"), (4, 1.5, "su4_depth"), (4, True, "su4_depth")])
+    def test_non_integer_size_rejected(self, width, depth, name):
+        with pytest.raises(ValueError, match=name):
+            gen_random_circuit(width, depth, 0)
+
+    def test_numpy_width_stored_as_int(self):
+        c = gen_random_circuit(np.int64(4), np.int64(2), 0)
+        assert type(c.num_qubits) is int and type(c.num_clbits) is int
+        assert c == gen_random_circuit(4, 2, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 20250808])
+    def test_matches_per_gate_reference(self, seed):
+        # One block of angles per layer must give the same doubles, in the
+        # same order, as one draw per gate, and store what a checked
+        # construction stores.
+        for n in range(2, 10):
+            for depth in range(1, 5):
+                c = gen_random_circuit(n, depth, seed)
+                assert c == reference_random_circuit(n, depth, seed)
+                for g in c.gates:
+                    assert all(type(q) is int for q in g.qubits)
+                    assert all(type(p) is float for p in g.params)
+
+
+def reference_random_circuit(num_qubits: int, su4_depth: int, seed: int) -> ql.Circuit:
+    """The generator drawn one gate at a time, built through the checked
+    constructors: the draw order ``gen_random_circuit`` must reproduce."""
+    rng = np.random.default_rng(seed)
+
+    def random_u3(q):
+        theta, phi, lam = rng.uniform(0.0, 2 * np.pi, size=3)
+        return ql.u3(theta, phi, lam, q)
+
+    gates = []
+    for _ in range(su4_depth):
+        order = [int(q) for q in rng.permutation(num_qubits)]
+        for a, b in zip(order[0::2], order[1::2]):
+            gates += [random_u3(a), random_u3(b)]
+            for control, target in ((a, b), (b, a), (a, b)):
+                gates.append(ql.Gate(ql.GateKind.CNOT, (control, target)))
+                gates += [random_u3(a), random_u3(b)]
+        if num_qubits % 2:
+            gates.append(random_u3(order[-1]))
+    return ql.Circuit(num_qubits, num_qubits, tuple(gates))
+
 
 class TestCost:
     def test_weighted_sum(self):
