@@ -29,8 +29,8 @@ print(ql.emit_qasm(circuit))
 mapping, estimate = ql.global_adjust(circuit, graph)
 print(f"global relabeling: {mapping.as_dict()}, estimated residual swap cost {estimate}")
 
-# The full pipeline applies it, routes whatever is left, repairs CNOT
-# orientation, and fuses single-qubit runs.
+# The full pipeline routes whatever is left from that placement (no gate is
+# rewritten for it), repairs CNOT orientation, and fuses single-qubit runs.
 result = ql.transpile(circuit, graph)
 print(f"\nstage gate counts (cnots, singles): {result.stage_counts}")
 print(f"swaps inserted: {result.swaps_emitted}")

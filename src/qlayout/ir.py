@@ -262,7 +262,8 @@ def _as_mapping(mapping: QubitMapping | Mapping[int, int]) -> QubitMapping:
 
 
 def apply_mapping(circuit: Circuit, mapping: QubitMapping | Mapping[int, int]) -> Circuit:
-    """Rewrite the qubit indices of every gate; classical bits are untouched."""
+    """Rewrite the qubit indices of every gate; classical bits are untouched.
+    A gate on a qubit sent outside the register is a ``ValueError``."""
     mapping = _as_mapping(mapping)
     if mapping.is_identity:
         return circuit
@@ -271,12 +272,7 @@ def apply_mapping(circuit: Circuit, mapping: QubitMapping | Mapping[int, int]) -
     for a, b in mapping.pairs:
         if 0 <= a < n:  # no gate touches a qubit outside the register
             perm[a] = b
-    gates = tuple(g._moved(perm) for g in circuit.gates)
-    if all(0 <= q < n for q in perm):
-        return Circuit._unchecked(n, circuit.num_clbits, gates)
-    # Some qubit is sent outside the register: that is an error only if a
-    # gate touches it, and the checked constructor says which.
-    return Circuit(n, circuit.num_clbits, gates)
+    return Circuit(n, circuit.num_clbits, tuple(g._moved(perm) for g in circuit.gates))
 
 
 def gate_counts(circuit: Circuit) -> tuple[int, int]:

@@ -3,13 +3,13 @@
 Stage order: global relabeling (zero gates), SWAP-chain routing with
 lookahead, CNOT orientation repair, single-qubit fusion.  The result
 carries two relabelings: ``initial_mapping`` (where each original qubit's
-wire starts, produced by the gate-free global stage) and ``final_mapping``
-(where its state ends, the global stage composed with every routing
-repair).  Hardware runs, which start from the all-zeros state, only need
-``final_mapping`` to read results back; statevector verification against
-arbitrary probes needs both.  ``stage_counts`` and ``stage_seconds`` hold
-each stage's output gate counts and time, and the output's legality is
-checked before it is returned.
+wire starts: the gate-free global stage's placement, which the router
+starts from) and ``final_mapping`` (where its state ends: the router's
+last wire permutation).  Hardware runs, which start from the all-zeros
+state, only need ``final_mapping`` to read results back; statevector
+verification against arbitrary probes needs both.  ``stage_counts`` and
+``stage_seconds`` hold each stage's output gate counts and time, and the
+output's legality is checked before it is returned.
 
 :func:`transpile` and the swap-there-and-back :func:`transpile_baseline`
 differ only in their routing stages; one driver runs either, with the
@@ -29,7 +29,6 @@ from .ir import (
     Circuit,
     GateKind,
     QubitMapping,
-    apply_mapping,
     cost,
     gate_counts,
 )
@@ -140,7 +139,7 @@ def _run(circuit: Circuit, graph: CouplingGraph,
     return TranspileResult(
         circuit=work,
         initial_mapping=initial,
-        final_mapping=initial.then(routed.final_mapping),
+        final_mapping=routed.final_mapping,
         search_cost=routed.search_cost,
         swaps_emitted=routed.swaps_emitted,
         stage_counts=stages.counts,
@@ -159,9 +158,8 @@ def transpile(circuit: Circuit, graph: CouplingGraph,
         initial = QubitMapping.identity()
         if config.do_global:
             initial, _ = global_adjust(work, graph, config.global_limits)
-            work = apply_mapping(work, initial)
         stages.done("global_adjust", work)
-        routed = route_circuit(work, graph, config.lookahead)
+        routed = route_circuit(work, graph, config.lookahead, initial_mapping=initial)
         stages.done("local_adjust", routed.circuit)
         return initial, routed
 

@@ -100,9 +100,7 @@ def _candidates(ill: tuple[int, int], graph: CouplingGraph, partners: Sequence[i
     for fixed, moved in ((target, control), (control, target)):
         a = inverse[moved]
         of_a, near_moved = partners[a], near[moved]
-        for nbr in graph.neighbors[fixed]:
-            if nbr == moved:
-                continue
+        for nbr in graph.neighbors[fixed]:  # never ``moved``: ``ill`` is not an edge
             b = inverse[nbr]
             # a lands on nbr and b on moved: each must find its partners
             # next to its new wire, where, if the two wires are adjacent,
@@ -118,8 +116,9 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
     """Best zero-gate relabeling for ``circuit`` and its estimated residual
     SWAP cost.
 
-    The returned mapping is meant to be applied to the whole program
-    (``apply_mapping(circuit, mapping)``); it never adds gates.  Ties on
+    The returned mapping is a placement, input qubit q on wire
+    ``mapping(q)``, for :func:`~qlayout.routing.route_circuit` to start
+    from (its ``initial_mapping``); it never adds gates.  Ties on
     the estimate are broken by exploration order: depth-first, control-side
     candidates before target-side, identity last.  A circuit wider than the
     graph is an error (see :func:`~qlayout.routing.fit_to_graph`).

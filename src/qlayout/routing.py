@@ -295,7 +295,7 @@ def _choose_repair(ill: tuple[int, int], leaves: _Leaves, start: int,
 @dataclass(frozen=True)
 class RouteResult:
     circuit: Circuit
-    final_mapping: QubitMapping
+    final_mapping: QubitMapping  #: input qubit -> the wire it ends on, placement included
     search_cost: int  #: committed decisions, in flat 34/+4 units
     swaps_emitted: int
 
@@ -312,26 +312,30 @@ def fit_to_graph(circuit: Circuit, graph: CouplingGraph) -> Circuit:
 
 
 def route_circuit(circuit: Circuit, graph: CouplingGraph,
-                  lookahead: int = DEFAULT_LOOKAHEAD) -> RouteResult:
+                  lookahead: int = DEFAULT_LOOKAHEAD, *,
+                  initial_mapping: QubitMapping = QubitMapping()) -> RouteResult:
     """Insert one SWAP chain before each CNOT that is illegal on the
     undirected view; a chain that leaves the pair apart is a
     :class:`LegalityError`.
 
-    Each repair relabels the rest of the program (the triggering CNOT
-    included); the returned mapping is the composition of every repair, so
-    original qubit q ends the program on wire ``final_mapping(q)``.  The
-    relabelings are kept as one running wire permutation, and each output
-    gate is built once, when it is emitted.  The output is as wide as the
-    graph (see :func:`fit_to_graph`).
+    Qubit q starts on wire ``initial_mapping(q)`` (default: the identity;
+    a placement that moves a qubit off the graph is a ``ValueError``).  Each
+    repair relabels the rest of the program, the triggering CNOT included,
+    through one running wire permutation, and each output gate is built
+    once, when it is emitted; qubit q ends on wire ``final_mapping(q)``.
+    The output is as wide as the graph (see :func:`fit_to_graph`).
     """
     _check_lookahead(lookahead)
     circuit = fit_to_graph(circuit, graph)
     if not graph.is_connected:
         raise DisconnectedGraphError("coupling graph is not connected")
+    placed = initial_mapping.as_dict()
+    wire = [placed.get(q, q) for q in range(graph.num_qubits)]
+    if not all(0 <= w < len(wire) for w in wire):
+        raise ValueError(f"initial mapping moves a qubit off the graph's {len(wire)} wires")
     dist = graph.distances
     cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
     leaves = _Leaves(cnots, graph)
-    wire = list(range(graph.num_qubits))
     out: list[Gate] = []
     search_cost = 0
     swaps = 0

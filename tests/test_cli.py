@@ -4,8 +4,10 @@ import json
 import pytest
 
 import qlayout as ql
-from qlayout.cli import main
+from qlayout import cli
+from qlayout.cli import build_parser, main
 from qlayout.ir import MAX_REGISTER
+from qlayout.routing import LegalityError
 
 
 CHAIN5_QASM = """OPENQASM 2.0;
@@ -119,6 +121,16 @@ class TestTranspileCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: line 3, column ") and "nested deeper" in err
 
+    def test_legality_failure_exits_3(self, workdir, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise LegalityError("cx(0,4) is not an edge")
+        monkeypatch.setattr(cli, "transpile", broken)
+        out = workdir / "x.qasm"
+        assert main(["transpile", "--qasm", str(workdir / "in.qasm"),
+                     "--coupling", "layout:linear:5", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "internal error: cx(0,4) is not an edge\n"
+        assert not out.exists()
+
     def test_baseline_mode(self, workdir):
         out = workdir / "base.qasm"
         assert main(["transpile", "--qasm", str(workdir / "in.qasm"),
@@ -226,6 +238,31 @@ class TestBenchCommand:
         assert main(args + ["--csv", str(a)]) == 0
         assert main(args + ["--csv", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_verification_exits_1_and_lists_the_records(self, workdir, capsys,
+                                                               monkeypatch):
+        monkeypatch.setattr("qlayout.bench.equivalent", lambda *args, **kwargs: False)
+        csv_path = workdir / "x.csv"
+        assert main(["bench", "--layouts", "linear", "--qubits", "3..3",
+                     "--depths", "1..1", "--trials", "2", "--seed", "5",
+                     "--csv", str(csv_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "2 record(s) FAILED verification:"
+        assert [line.split()[:4] for line in err[1:]] == [
+            ["layout=linear", "n=3", "su4_depth=1", f"trial={trial}"] for trial in (0, 1)]
+        assert csv_path.exists()  # the records are written before the exit
+
+    def test_single_value_is_a_one_value_range(self):
+        args = build_parser().parse_args(["bench", "--layouts", "linear", "--qubits", "5",
+                                          "--depths", "1..2", "--csv", "x.csv"])
+        assert args.qubits == range(5, 6)
+
+    def test_non_integer_range_is_usage_error(self, workdir, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--layouts", "linear", "--qubits", "3..x",
+                  "--depths", "1..1", "--csv", str(workdir / "x.csv")])
+        assert err.value.code == 2
+        assert "expected a..b, got '3..x'" in capsys.readouterr().err
 
     def test_bad_range_is_usage_error(self, workdir):
         with pytest.raises(SystemExit) as err:

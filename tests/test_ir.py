@@ -25,6 +25,15 @@ class TestGate:
         with pytest.raises(ValueError):
             Gate(GateKind.CNOT, (1,))
 
+    @pytest.mark.parametrize("kind, qubits, message", [
+        (GateKind.BARRIER, (), "barrier needs a nonempty set of distinct qubits"),
+        (GateKind.BARRIER, (1, 1), "barrier needs a nonempty set of distinct qubits"),
+        (GateKind.H, (0, 1), "h acts on exactly one qubit"),
+    ])
+    def test_operand_count_and_distinctness_enforced(self, kind, qubits, message):
+        with pytest.raises(ValueError, match=message):
+            Gate(kind, qubits)
+
     def test_angles_must_be_finite(self):
         with pytest.raises(ValueError):
             ql.u1(math.inf, 0)

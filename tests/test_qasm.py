@@ -69,6 +69,16 @@ class TestParse:
             ql.parse_qasm(HEADER + f"{gate} q[0];")
         assert (err.value.line, err.value.column) == (4, column)
 
+    def test_division_by_zero_in_angle_carries_position(self):
+        with pytest.raises(QasmError) as err:
+            ql.parse_qasm("OPENQASM 2.0;\nqreg q[1];\nu1(1/0) q[0];\n")
+        assert str(err.value) == "line 3, column 6: division by zero in angle"
+
+    def test_barrier_before_qreg_carries_position(self):
+        with pytest.raises(QasmError) as err:
+            ql.parse_qasm("OPENQASM 2.0;\nbarrier q[0];\nqreg q[1];\n")
+        assert str(err.value) == "line 2, column 1: barrier before qreg declaration"
+
     def test_unsupported_gate_rejected(self):
         with pytest.raises(QasmError, match="unsupported gate 'ccx'"):
             ql.parse_qasm(HEADER + "ccx q[0],q[1],q[0];")

@@ -12,12 +12,14 @@ from qlayout import routing
 from qlayout.coupling import CouplingGraph, DisconnectedGraphError, make_layout
 from qlayout.ir import Gate, GateKind, QubitMapping
 from qlayout.routing import (
+    DEFAULT_LOOKAHEAD,
     MAX_LOOKAHEAD,
     LegalityError,
     SWAP_COST,
     _repairs,
     brute_force_route_cost,
     estimate_cost,
+    fit_to_graph,
     fix_directions,
     naive_route,
     route_circuit,
@@ -213,6 +215,39 @@ class TestRouteCircuit:
         for gate in out:
             if gate.kind is GateKind.CNOT:
                 assert g.is_legal_cnot(*gate.qubits, respect_direction=False)
+
+
+class TestInitialMapping:
+    def test_placement_that_legalizes_needs_no_swap(self):
+        # qubit 2 starts on wire 1, next to qubit 0, and ends there
+        placement = QubitMapping.swap(1, 2)
+        result = route_circuit(ql.Circuit(3, 0, (ql.cx(0, 2),)), CHAIN3,
+                               initial_mapping=placement)
+        assert result.circuit.gates == (ql.cx(0, 1),)
+        assert result.final_mapping == placement
+        assert result.search_cost == result.swaps_emitted == 0
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_routing_from_a_placement_equals_routing_the_relabeled_program(self, data):
+        # the circuit is narrower than the graph, so the placement may
+        # start a qubit on a wire outside the circuit's own register
+        g = data.draw(connected_graphs())
+        n = g.num_qubits
+        circ = data.draw(circuits(max_qubits=n - 1, max_gates=16))
+        placement = QubitMapping(tuple(enumerate(data.draw(st.permutations(range(n))))))
+        lookahead = data.draw(st.integers(min_value=1, max_value=DEFAULT_LOOKAHEAD))
+        placed = route_circuit(circ, g, lookahead, initial_mapping=placement)
+        relabeled = route_circuit(ql.apply_mapping(fit_to_graph(circ, g), placement),
+                                  g, lookahead)
+        assert placed.circuit == relabeled.circuit
+        assert placed.search_cost == relabeled.search_cost
+        assert placed.swaps_emitted == relabeled.swaps_emitted
+        assert placed.final_mapping == placement.then(relabeled.final_mapping)
+        off = QubitMapping.swap(data.draw(st.integers(min_value=0, max_value=n - 1)),
+                                data.draw(st.integers(min_value=n, max_value=n + 3)))
+        with pytest.raises(ValueError, match=f"moves a qubit off the graph's {n} wires"):
+            route_circuit(circ, g, lookahead, initial_mapping=off)
 
 
 class TestLookaheadVersusOracle:

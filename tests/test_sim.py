@@ -103,6 +103,10 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(ql.Circuit(2, 0), initial=4)
 
+    def test_zero_initial_state_rejected(self):
+        with pytest.raises(ValueError, match="initial state must be nonzero"):
+            simulate(ql.Circuit(2), np.zeros(4))
+
     @settings(max_examples=150, deadline=None)
     @given(fusion_circuits(), st.integers(min_value=0, max_value=2**32 - 1))
     def test_matches_gate_by_gate_reference(self, circuit, seed):
@@ -174,6 +178,12 @@ class TestEquivalent:
             probe_fidelity(c, c, outside)
         with pytest.raises(ValueError, match=r"outside 0\.\.1"):
             probe_fidelity(c, c, initial_map=outside)
+
+    def test_qubit_limit(self):
+        wide = ql.Circuit(17)
+        for check in (lambda: ql.equivalent(wide, wide), lambda: probe_fidelity(wide, wide)):
+            with pytest.raises(ValueError, match="17 qubits exceeds the 16-qubit simulator limit"):
+                check()
 
     def test_probe_fidelity_is_one_for_self(self):
         c = random_unitary_circuit(np.random.default_rng(6), 3, 12)
