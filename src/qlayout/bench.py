@@ -23,7 +23,6 @@ that fail verification are flagged and kept out of the aggregates.
 from __future__ import annotations
 
 import json
-import operator
 import time
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
@@ -31,20 +30,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .coupling import make_layout
-from .ir import Circuit, Gate, GateKind, cost
+from .ir import Circuit, Gate, GateKind, _int_arg, cost
 from .pipeline import PipelineConfig, transpile, transpile_baseline
 from .sim import _check_tol, equivalent
-
-
-def _int_arg(value: object, name: str) -> int:
-    """``value`` as a Python int; ``ValueError`` naming ``name`` if it is
-    not an integer (a bool is not one here)."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def gen_random_circuit(num_qubits: int, su4_depth: int, seed: int) -> Circuit:

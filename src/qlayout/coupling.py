@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ir import MAX_REGISTER
+from .ir import MAX_REGISTER, _int_arg
 
 
 class DisconnectedGraphError(ValueError):
@@ -138,6 +138,7 @@ def make_layout(kind: str, n: int) -> CouplingGraph:
     if name not in LAYOUTS:
         raise ValueError(f"unknown layout {kind!r}; expected one of {list(LAYOUTS)}")
     minimum = 3 if name == "circle" else 2
+    n = _int_arg(n, "n")
     if not minimum <= n <= MAX_REGISTER:
         raise ValueError(f"{name} layout needs {minimum} to {MAX_REGISTER} qubits (MAX_REGISTER)")
     edges: set[tuple[int, int]]

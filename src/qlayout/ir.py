@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -55,6 +56,18 @@ SINGLE_QUBIT_KINDS = frozenset({GateKind.U1, GateKind.U2, GateKind.U3, GateKind.
 #: names every qubit), and a coupling graph, whose width a transpiled
 #: circuit takes on
 MAX_REGISTER = 2**16
+
+
+def _int_arg(value: object, name: str) -> int:
+    """``value`` as a Python int; ``ValueError`` naming ``name`` if it is
+    not an integer (a bool is not one here)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
 
 _PARAM_COUNT = {
     GateKind.U1: 1,

@@ -169,12 +169,14 @@ def transpile(circuit: Circuit, graph: CouplingGraph,
 def transpile_baseline(circuit: Circuit, graph: CouplingGraph,
                        do_merge: bool = True) -> TranspileResult:
     """Swap-there-and-back baseline under the same contract as
-    :func:`transpile`: legal output, identity mappings."""
+    :func:`transpile`: legal output, identity mappings.  ``swaps_emitted``
+    counts the SWAPs there and back, 3 CNOTs each."""
 
     def route(work: Circuit, stages: _Stages) -> tuple[QubitMapping, RouteResult]:
         work = naive_route(work, graph)
         stages.done("naive_route", work)
+        swaps = (stages.counts["naive_route"][0] - stages.counts["input"][0]) // 3
         identity = QubitMapping.identity()
-        return identity, RouteResult(work, identity, 0, 0)
+        return identity, RouteResult(work, identity, 0, swaps)
 
     return _run(circuit, graph, route, do_merge)

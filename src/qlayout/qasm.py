@@ -7,11 +7,14 @@ are arithmetic over float literals and ``pi`` (e.g. ``pi/2``, ``3*pi/4``).
 A register holds at most ``MAX_REGISTER`` qubits or bits.
 
 ``parse_qasm`` reads a text once, a statement at a time.  A statement
-spelled as ``emit_qasm`` writes it -- a gate whose angles are numeric
-literals with an optional sign, a ``measure``, a ``barrier`` that lists its
-qubits or names the register -- is one match of a compiled pattern, with
+spelled as ``emit_qasm`` writes it is one match of a compiled pattern, with
 the comments before it; the header in that spelling is one match of another.
-Any other statement (an angle such as ``pi/2``, a later declaration, a
+That spelling is: registers named ``q`` and ``c``; angles as ``repr`` prints
+a finite float (an optional ``-``, digits, optionally ``.`` and digits, then
+optionally ``e``, a sign and digits: ``0.5``, ``-2.0``, ``1e-05``); a
+``barrier`` that lists its qubits; whitespace anywhere between tokens.  Any
+other statement (another register name, an angle such as ``pi/2``, ``+1``,
+``.5``, ``5.`` or ``1E2``, a bare ``barrier q;``, a later declaration, a
 comment inside a statement, a header spelled otherwise, anything malformed)
 is read by a recursive-descent grammar over its tokens, up to and including
 its first ``;``, and reading then goes back to the pattern.  Both ways check
@@ -84,23 +87,20 @@ class _Reject(Exception):
     """``(index, message)``: a parse failure at a token of one statement."""
 
 
-# The statement pattern's token classes are _TOKEN_RE's, made stricter where
-# that is simpler: ASCII digits only (``\d`` is any Unicode digit), no ``_``
-# between digits (``float`` and ``int`` take ``1_0``; the tokenizer splits
-# it), at most as many digits in an index or size as MAX_REGISTER has, and
-# a sign only directly before a number.
-_NUMBER = (r"[+-]?(?:[0-9]+\.[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
-           r"|[0-9]+(?:[eE][+-]?[0-9]+)?)")
-_NAME = r"[A-Za-z_][A-Za-z0-9_.]*"
-_INDEX = rf"[0-9]{{1,{len(str(MAX_REGISTER))}}}"
-_OPERAND = rf"({_NAME})\s*\[\s*({_INDEX})\s*\]"
-_OPERAND_RE = re.compile(_OPERAND)
+# The patterns read the spelling ``emit_qasm`` writes, registers ``q`` and ``c``
+# and angles as ``repr`` prints a finite float, with any whitespace between
+# tokens: ASCII digits only (``\d`` is any Unicode digit), at most as many in
+# an index or size as MAX_REGISTER has, and a keyword always followed by a
+# separator, so it is never the start of a longer name.
+_NUMBER = r"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?"
+_DIGITS = rf"[0-9]{{1,{len(str(MAX_REGISTER))}}}"
+_INDEX = rf"\[\s*({_DIGITS})\s*\]"
 
 _HEADER_RE = re.compile(rf"""
     \s*OPENQASM\s+2\.0\s*;
     (?:\s*include\s*"qelib1\.inc"\s*;)?
-    \s*qreg\s+{_OPERAND}\s*;
-    (?:\s*creg\s+{_OPERAND}\s*;)?
+    \s*qreg\s+q\s*{_INDEX}\s*;
+    (?:\s*creg\s+c\s*{_INDEX}\s*;)?
     """, re.VERBOSE)
 
 # A statement as the tokenizer splits it: up to and including its first ";"
@@ -118,15 +118,14 @@ _EXTENT_RE = re.compile(_EXTENT)
 # linear in the statement it reads.
 _STATEMENT_RE = re.compile(rf"""
     ( \s*(?://[^\n]*\s*)*(?:
-        (u[123]|h)(?![A-Za-z0-9_.])  # the keyword, not the start of a longer name
-        (?:\s*\(\s*({_NUMBER})\s*(?:,\s*({_NUMBER})\s*)?(?:,\s*({_NUMBER})\s*)?\))?
-        \s*{_OPERAND}\s*;
-      | cx(?![A-Za-z0-9_.])\s*{_OPERAND}\s*,\s*{_OPERAND}\s*;
-      | measure\s+{_OPERAND}\s*->\s*{_OPERAND}\s*;
-      | barrier\s+({_NAME}\s*\[\s*{_INDEX}\s*\](?:\s*,\s*{_NAME}\s*\[\s*{_INDEX}\s*\])*)\s*;
-      | barrier\s+({_NAME})\s*;
+        (u[123]|h)(?:\s*\(\s*({_NUMBER})\s*(?:,\s*({_NUMBER})\s*)?(?:,\s*({_NUMBER})\s*)?\)|\s)
+        \s*q\s*{_INDEX}\s*;
+      | cx\s+q\s*{_INDEX}\s*,\s*q\s*{_INDEX}\s*;
+      | measure\s+q\s*{_INDEX}\s*->\s*c\s*{_INDEX}\s*;
+      | barrier\s+(q\s*\[\s*{_DIGITS}\s*\](?:\s*,\s*q\s*\[\s*{_DIGITS}\s*\])*)\s*;
       | ({_EXTENT}) ))
     """, re.VERBOSE)
+_DIGITS_RE = re.compile("[0-9]+")
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -136,50 +135,35 @@ def parse_qasm(text: str) -> Circuit:
     gates: list[Gate] = []
     append, make, isfinite = gates.append, Gate._unchecked, math.isfinite
     header = _HEADER_RE.match(text)
-    if header and max(int(header[2]), int(header[4] or 0)) <= MAX_REGISTER:
-        regs["qreg"] = (header[1], int(header[2]))
-        if header[3]:
-            regs["creg"] = (header[3], int(header[4]))
+    if header and max(int(header[1]), int(header[2] or 0)) <= MAX_REGISTER:
+        regs["qreg"] = ("q", int(header[1]))
+        if header[2]:
+            regs["creg"] = ("c", int(header[2]))
         pos = header.end()
     else:  # the grammar reads the first statement, the version
         pos = _EXTENT_RE.match(text).end()
         _grammar(text, 0, pos, _version, regs)
-    qname, qsize = regs.get("qreg", (None, 0))
-    cname, csize = regs.get("creg", (None, 0))
-    for (read, kw, a1, a2, a3, r, i, r1, i1, r2, i2, mq, mi, mc, mj, listed, bare,
-         other) in _STATEMENT_RE.findall(text, pos):
+    qsize, csize = _sizes(regs)
+    for read, kw, a1, a2, a3, i, i1, i2, mi, mj, listed, other in _STATEMENT_RE.findall(text, pos):
         if kw:
             q = int(i)
-            if a3:
-                params = (float(a1), float(a2), float(a3))
-            elif a2:
-                params = (float(a1), float(a2))
-            elif a1:
-                params = (float(a1),)
-            else:
-                params = ()
+            params = ((float(a1), float(a2), float(a3)) if a3 else (float(a1), float(a2)) if a2
+                      else (float(a1),) if a1 else ())
             kind = _GATE_KINDS[kw]
             # a sum of finite angles is finite unless it overflows (then the grammar reads it)
             gate = (make(kind, (q,), params)
-                    if r == qname and q < qsize and len(params) == _PARAM_COUNT[kind]
-                    and isfinite(sum(params)) else None)
-        elif r1:
-            q, t = int(i1), int(i2)
-            gate = (make(GateKind.CNOT, (q, t))
-                    if r1 == qname and r2 == qname and q < qsize and t < qsize and q != t
+                    if q < qsize and len(params) == _PARAM_COUNT[kind] and isfinite(sum(params))
                     else None)
-        elif mq:
+        elif i1:
+            q, t = int(i1), int(i2)
+            gate = make(GateKind.CNOT, (q, t)) if q < qsize and t < qsize and q != t else None
+        elif mi:
             q, c = int(mi), int(mj)
-            gate = (make(GateKind.MEASURE, (q,), (), c)
-                    if mq == qname and mc == cname and q < qsize and c < csize else None)
+            gate = make(GateKind.MEASURE, (q,), (), c) if q < qsize and c < csize else None
         elif listed:
-            names, indices = zip(*_OPERAND_RE.findall(listed))
-            operands = tuple(map(int, indices))
+            operands = tuple(map(int, _DIGITS_RE.findall(listed)))
             gate = (make(GateKind.BARRIER, operands)
-                    if set(names) == {qname} and max(operands) < qsize
-                    and len(set(operands)) == len(operands) else None)
-        elif bare:
-            gate = make(GateKind.BARRIER, _every(regs)) if bare == qname and qsize else None
+                    if max(operands) < qsize and len(set(operands)) == len(operands) else None)
         elif other:
             gate = None
         else:  # only whitespace and comments are left
@@ -187,14 +171,20 @@ def parse_qasm(text: str) -> Circuit:
         end = pos + len(read)
         if gate is None:  # a spelling the pattern does not read, or a failed check
             gate = _grammar(text, pos, end, _statement, regs)
-            qname, qsize = regs.get("qreg", (None, 0))
-            cname, csize = regs.get("creg", (None, 0))
+            qsize, csize = _sizes(regs)
         if gate is not None:
             append(gate)
         pos = end
     if "qreg" not in regs:
         raise QasmError("missing qreg declaration", 1, 1)
-    return Circuit._unchecked(qsize, csize, tuple(gates))
+    return Circuit._unchecked(regs["qreg"][1], regs.get("creg", ("", 0))[1], tuple(gates))
+
+
+def _sizes(regs: dict[str, tuple]) -> tuple[int, int]:
+    """The sizes the pattern reads against: of registers ``q`` and ``c``, and 0
+    for a register not declared or declared under another name."""
+    qreg, creg = regs.get("qreg", ("", 0)), regs.get("creg", ("", 0))
+    return (qreg[1] if qreg[0] == "q" else 0), (creg[1] if creg[0] == "c" else 0)
 
 
 def _every(regs: dict[str, tuple]) -> tuple[int, ...]:

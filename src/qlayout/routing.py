@@ -373,9 +373,9 @@ def brute_force_route_cost(circuit: Circuit, graph: CouplingGraph) -> int:
     cheaper subtree wins.  No estimation anywhere, so this is the ground
     truth the lookahead router is measured against; cost units match the
     router's accounting (34 per intermediate vertex, +4 per displaced
-    control).
+    control).  A circuit wider than the graph is an error (see :func:`fit_to_graph`).
     """
-    cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
+    cnots = [g.qubits for g in fit_to_graph(circuit, graph).gates if g.kind is GateKind.CNOT]
     illegal = sum(1 for c, t in cnots
                   if not graph.is_legal_cnot(c, t, respect_direction=False))
     if illegal > MAX_ORACLE_ILLEGAL:

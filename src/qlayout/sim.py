@@ -194,6 +194,8 @@ def simulate(circuit: Circuit, initial: int | np.ndarray = 0) -> np.ndarray:
     if n > MAX_QUBITS:
         raise ValueError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit simulator limit")
     dim = 1 << n
+    if isinstance(initial, (bool, np.bool_)):
+        raise ValueError(f"initial must be a basis index or a state vector, got {initial!r}")
     if isinstance(initial, (int, np.integer)):
         if not (0 <= initial < dim):
             raise ValueError(f"basis index {initial} outside 0..{dim - 1}")

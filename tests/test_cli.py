@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, file formats."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -282,3 +283,27 @@ class TestBenchCommand:
         assert main(["bench", "--layouts", "mesh", "--qubits", "3..3",
                      "--depths", "1..1", "--trials", "1", "--seed", "0",
                      "--csv", str(workdir / "x.csv")]) == 2
+
+
+HANDWRITTEN = Path(__file__).with_name("data") / "handwritten.qasm"
+
+
+class TestHandWrittenText:
+    """A program in a spelling ``emit_qasm`` never writes: other register
+    names, ``pi`` angles, comments, a bare-register barrier, measures."""
+
+    def test_transpile_then_verify_with_the_report(self, tmp_path, capsys):
+        out, report = tmp_path / "out.qasm", tmp_path / "report.json"
+        assert main(["transpile", "--qasm", str(HANDWRITTEN), "--coupling", "layout:linear:4",
+                     "--out", str(out), "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["swaps_emitted"] > 0
+        assert main(["verify", "--original", str(HANDWRITTEN), "--transpiled", str(out),
+                     "--mapping", str(report)]) == 0
+        assert capsys.readouterr().out.endswith("equivalent\n")
+
+    def test_baseline_reports_its_swaps(self, tmp_path, capsys):
+        central = tmp_path / "central.qasm"
+        central.write_text("OPENQASM 2.0;\nqreg q[5];\ncx q[1],q[2];\ncx q[2],q[3];\n")
+        assert main(["transpile", "--qasm", str(central), "--coupling", "layout:central:5",
+                     "--out", str(tmp_path / "out.qasm"), "--baseline", "naive"]) == 0
+        assert "cost 20 -> 140, 4 swap(s)" in capsys.readouterr().out

@@ -92,6 +92,16 @@ class TestLayouts:
         with pytest.raises(ValueError):
             make_layout("mesh", 4)
 
+    @pytest.mark.parametrize("kind,n", [("linear", 3.0), ("neighbour", 4.0), ("circle", True),
+                                        ("central", "4")])
+    def test_non_integer_size_is_a_value_error_naming_n(self, kind, n):
+        with pytest.raises(ValueError, match=r"^n must be an integer"):
+            make_layout(kind, n)
+
+    def test_numpy_integer_size_is_stored_as_an_int(self):
+        g = make_layout("central", np.int64(4))
+        assert type(g.num_qubits) is int and g == make_layout("central", 4)
+
 
 class TestLegality:
     def test_long_range_pair_illegal(self):

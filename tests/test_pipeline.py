@@ -122,6 +122,26 @@ class TestBaseline:
         res = transpile_baseline(c, g)
         check_legal(res.circuit, g)
 
+    def test_swaps_emitted_counts_the_swaps_there_and_back(self):
+        c = ql.Circuit(5, 0, (ql.cx(1, 2), ql.cx(2, 3)))
+        res = transpile_baseline(c, make_layout("central", 5))
+        assert res.stage_counts["naive_route"][0] == 14
+        assert res.swaps_emitted == 4
+
+    def test_swaps_emitted_matches_the_naive_stage_on_seeded_cells(self):
+        for kind in ("linear", "circle", "central", "neighbour"):
+            for n in range(3, 7):
+                g = make_layout(kind, n)
+                for depth in (1, 3):
+                    c = ql.gen_random_circuit(n, depth, seed=100 * n + depth)
+                    res = transpile_baseline(c, g)
+                    increase = res.stage_counts["naive_route"][0] - res.stage_counts["input"][0]
+                    assert 3 * res.swaps_emitted == increase
+                    # a CNOT whose path has k > 2 vertices walks k - 2 SWAPs there and k - 2 back
+                    paths = [g.shortest_path(*gate.qubits) for gate in c.gates
+                             if gate.kind is ql.GateKind.CNOT]
+                    assert res.swaps_emitted == sum(2 * max(len(p) - 2, 0) for p in paths)
+
     def test_pipeline_beats_baseline_when_relabeling_suffices(self):
         # when the pipeline legalizes with zero swaps, the baseline's
         # there-and-back overhead must cost strictly more

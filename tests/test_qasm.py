@@ -1,6 +1,7 @@
 """Parser/emitter contract: grammar subset, errors, exact round trips."""
 import math
 import random
+import re
 import time
 
 import numpy as np
@@ -322,6 +323,14 @@ def _emitted_with_measures(seed: int, count: int) -> list[str]:
     return texts
 
 
+def _without_fraction(angle: str) -> str:
+    """``-1.25`` as ``-125.e-2``: the same decimal, with no digit after its point."""
+    if "e" in angle:
+        return angle
+    whole, _, fraction = angle.partition(".")
+    return f"{whole}{fraction}.e-{len(fraction)}"
+
+
 class TestStatementReader:
     """``parse_qasm`` reads a statement with one pattern match where it can
     and with the grammar where it cannot; these tests hold every reading to
@@ -420,3 +429,47 @@ class TestStatementReader:
         text = "\n".join(lines) + "\n"
         assert _parsed(text) == _by_grammar(text)
         assert grammar_reads == [statement]
+
+    @pytest.mark.parametrize("renames", [
+        {"q": "qr"}, {"c": "cr"}, {"q": "qr", "c": "cr"}, {"c": "d"},
+    ], ids=["qr", "cr", "qr-cr", "creg-d"])
+    def test_other_register_names_are_read_as_the_grammar_reads_them(self, renames):
+        for base in _emitted_with_measures(31, 10):
+            text = base
+            for old, new in renames.items():
+                text = re.sub(rf"\b{old}\[", f"{new}[", text)
+            assert _parsed(text) == _by_grammar(text) == _parsed(base), text
+
+    def test_bare_register_barriers_are_read_as_the_grammar_reads_them(self):
+        for base in _emitted_with_measures(32, 10):
+            lines = base.splitlines()
+            lines.insert(len(lines) // 2, "barrier q;")
+            lines.append("barrier q ;")
+            text = "\n".join(lines) + "\n"
+            circuit, _ = got = _parsed(text)
+            assert got == _by_grammar(text), text
+            assert circuit.gates[-1] == ql.barrier(*range(circuit.num_qubits))
+
+    @pytest.mark.parametrize("respell", [
+        lambda a: a if a.startswith("-") else "+" + a,  # +x
+        lambda a: re.sub(r"^(-?)0\.", r"\1.", a),  # .5
+        _without_fraction,  # 5.
+        lambda a: a + "E0",  # 1E2
+    ], ids=["plus", "no-integer-part", "no-fraction", "capital-exponent"])
+    def test_other_angle_spellings_are_read_as_the_grammar_reads_them(self, respell):
+        # every respelling names the same decimal, so the same double
+        respelled = 0
+        for base in _emitted_with_measures(33, 10):
+            text = re.sub(r"\(([^)]*)\)",
+                          lambda m: "(" + ",".join(map(respell, m[1].split(","))) + ")", base)
+            respelled += text != base
+            assert _parsed(text) == _by_grammar(text) == _parsed(base), text
+        assert respelled >= 5
+
+    def test_a_header_the_grammar_reads_hands_it_only_the_header(self, grammar_reads):
+        base = _emitted_with_measures(34, 1)[0]
+        text = "// a comment before the version\n" + base
+        assert _parsed(text) == _by_grammar(text) == _parsed(base)
+        assert grammar_reads == ["// a comment before the version\n" + line
+                                 if line.startswith("OPENQASM") else line
+                                 for line in base.splitlines()[:4]]

@@ -103,6 +103,12 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(ql.Circuit(2, 0), initial=4)
 
+    @pytest.mark.parametrize("width,initial", [(1, True), (2, False), (2, np.bool_(True))])
+    def test_bool_is_not_a_basis_index(self, width, initial):
+        # numpy would read a bool as a mask: [1, 1] for True, the zero vector for False
+        with pytest.raises(ValueError, match="basis index or a state vector"):
+            simulate(ql.Circuit(width), initial)
+
     def test_zero_initial_state_rejected(self):
         with pytest.raises(ValueError, match="initial state must be nonzero"):
             simulate(ql.Circuit(2), np.zeros(4))
@@ -236,6 +242,10 @@ class TestBruteForceOracle:
         gates = tuple(ql.cx(0, 7) for _ in range(MAX_ORACLE_ILLEGAL + 1))
         with pytest.raises(ValueError, match="oracle cap"):
             brute_force_route_cost(ql.Circuit(8, 0, gates), g)
+
+    def test_circuit_wider_than_the_graph_is_a_value_error(self):
+        with pytest.raises(ValueError, match="circuit uses 5 qubits but the layout has only 3"):
+            brute_force_route_cost(ql.Circuit(5, 0, (ql.cx(3, 4),)), make_layout("linear", 3))
 
     def test_oracle_never_beaten_by_router(self):
         rng = np.random.default_rng(13)
