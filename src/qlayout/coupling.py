@@ -43,6 +43,7 @@ class CouplingGraph:
     directed: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "num_qubits", _int_arg(self.num_qubits, "num_qubits"))
         if self.num_qubits > MAX_REGISTER:
             raise ValueError(f"a coupling graph has at most {MAX_REGISTER} qubits "
                              f"(MAX_REGISTER), got {self.num_qubits}")

@@ -7,6 +7,14 @@ u2(0, pi)).  Multiplying two such gates therefore reduces to rewriting the
 inner Ry(t1) Rz(mid) Ry(t2) sandwich back into Z-Y order; :func:`yz_to_zy`
 does that rewrite and everything else is angle addition.
 
+One private core, :func:`_product`, multiplies two gates given as a kind
+and its angles: it dispatches on the two kinds and runs the Y-Z rewrite on
+raw floats (:func:`_yz_to_zy`, which :func:`yz_to_zy` returns as a
+:class:`ZYTriple`).  :func:`merge_adjacent` calls it once its operands are
+checked.  :func:`merge_single_qubit_runs` keeps each open run as the kind
+and angles of its product so far, and builds one gate per run when the run
+ends; a run of one gate is emitted as that gate.
+
 All identities here hold modulo global phase, which is physically
 unobservable and discarded throughout.
 """
@@ -16,7 +24,15 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .ir import Circuit, Gate, GateKind, Mat2, single_qubit_matrix, u3_angles
+from .ir import (
+    _U3_PREFIX,
+    SINGLE_QUBIT_KINDS,
+    Circuit,
+    Gate,
+    GateKind,
+    Mat2,
+    single_qubit_matrix,
+)
 
 #: below this, sin/cos of half-angles are treated as zero (gimbal lock)
 ATOL = 1e-9
@@ -50,6 +66,11 @@ def yz_to_zy(theta1: float, mid: float, theta2: float) -> ZYTriple:
     are not separable; the whole Z rotation is folded into phi and lam is
     pinned to 0.
     """
+    return ZYTriple._make(_yz_to_zy(theta1, mid, theta2))
+
+
+def _yz_to_zy(theta1: float, mid: float, theta2: float) -> tuple[float, float, float]:
+    """:func:`yz_to_zy` as a plain (theta, phi, lam) tuple."""
     c1, s1 = math.cos(theta1 / 2), math.sin(theta1 / 2)
     c2, s2 = math.cos(theta2 / 2), math.sin(theta2 / 2)
     em, ep = cmath.exp(-0.5j * mid), cmath.exp(0.5j * mid)
@@ -60,31 +81,53 @@ def yz_to_zy(theta1: float, mid: float, theta2: float) -> ZYTriple:
     sin_half = abs(m10)
     theta = 2 * math.atan2(sin_half, cos_half)
     if sin_half < ATOL:
-        return ZYTriple(0.0, _wrap(-2 * cmath.phase(m00)), 0.0)
+        return 0.0, _wrap(-2 * cmath.phase(m00)), 0.0
     if cos_half < ATOL:
-        return ZYTriple(math.pi, _wrap(2 * cmath.phase(m10)), 0.0)
-    phi = cmath.phase(m10) - cmath.phase(m00)
-    lam = -cmath.phase(m10) - cmath.phase(m00)
-    return ZYTriple(theta, _wrap(phi), _wrap(lam))
+        return math.pi, _wrap(2 * cmath.phase(m10)), 0.0
+    arg10, arg00 = cmath.phase(m10), cmath.phase(m00)
+    return theta, _wrap(arg10 - arg00), _wrap(-arg10 - arg00)
 
 
-def _from_zyz(theta: float, phi: float, lam: float, qubit: int) -> Gate:
-    """Cheapest gate kind realizing Rz(phi) Ry(theta) Rz(lam)."""
+_U1, _U2, _U3 = GateKind.U1, GateKind.U2, GateKind.U3
+
+
+def _product(later: GateKind, lp: tuple[float, ...],
+             earlier: GateKind, ep: tuple[float, ...]) -> tuple[GateKind, tuple[float, ...]]:
+    """Kind and angles of the gate ``later(lp) @ earlier(ep)``, two
+    single-qubit gates given by kind and angles: the fusion core that
+    :func:`merge_adjacent` and :func:`merge_single_qubit_runs` share.
+
+    Pure-Rz neighbours reduce to angle addition; anything else goes through
+    the Y-Z rewrite, and the result is the cheapest kind realizing the
+    Rz Ry Rz product.  The angles of a gate whose operands are finite are
+    finite, except where two large angles add up to an infinity: a wrap of
+    it raises, and the Y-Z rewrite turns it into NaN, which is refused
+    here.
+    """
+    if later is _U1:
+        if earlier is _U1:
+            return _U1, (_wrap(lp[0] + ep[0]),)
+        t, p, l = _U3_PREFIX[earlier] + ep
+        if earlier is _U3:
+            return _U3, (t, _wrap(p + lp[0]), l)
+        return _U2, (_wrap(p + lp[0]), _wrap(l))
+    if earlier is _U1:
+        t, p, l = _U3_PREFIX[later] + lp
+        if later is _U3:
+            return _U3, (t, p, _wrap(l + ep[0]))
+        return _U2, (_wrap(p), _wrap(l + ep[0]))
+
+    t1, p1, l1 = _U3_PREFIX[later] + lp
+    t2, p2, l2 = _U3_PREFIX[earlier] + ep
+    theta, alpha, gamma = _yz_to_zy(t1, l1 + p2, t2)
+    if theta != theta:  # l1 + p2 overflowed, and every angle is NaN
+        raise ValueError("non-finite angle in u3 gate")
+    phi, lam = p1 + alpha, gamma + l2
     if abs(theta) < ATOL:
-        return _fused(GateKind.U1, qubit, (_wrap(phi + lam),))
+        return _U1, (_wrap(phi + lam),)
     if abs(theta - math.pi / 2) < ATOL:
-        return _fused(GateKind.U2, qubit, (_wrap(phi), _wrap(lam)))
-    return _fused(GateKind.U3, qubit, (theta, _wrap(phi), _wrap(lam)))
-
-
-def _fused(kind: GateKind, qubit: int, params: tuple[float, ...]) -> Gate:
-    """A fused gate.  Its qubit is an input gate's and its angles are
-    floats, as many as its kind takes, so only finiteness is checked: two
-    large angles can add up to an infinity, which the Y-Z rewrite turns
-    into NaN."""
-    if not all(map(math.isfinite, params)):
-        raise ValueError(f"non-finite angle in {kind.value} gate")
-    return Gate._unchecked(kind, (qubit,), params)
+        return _U2, (_wrap(phi), _wrap(lam))
+    return _U3, (theta, _wrap(phi), _wrap(lam))
 
 
 def merge_adjacent(later: Gate, earlier: Gate) -> Gate:
@@ -98,33 +141,22 @@ def merge_adjacent(later: Gate, earlier: Gate) -> Gate:
         raise ValueError("only single-qubit gates can be fused")
     if later.qubits != earlier.qubits:
         raise ValueError(f"gates act on different qubits: {later.qubits} vs {earlier.qubits}")
-    qubit = later.qubits[0]
-
-    if later.kind is GateKind.U1 and earlier.kind is GateKind.U1:
-        return _fused(GateKind.U1, qubit, (_wrap(later.params[0] + earlier.params[0]),))
-    if later.kind is GateKind.U1:
-        t, p, l = u3_angles(earlier)
-        if earlier.kind is GateKind.U3:
-            return _fused(GateKind.U3, qubit, (t, _wrap(p + later.params[0]), l))
-        return _fused(GateKind.U2, qubit, (_wrap(p + later.params[0]), _wrap(l)))
-    if earlier.kind is GateKind.U1:
-        t, p, l = u3_angles(later)
-        if later.kind is GateKind.U3:
-            return _fused(GateKind.U3, qubit, (t, p, _wrap(l + earlier.params[0])))
-        return _fused(GateKind.U2, qubit, (_wrap(p), _wrap(l + earlier.params[0])))
-
-    t1, p1, l1 = u3_angles(later)
-    t2, p2, l2 = u3_angles(earlier)
-    theta, alpha, gamma = yz_to_zy(t1, l1 + p2, t2)
-    return _from_zyz(theta, p1 + alpha, gamma + l2, qubit)
+    kind, params = _product(later.kind, later.params, earlier.kind, earlier.params)
+    return Gate._unchecked(kind, later.qubits, params)
 
 
 def _may_be_identity(gate: Gate) -> bool:
     """False for a gate whose matrix :func:`_is_identity` must reject, read
     off the angles before any matrix is built: |m01| = |sin(theta/2)|, up
     to rounding of a unit phase, so above 2 * ATOL the gate fails the
-    off-diagonal test.  Only rules out: a True still needs the matrix."""
-    return abs(math.sin(u3_angles(gate)[0] / 2)) <= 2 * ATOL
+    off-diagonal test.  Only rules out: a True still needs the matrix.
+
+    theta is 0 for u1 and pi/2 for u2 and h (see :func:`~qlayout.ir.u3_angles`),
+    so only a u3 needs the sine."""
+    kind = gate.kind
+    if kind is _U3:
+        return abs(math.sin(gate.params[0] / 2)) <= 2 * ATOL
+    return kind is _U1
 
 
 def _is_identity(m: Mat2, atol: float = ATOL) -> bool:
@@ -143,24 +175,39 @@ def merge_single_qubit_runs(circuit: Circuit) -> Circuit:
     order and cross-qubit ordering are preserved.  Runs that fuse to the
     identity are dropped.  Lone gates pass through unchanged, which makes
     the pass idempotent.
+
+    An open run is kept as the kind and angles of its product so far, and
+    one gate is built for it when it ends.
     """
-    pending: dict[int, Gate] = {}  # qubit -> fused gate of the open run
+    # qubit -> (kind, angles, gate) of the open run; the gate is its only
+    # gate, or None once a second one has been fused in
+    runs: dict[int, tuple[GateKind, tuple[float, ...], Gate | None]] = {}
     out: list[Gate] = []
 
     def flush(q: int) -> None:
-        gate = pending.pop(q, None)
-        if gate is not None and not (_may_be_identity(gate)
-                                     and _is_identity(single_qubit_matrix(gate))):
+        kind, params, gate = runs.pop(q)
+        if gate is None:
+            gate = Gate._unchecked(kind, (q,), params)
+        if not (_may_be_identity(gate) and _is_identity(single_qubit_matrix(gate))):
             out.append(gate)
 
     for g in circuit.gates:
-        if g.is_single_qubit:
+        kind = g.kind
+        if kind in SINGLE_QUBIT_KINDS:
             q = g.qubits[0]
-            pending[q] = merge_adjacent(g, pending[q]) if q in pending else g
+            run = runs.get(q)
+            if run is None:
+                runs[q] = (kind, g.params, g)
+            else:
+                kind, params = _product(kind, g.params, run[0], run[1])
+                runs[q] = (kind, params, None)
         else:
-            for q in sorted(set(g.qubits) & pending.keys()):
-                flush(q)
+            ended = [q for q in g.qubits if q in runs]
+            if ended:
+                ended.sort()
+                for q in ended:
+                    flush(q)
             out.append(g)
-    for q in sorted(pending):
+    for q in sorted(runs):
         flush(q)
     return Circuit._unchecked(circuit.num_qubits, circuit.num_clbits, tuple(out))

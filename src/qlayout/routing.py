@@ -322,7 +322,8 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
     a placement that moves a qubit off the graph is a ``ValueError``).  Each
     repair relabels the rest of the program, the triggering CNOT included,
     through one running wire permutation, and each output gate is built
-    once, when it is emitted; qubit q ends on wire ``final_mapping(q)``.
+    once, when it is emitted (a gate the permutation leaves in place is
+    emitted as itself); qubit q ends on wire ``final_mapping(q)``.
     The output is as wide as the graph (see :func:`fit_to_graph`).
     """
     _check_lookahead(lookahead)
@@ -341,9 +342,10 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
     swaps = 0
     k = 0  # CNOTs seen so far; cnots[k:] are the ones after the current gate
     for g in circuit.gates:
+        qubits = g.qubits
         if g.kind is GateKind.CNOT:
             k += 1
-            c, t = g.qubits
+            c, t = qubits
             if dist[wire[c]][wire[t]] != 1:
                 (step_cost, step, stops), _ = _choose_repair(
                     (wire[c], wire[t]), leaves, k, wire, lookahead)
@@ -354,7 +356,14 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
                 swaps += len(stops) - 1
                 if dist[wire[c]][wire[t]] != 1:
                     raise LegalityError(f"the repair of cx({c},{t}) left its wires apart")
-        out.append(g._moved(wire))
+            wc, wt = wire[c], wire[t]
+            out.append(g if wc == c and wt == t else Gate._unchecked(GateKind.CNOT, (wc, wt)))
+        elif len(qubits) == 1:
+            q = qubits[0]
+            w = wire[q]
+            out.append(g if w == q else Gate._unchecked(g.kind, (w,), g.params, g.clbit))
+        else:
+            out.append(g._moved(wire))
     final = QubitMapping(tuple(enumerate(wire)))
     return RouteResult(Circuit._unchecked(circuit.num_qubits, circuit.num_clbits, tuple(out)),
                        final, search_cost, swaps)
@@ -403,20 +412,31 @@ def fix_directions(circuit: Circuit, graph: CouplingGraph) -> Circuit:
     the reversed CNOT wrapped in four H gates.  No-op for undirected
     graphs; a CNOT with neither orientation available means routing was
     skipped or broken, and raises :class:`LegalityError`.
+
+    The call builds the rewrite of a reversed wire pair the first time it
+    meets the pair, and one H gate per wire, and reuses them for every
+    later CNOT on that pair.
     """
     if not graph.directed:
         return circuit
     edges = graph.edges
+    rewrites: dict[tuple[int, int], tuple[Gate, ...]] = {}
+    hs: dict[int, Gate] = {}
     out: list[Gate] = []
     for g in circuit.gates:
         if g.kind is not GateKind.CNOT or g.qubits in edges:
             out.append(g)
             continue
-        c, t = g.qubits
-        if (t, c) not in edges:
-            raise LegalityError(f"cx({c},{t}) has no legal orientation")
-        h_lo, h_hi = (Gate._unchecked(GateKind.H, (q,)) for q in sorted((c, t)))
-        out += [h_lo, h_hi, Gate._unchecked(GateKind.CNOT, (t, c)), h_lo, h_hi]
+        rewrite = rewrites.get(g.qubits)
+        if rewrite is None:
+            c, t = g.qubits
+            if (t, c) not in edges:
+                raise LegalityError(f"cx({c},{t}) has no legal orientation")
+            h_lo, h_hi = (hs.setdefault(q, Gate._unchecked(GateKind.H, (q,)))
+                          for q in sorted((c, t)))
+            rewrite = rewrites[g.qubits] = (h_lo, h_hi, Gate._unchecked(GateKind.CNOT, (t, c)),
+                                            h_lo, h_hi)
+        out += rewrite
     return Circuit._unchecked(circuit.num_qubits, circuit.num_clbits, tuple(out))
 
 

@@ -286,6 +286,7 @@ class TestBenchCommand:
 
 
 HANDWRITTEN = Path(__file__).with_name("data") / "handwritten.qasm"
+STAR4_DIRECTED = Path(__file__).with_name("data") / "star4_directed.json"
 
 
 class TestHandWrittenText:
@@ -297,6 +298,18 @@ class TestHandWrittenText:
         assert main(["transpile", "--qasm", str(HANDWRITTEN), "--coupling", "layout:linear:4",
                      "--out", str(out), "--report", str(report)]) == 0
         assert json.loads(report.read_text())["swaps_emitted"] > 0
+        assert main(["verify", "--original", str(HANDWRITTEN), "--transpiled", str(out),
+                     "--mapping", str(report)]) == 0
+        assert capsys.readouterr().out.endswith("equivalent\n")
+
+    def test_transpile_then_verify_on_a_directed_star(self, tmp_path, capsys):
+        # the direction fixer and fusion read the grammar's u1/u2/h and pi spellings
+        out, report = tmp_path / "out.qasm", tmp_path / "report.json"
+        assert main(["transpile", "--qasm", str(HANDWRITTEN), "--coupling", str(STAR4_DIRECTED),
+                     "--out", str(out), "--report", str(report)]) == 0
+        stages = json.loads(report.read_text())["stages"]
+        assert stages["fix_directions"]["singles"] > stages["local_adjust"]["singles"]
+        assert stages["merge"]["singles"] < stages["fix_directions"]["singles"]
         assert main(["verify", "--original", str(HANDWRITTEN), "--transpiled", str(out),
                      "--mapping", str(report)]) == 0
         assert capsys.readouterr().out.endswith("equivalent\n")

@@ -296,6 +296,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="malformed"):
             ql.load_coupling(path)
 
+    @pytest.mark.parametrize("n", [3.0, True, False, "3", None, np.float64(3.0)])
+    def test_non_integer_size_is_a_value_error_naming_num_qubits(self, n):
+        with pytest.raises(ValueError, match=r"^num_qubits must be an integer"):
+            CouplingGraph(n, frozenset({(0, 1)}))
+
+    def test_numpy_integer_size_is_stored_as_an_int(self):
+        g = CouplingGraph(np.int64(3), frozenset({(0, 1), (1, 2)}), directed=True)
+        assert type(g.num_qubits) is int
+        assert g == CouplingGraph(3, frozenset({(0, 1), (1, 2)}), directed=True)
+        assert g.distances == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
+
     @pytest.mark.parametrize("text", [
         '{"n": 2, "directed": "false", "edges": [[0, 1]]}',  # bool("false") is True
         '{"n": 2, "directed": 0, "edges": [[0, 1]]}',

@@ -1,5 +1,17 @@
-"""Single-qubit fusion: pairwise products, the Y-Z rewrite, run merging."""
+"""Single-qubit fusion: pairwise products, the Y-Z rewrite, run merging.
+
+The outputs of ``merge_adjacent`` and ``yz_to_zy`` are pinned bit for bit:
+``tests/data/fusion_golden.json`` holds a digest of their outputs, float by
+float in hex, over seeded inputs that include the angles where a branch
+changes.  Re-record after an intended change with::
+
+    PYTHONPATH=src python tests/test_merge.py
+"""
+import hashlib
+import json
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlayout as ql
-from qlayout.ir import mat2_mul, single_qubit_matrix, u3_matrix
+from qlayout.ir import mat2_mul, single_qubit_matrix, u3_angles, u3_matrix
 from qlayout.merge import (
     ATOL,
     ZYTriple,
@@ -280,3 +292,199 @@ class TestMergeRuns:
             c = random_unitary_circuit(rng, 6, 50)
             merged = merge_single_qubit_runs(c)
             assert ql.equivalent(c, merged, tol=1e-9)
+
+
+#: angles where a fused gate's kind or a branch of the Y-Z rewrite changes:
+#: zero of either sign, quarter, half and whole turns, and angles within ATOL
+#: of them, where the rewrite treats a half-angle sine or cosine as zero
+EDGE_ANGLES = tuple(sorted({a + d for a in (0.0, math.pi / 2, math.pi, 2 * math.pi)
+                            for d in (0.0, ATOL / 2, -ATOL / 2, 0.9 * ATOL, -0.9 * ATOL)}
+                           | {-a for a in (math.pi / 2, math.pi, ATOL / 2)} | {-0.0}))
+
+#: angles whose sums overflow to an infinity
+HUGE_ANGLES = (1e308, -1e308, 1.7e308, -1.7e308)
+
+fusion_angles = st.one_of(st.sampled_from(EDGE_ANGLES), finite_angles)
+
+SINGLE_KINDS = ("u1", "u2", "u3", "h")
+
+
+def make_single(kind: str, angles: list[float], q: int) -> ql.Gate:
+    """A ``kind`` gate on ``q`` taking as many of ``angles`` as it needs."""
+    return {"u1": lambda: ql.u1(angles[0], q), "u2": lambda: ql.u2(angles[0], angles[1], q),
+            "u3": lambda: ql.u3(*angles[:3], q), "h": lambda: ql.h(q)}[kind]()
+
+
+@st.composite
+def fusion_circuits(draw, angles=fusion_angles):
+    """Circuits on 1..3 qubits, mostly single-qubit gates so that runs are
+    long, with CNOTs, measures and barriers ending them."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    kinds = SINGLE_KINDS * 3 + ("measure", "barrier") + (("cx",) if n > 1 else ())
+    qubit = st.integers(min_value=0, max_value=n - 1)
+    gates = []
+    for _ in range(draw(st.integers(min_value=0, max_value=16))):
+        kind = draw(st.sampled_from(kinds))
+        q = draw(qubit)
+        if kind in SINGLE_KINDS:
+            gates.append(make_single(kind, [draw(angles) for _ in range(3)], q))
+        elif kind == "cx":
+            gates.append(ql.cx(q, draw(qubit.filter(lambda t: t != q))))
+        elif kind == "measure":
+            gates.append(ql.measure(q, draw(qubit)))
+        else:
+            gates.append(ql.barrier(*sorted(draw(st.sets(qubit, min_size=1)))))
+    return ql.Circuit(n, n, tuple(gates))
+
+
+def reference_merge_runs(circuit: ql.Circuit) -> ql.Circuit:
+    """The pass as a fold of ``merge_adjacent``: each open run is a gate,
+    and each gate that joins it is fused into it pairwise."""
+    pending: dict[int, ql.Gate] = {}
+    out: list[ql.Gate] = []
+
+    def flush(q: int) -> None:
+        gate = pending.pop(q, None)
+        if gate is not None and not (_may_be_identity(gate)
+                                     and _is_identity(single_qubit_matrix(gate))):
+            out.append(gate)
+
+    for g in circuit.gates:
+        if g.is_single_qubit:
+            q = g.qubits[0]
+            pending[q] = merge_adjacent(g, pending[q]) if q in pending else g
+        else:
+            for q in sorted(set(g.qubits) & pending.keys()):
+                flush(q)
+            out.append(g)
+    for q in sorted(pending):
+        flush(q)
+    return ql.Circuit(circuit.num_qubits, circuit.num_clbits, tuple(out))
+
+
+def outcome(fuse, circuit: ql.Circuit) -> str | tuple[str, str]:
+    """The fused circuit's text (``repr`` angles, so a -0.0 shows), or the
+    type and message of what fusing it raised."""
+    try:
+        return ql.emit_qasm(fuse(circuit))
+    except Exception as exc:  # compared, not handled
+        return type(exc).__name__, str(exc)
+
+
+class TestRunsAgainstPairwiseFold:
+    @given(fusion_circuits())
+    @settings(max_examples=400, deadline=None)
+    def test_same_text(self, circuit):
+        assert outcome(merge_single_qubit_runs, circuit) == outcome(reference_merge_runs, circuit)
+
+    @given(fusion_circuits(st.one_of(st.sampled_from(HUGE_ANGLES), fusion_angles)))
+    @settings(max_examples=300, deadline=None)
+    def test_same_text_or_error_with_overflowing_sums(self, circuit):
+        assert outcome(merge_single_qubit_runs, circuit) == outcome(reference_merge_runs, circuit)
+
+    def test_every_kind_pair_overflows_alike(self):
+        errors = set()
+        for later in SINGLE_KINDS:
+            for earlier in SINGLE_KINDS:
+                for a in HUGE_ANGLES:
+                    for b in HUGE_ANGLES:
+                        c = ql.Circuit(1, 0, (make_single(earlier, [b, a, b], 0),
+                                              make_single(later, [a, b, a], 0)))
+                        expected = outcome(reference_merge_runs, c)
+                        assert outcome(merge_single_qubit_runs, c) == expected
+                        if isinstance(expected, tuple):
+                            errors.add(expected)
+        # an infinite sum fails in a wrap, or as NaN out of the Y-Z rewrite
+        assert errors == {("ValueError", "math domain error"),
+                          ("ValueError", "non-finite angle in u3 gate")}
+
+    def test_overflow_errors_are_named(self):
+        big = 1e308
+        c = ql.Circuit(1, 0, (ql.u1(big, 0), ql.u1(big, 0)))
+        assert outcome(merge_single_qubit_runs, c) == ("ValueError", "math domain error")
+        c = ql.Circuit(1, 0, (ql.u3(1.0, big, 0.0, 0), ql.u3(1.0, 0.0, big, 0)))
+        assert outcome(merge_single_qubit_runs, c) == ("ValueError",
+                                                       "non-finite angle in u3 gate")
+
+    def test_lone_gates_are_the_input_objects(self):
+        gates = (ql.u3(0.4, 0.5, 0.6, 0), ql.h(1), ql.cx(0, 1), ql.u2(0.1, 0.2, 1),
+                 ql.measure(0, 0), ql.u1(0.3, 0))
+        out = merge_single_qubit_runs(ql.Circuit(2, 1, gates)).gates
+        assert len(out) == len(gates) and {id(g) for g in out} == {id(g) for g in gates}
+
+
+class TestIdentityPrefilterByKind:
+    @given(kind=st.sampled_from(SINGLE_KINDS),
+           angles=st.lists(fusion_angles, min_size=3, max_size=3))
+    def test_reads_theta_as_u3_angles_does(self, kind, angles):
+        g = make_single(kind, angles, 0)
+        assert _may_be_identity(g) == (abs(math.sin(u3_angles(g)[0] / 2)) <= 2 * ATOL)
+
+
+GOLDEN = Path(__file__).with_name("data") / "fusion_golden.json"
+GOLDEN_SEED = 20250808
+GOLDEN_CASES = 400
+
+
+def _golden_angle(rng: random.Random) -> float:
+    pick = rng.random()
+    if pick < 0.35:
+        return rng.choice(EDGE_ANGLES)
+    if pick < 0.4:
+        return rng.choice(HUGE_ANGLES)
+    return rng.uniform(-4 * math.pi, 4 * math.pi)
+
+
+def _describe(call) -> str:
+    """A result of ``call()`` -- a gate, a tuple of floats or an error -- as
+    one line, each float in hex."""
+    try:
+        result = call()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    if isinstance(result, ql.Gate):
+        return f"{result.kind.value} {result.qubits} " + " ".join(p.hex() for p in result.params)
+    return f"{type(result).__name__} " + " ".join(x.hex() for x in result)
+
+
+def golden_digests() -> dict[str, str]:
+    """sha256 of the described outputs per group: one group per kind pair
+    of ``merge_adjacent``, and one for ``yz_to_zy``."""
+    rng = random.Random(GOLDEN_SEED)
+    groups: dict[str, list[str]] = {}
+    for later in SINGLE_KINDS:
+        for earlier in SINGLE_KINDS:
+            lines = groups[f"merge_adjacent {later} {earlier}"] = []
+            for _ in range(GOLDEN_CASES):
+                a = make_single(later, [_golden_angle(rng) for _ in range(3)], 0)
+                b = make_single(earlier, [_golden_angle(rng) for _ in range(3)], 0)
+                lines.append(_describe(lambda: merge_adjacent(a, b)))
+    lines = groups["yz_to_zy"] = []
+    for _ in range(4 * GOLDEN_CASES):
+        t1, mid, t2 = (_golden_angle(rng) for _ in range(3))
+        lines.append(_describe(lambda: yz_to_zy(t1, mid, t2)))
+    return {name: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            for name, lines in groups.items()}
+
+
+class TestPinnedBits:
+    def test_merge_adjacent_and_yz_to_zy_reproduce_the_recorded_bits(self):
+        recorded = json.loads(GOLDEN.read_text())
+        assert recorded["seed"] == GOLDEN_SEED and recorded["cases"] == GOLDEN_CASES
+        assert golden_digests() == recorded["digests"]
+
+    def test_the_inputs_reach_every_branch(self):
+        # the seeded inputs fuse to every kind and reach both errors
+        rng = random.Random(GOLDEN_SEED)
+        seen = set()
+        for _ in range(16 * GOLDEN_CASES):
+            a, b = (make_single(rng.choice(SINGLE_KINDS), [_golden_angle(rng) for _ in range(3)], 0)
+                    for _ in range(2))
+            seen.add(_describe(lambda: merge_adjacent(a, b)).split(" ")[0])
+        assert {"u1", "u2", "u3", "ValueError:"} <= seen
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({"seed": GOLDEN_SEED, "cases": GOLDEN_CASES,
+                                  "digests": golden_digests()}, indent=1) + "\n")
+    print(f"wrote {GOLDEN}")

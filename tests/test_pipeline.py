@@ -1,11 +1,17 @@
 """End-to-end pipeline contracts: stage order, mappings, reports."""
 import tracemalloc
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlayout as ql
+from conftest import circuits, connected_graphs
 from qlayout.coupling import CouplingGraph, DisconnectedGraphError, make_layout
+from qlayout.ir import GateKind
 from qlayout.pipeline import PipelineConfig, check_legal, transpile, transpile_baseline
 from qlayout.routing import MAX_LOOKAHEAD, LegalityError
 
@@ -170,3 +176,55 @@ class TestBaseline:
         g = CouplingGraph(3, frozenset({(0, 1)}), directed=True)
         with pytest.raises(LegalityError):
             check_legal(ql.Circuit(3, 0, (ql.cx(1, 2),)), g)
+
+
+def reference_check_legal(circuit: ql.Circuit, graph: CouplingGraph) -> None:
+    """``check_legal`` through ``is_legal_cnot``, which checks both indices
+    of every CNOT."""
+    for g in circuit.gates:
+        if g.kind is GateKind.CNOT and not graph.is_legal_cnot(*g.qubits):
+            raise LegalityError(f"cx({g.qubits[0]},{g.qubits[1]}) is not an edge")
+
+
+def check_outcome(check, circuit, graph):
+    try:
+        check(circuit, graph)
+    except (LegalityError, IndexError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestCheckLegal:
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_same_verdict_as_is_legal_cnot(self, data):
+        # the circuit may be wider than the graph, putting CNOTs beyond it
+        g = data.draw(connected_graphs())
+        circ = data.draw(circuits(max_qubits=g.num_qubits + 2, max_gates=12))
+        expected = check_outcome(reference_check_legal, circ, g)
+        assert check_outcome(check_legal, circ, g) == expected
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_non_edge_and_misoriented_cnots_raise(self, data):
+        g = data.draw(connected_graphs())
+        n = g.num_qubits
+        a, b = data.draw(st.sampled_from([(a, b) for a in range(n) for b in range(n)
+                                          if a != b and not g.is_legal_cnot(a, b)]
+                                         or [(None, None)]))
+        if a is None:  # every ordered pair is an edge
+            return
+        legal = [ql.cx(*e) for e in sorted(g.edges)]
+        circ = ql.Circuit(n, 0, (*legal, ql.cx(a, b), *legal))
+        with pytest.raises(LegalityError, match=rf"^{re.escape(f'cx({a},{b})')} is not an edge$"):
+            check_legal(circ, g)
+        check_legal(ql.Circuit(n, 0, tuple(legal)), g)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_cnot_beyond_the_graph_is_an_index_error(self, directed):
+        g = CouplingGraph(3, frozenset({(0, 1), (1, 2)}), directed=directed)
+        with pytest.raises(IndexError, match=r"^qubit 3 outside 0\.\.2$"):
+            check_legal(ql.Circuit(4, 0, (ql.cx(0, 1), ql.cx(2, 3))), g)
+        # program order decides which error comes first
+        with pytest.raises(LegalityError):
+            check_legal(ql.Circuit(4, 0, (ql.cx(0, 2), ql.cx(2, 3))), g)

@@ -16,7 +16,10 @@ from qlayout.routing import (
     MAX_LOOKAHEAD,
     LegalityError,
     SWAP_COST,
+    _choose_repair,
+    _Leaves,
     _repairs,
+    _swap_gates,
     brute_force_route_cost,
     estimate_cost,
     fit_to_graph,
@@ -352,3 +355,85 @@ class TestNaiveRoute:
     def test_circuit_wider_than_graph_rejected(self):
         with pytest.raises(ValueError, match="uses 4 qubits but the layout has only 3"):
             naive_route(ql.Circuit(4, 0, (ql.cx(0, 3),)), CHAIN3)
+
+
+def reference_route(circuit: ql.Circuit, graph: CouplingGraph, lookahead: int,
+                    placement: QubitMapping) -> routing.RouteResult:
+    """The router's loop with every output gate built by ``Gate._moved``."""
+    circuit = fit_to_graph(circuit, graph)
+    wire = [placement(q) for q in range(graph.num_qubits)]
+    leaves = _Leaves([g.qubits for g in circuit.gates if g.kind is GateKind.CNOT], graph)
+    out, search_cost, swaps, k = [], 0, 0, 0
+    for g in circuit.gates:
+        if g.kind is GateKind.CNOT:
+            k += 1
+            c, t = g.qubits
+            if not graph.is_legal_cnot(wire[c], wire[t], respect_direction=False):
+                (step_cost, step, stops), _ = _choose_repair(
+                    (wire[c], wire[t]), leaves, k, wire, lookahead)
+                for a, b in zip(stops, stops[1:]):
+                    out += _swap_gates(a, b)
+                wire = [step[w] for w in wire]
+                search_cost += step_cost
+                swaps += len(stops) - 1
+        out.append(g._moved(wire))
+    return routing.RouteResult(ql.Circuit(circuit.num_qubits, circuit.num_clbits, tuple(out)),
+                               QubitMapping(tuple(enumerate(wire))), search_cost, swaps)
+
+
+def reference_fix_directions(circuit: ql.Circuit, graph: CouplingGraph) -> ql.Circuit:
+    """Each reversed CNOT rewritten on its own, through the checked
+    constructors."""
+    if not graph.directed:
+        return circuit
+    out = []
+    for g in circuit.gates:
+        if g.kind is not GateKind.CNOT or g.qubits in graph.edges:
+            out.append(g)
+            continue
+        c, t = g.qubits
+        if (t, c) not in graph.edges:
+            raise LegalityError(f"cx({c},{t}) has no legal orientation")
+        lo, hi = sorted((c, t))
+        out += [ql.h(lo), ql.h(hi), ql.cx(t, c), ql.h(lo), ql.h(hi)]
+    return ql.Circuit(circuit.num_qubits, circuit.num_clbits, tuple(out))
+
+
+class TestAgainstPerGateReferences:
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_route_output_and_final_mapping(self, data):
+        g = data.draw(connected_graphs())
+        n = g.num_qubits
+        circ = data.draw(circuits(max_qubits=n, max_gates=16))
+        placement = QubitMapping(tuple(enumerate(data.draw(st.permutations(range(n))))))
+        lookahead = data.draw(st.integers(min_value=1, max_value=DEFAULT_LOOKAHEAD))
+        result = route_circuit(circ, g, lookahead, initial_mapping=placement)
+        expected = reference_route(circ, g, lookahead, placement)
+        assert result == expected
+        # a gate the router does not move is emitted as itself
+        unmoved = {id(x) for x in expected.circuit.gates} & {id(x) for x in circ.gates}
+        assert unmoved <= {id(x) for x in result.circuit.gates}
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_fix_directions_equals_per_gate_rewrite(self, data):
+        g = data.draw(connected_graphs())
+        routed = route_circuit(data.draw(circuits(max_qubits=g.num_qubits, max_gates=16)),
+                               g).circuit
+        assert fix_directions(routed, g) == reference_fix_directions(routed, g)
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_pair_without_an_edge_raises_after_others_are_rewritten(self, data):
+        g = data.draw(connected_graphs())
+        n = g.num_qubits
+        apart = [(a, b) for a in range(n) for b in range(n)
+                 if a != b and not g.is_legal_cnot(a, b, respect_direction=False)]
+        if not g.directed or not apart:
+            return
+        a, b = data.draw(st.sampled_from(apart))
+        reversed_edges = [ql.cx(t, c) for c, t in sorted(g.edges) if (t, c) not in g.edges]
+        circ = ql.Circuit(n, 0, (*reversed_edges, *reversed_edges, ql.cx(a, b), *reversed_edges))
+        with pytest.raises(LegalityError, match=rf"^cx\({a},{b}\) has no legal orientation$"):
+            fix_directions(circ, g)
