@@ -135,10 +135,16 @@ class Gate:
         """This gate with each qubit q on ``perm[q]``, unchecked: ``perm``
         must map distinct qubits to distinct ints, so operands stay
         distinct; that they lie in the register is the caller's to ensure."""
-        qubits = tuple(map(perm.__getitem__, self.qubits))
-        if qubits == self.qubits:
+        qubits = self.qubits
+        if len(qubits) == 1:
+            moved = (perm[qubits[0]],)
+        elif len(qubits) == 2:
+            moved = (perm[qubits[0]], perm[qubits[1]])
+        else:
+            moved = tuple(map(perm.__getitem__, qubits))
+        if moved == qubits:
             return self
-        return Gate._unchecked(self.kind, qubits, self.params, self.clbit)
+        return Gate._unchecked(self.kind, moved, self.params, self.clbit)
 
 
 # The slots' own setters: they write a frozen gate's fields without going

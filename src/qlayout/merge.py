@@ -32,6 +32,7 @@ from .ir import (
     GateKind,
     Mat2,
     single_qubit_matrix,
+    u3_angles,
 )
 
 #: below this, sin/cos of half-angles are treated as zero (gimbal lock)
@@ -149,14 +150,8 @@ def _may_be_identity(gate: Gate) -> bool:
     """False for a gate whose matrix :func:`_is_identity` must reject, read
     off the angles before any matrix is built: |m01| = |sin(theta/2)|, up
     to rounding of a unit phase, so above 2 * ATOL the gate fails the
-    off-diagonal test.  Only rules out: a True still needs the matrix.
-
-    theta is 0 for u1 and pi/2 for u2 and h (see :func:`~qlayout.ir.u3_angles`),
-    so only a u3 needs the sine."""
-    kind = gate.kind
-    if kind is _U3:
-        return abs(math.sin(gate.params[0] / 2)) <= 2 * ATOL
-    return kind is _U1
+    off-diagonal test.  Only rules out: a True still needs the matrix."""
+    return abs(math.sin(u3_angles(gate)[0] / 2)) <= 2 * ATOL
 
 
 def _is_identity(m: Mat2, atol: float = ATOL) -> bool:

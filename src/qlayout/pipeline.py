@@ -113,23 +113,10 @@ class _Stages:
 def check_legal(circuit: Circuit, graph: CouplingGraph) -> None:
     """Raise :class:`LegalityError` at the first CNOT that is not a graph
     edge (orientation included on directed graphs), and ``IndexError`` at
-    one on a qubit beyond the graph.
-
-    The edge set, or on an undirected graph the distance table (an edge is
-    distance 1), is read directly.  A circuit's gates lie in its register,
-    so qubit indices are checked only on a circuit wider than the graph.
-    """
-    beyond = circuit.num_qubits > graph.num_qubits
-    edges, dist = (graph.edges, None) if graph.directed else (None, graph.distances)
+    one on a qubit beyond the graph."""
     for g in circuit.gates:
-        if g.kind is GateKind.CNOT:
-            c, t = g.qubits
-            if beyond:
-                graph._check_index(c)
-                graph._check_index(t)
-            legal = g.qubits in edges if dist is None else dist[c][t] == 1
-            if not legal:
-                raise LegalityError(f"cx({c},{t}) is not an edge")
+        if g.kind is GateKind.CNOT and not graph.is_legal_cnot(*g.qubits):
+            raise LegalityError(f"cx({g.qubits[0]},{g.qubits[1]}) is not an edge")
 
 
 def _run(circuit: Circuit, graph: CouplingGraph,

@@ -342,10 +342,9 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
     swaps = 0
     k = 0  # CNOTs seen so far; cnots[k:] are the ones after the current gate
     for g in circuit.gates:
-        qubits = g.qubits
         if g.kind is GateKind.CNOT:
             k += 1
-            c, t = qubits
+            c, t = g.qubits
             if dist[wire[c]][wire[t]] != 1:
                 (step_cost, step, stops), _ = _choose_repair(
                     (wire[c], wire[t]), leaves, k, wire, lookahead)
@@ -356,14 +355,7 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
                 swaps += len(stops) - 1
                 if dist[wire[c]][wire[t]] != 1:
                     raise LegalityError(f"the repair of cx({c},{t}) left its wires apart")
-            wc, wt = wire[c], wire[t]
-            out.append(g if wc == c and wt == t else Gate._unchecked(GateKind.CNOT, (wc, wt)))
-        elif len(qubits) == 1:
-            q = qubits[0]
-            w = wire[q]
-            out.append(g if w == q else Gate._unchecked(g.kind, (w,), g.params, g.clbit))
-        else:
-            out.append(g._moved(wire))
+        out.append(g._moved(wire))
     final = QubitMapping(tuple(enumerate(wire)))
     return RouteResult(Circuit._unchecked(circuit.num_qubits, circuit.num_clbits, tuple(out)),
                        final, search_cost, swaps)

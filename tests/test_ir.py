@@ -176,6 +176,19 @@ class TestApplyMapping:
         assert ql.apply_mapping(ql.apply_mapping(c, m), inverse(m)) == c
 
 
+class TestMoved:
+    GATES = (ql.h(0), ql.u3(0.1, 0.2, 0.3, 1), ql.measure(2, 1), ql.cx(0, 2),
+             ql.cx(3, 1), ql.barrier(1, 2), ql.barrier(3, 0, 2))
+
+    @given(perm=st.permutations(list(range(4))))
+    def test_equals_the_checked_gate_and_is_itself_when_unmoved(self, perm):
+        for g in self.GATES:
+            moved = g._moved(perm)
+            qubits = tuple(perm[q] for q in g.qubits)
+            assert moved == Gate(g.kind, qubits, g.params, g.clbit)
+            assert (moved is g) == (qubits == g.qubits)
+
+
 class TestGateCounts:
     def test_mixed_counts(self):
         c = ql.Circuit(3, 0, (ql.cx(0, 1), ql.h(2), ql.u3(0.1, 0.2, 0.3, 0), ql.cx(1, 2)))

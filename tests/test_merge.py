@@ -413,14 +413,6 @@ class TestRunsAgainstPairwiseFold:
         assert len(out) == len(gates) and {id(g) for g in out} == {id(g) for g in gates}
 
 
-class TestIdentityPrefilterByKind:
-    @given(kind=st.sampled_from(SINGLE_KINDS),
-           angles=st.lists(fusion_angles, min_size=3, max_size=3))
-    def test_reads_theta_as_u3_angles_does(self, kind, angles):
-        g = make_single(kind, angles, 0)
-        assert _may_be_identity(g) == (abs(math.sin(u3_angles(g)[0] / 2)) <= 2 * ATOL)
-
-
 GOLDEN = Path(__file__).with_name("data") / "fusion_golden.json"
 GOLDEN_SEED = 20250808
 GOLDEN_CASES = 400

@@ -359,7 +359,8 @@ class TestNaiveRoute:
 
 def reference_route(circuit: ql.Circuit, graph: CouplingGraph, lookahead: int,
                     placement: QubitMapping) -> routing.RouteResult:
-    """The router's loop with every output gate built by ``Gate._moved``."""
+    """The router's loop with every moved gate rebuilt through the checked
+    constructor, and every unmoved one emitted as itself."""
     circuit = fit_to_graph(circuit, graph)
     wire = [placement(q) for q in range(graph.num_qubits)]
     leaves = _Leaves([g.qubits for g in circuit.gates if g.kind is GateKind.CNOT], graph)
@@ -376,7 +377,8 @@ def reference_route(circuit: ql.Circuit, graph: CouplingGraph, lookahead: int,
                 wire = [step[w] for w in wire]
                 search_cost += step_cost
                 swaps += len(stops) - 1
-        out.append(g._moved(wire))
+        qubits = tuple(wire[q] for q in g.qubits)
+        out.append(g if qubits == g.qubits else ql.Gate(g.kind, qubits, g.params, g.clbit))
     return routing.RouteResult(ql.Circuit(circuit.num_qubits, circuit.num_clbits, tuple(out)),
                                QubitMapping(tuple(enumerate(wire))), search_cost, swaps)
 
