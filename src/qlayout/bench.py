@@ -32,7 +32,8 @@ import numpy as np
 from .coupling import make_layout
 from .ir import Circuit, Gate, GateKind, _int_arg, cost
 from .pipeline import PipelineConfig, transpile, transpile_baseline
-from .sim import _check_tol, equivalent
+from .routing import DEFAULT_LOOKAHEAD
+from .sim import DEFAULT_TOL, _check_tol, equivalent
 
 
 def gen_random_circuit(num_qubits: int, su4_depth: int, seed: int) -> Circuit:
@@ -86,6 +87,13 @@ class BenchRecord:
 CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
 
 
+def _csv_cell(value: object) -> str:
+    """``true``/``false`` for a bool, ``repr`` for a float, ``str`` otherwise."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def record_seed(base_seed: int, layout_index: int, n: int, depth: int, trial: int) -> int:
     """Stable per-cell seed derived from the sweep coordinates."""
     ss = np.random.SeedSequence(entropy=base_seed,
@@ -104,15 +112,8 @@ class BenchResult:
 
 
 def records_to_csv(records: Iterable[BenchRecord]) -> str:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join([
-            r.layout, str(r.n), str(r.su4_depth), str(r.trial), str(r.seed),
-            str(r.cost_original), str(r.cost_pipeline), str(r.cost_baseline),
-            repr(r.time_pipeline_s), repr(r.time_baseline_s),
-            "true" if r.verified else "false",
-        ]))
-    return "\n".join(lines) + "\n"
+    rows = (",".join(_csv_cell(getattr(r, f.name)) for f in fields(r)) for r in records)
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def aggregate(records: Sequence[BenchRecord]) -> dict:
@@ -161,7 +162,7 @@ def aggregate(records: Sequence[BenchRecord]) -> dict:
 
 def run_benchmark(layouts: Sequence[str], qubits: Sequence[int],
                   depths: Sequence[int], trials: int, seed: int, *,
-                  lookahead: int = 4, tol: float = 1e-6,
+                  lookahead: int = DEFAULT_LOOKAHEAD, tol: float = DEFAULT_TOL,
                   record_times: bool = True) -> BenchResult:
     """Sweep the grid; transpile, verify and account every circuit.
 

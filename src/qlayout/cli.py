@@ -25,7 +25,7 @@ from .ir import QubitMapping
 from .pipeline import PipelineConfig, transpile, transpile_baseline
 from .qasm import QasmError, emit_qasm, parse_qasm
 from .routing import DEFAULT_LOOKAHEAD, LegalityError
-from .sim import _check_tol, probe_fidelity
+from .sim import DEFAULT_TOL, _check_tol, probe_fidelity
 
 
 def _load_circuit(path: str):
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--original", required=True)
     v.add_argument("--transpiled", required=True)
     v.add_argument("--mapping", help="transpile report JSON or a bare mapping object")
-    v.add_argument("--tol", type=float, default=1e-6)
+    v.add_argument("--tol", type=float, default=DEFAULT_TOL)
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_verify)
 
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--csv", required=True, help="records CSV path")
     b.add_argument("--json", help="aggregate JSON path (default: CSV path with .json)")
     b.add_argument("--lookahead", type=int, default=DEFAULT_LOOKAHEAD)
-    b.add_argument("--tol", type=float, default=1e-6)
+    b.add_argument("--tol", type=float, default=DEFAULT_TOL)
     b.add_argument("--fixed-times", action="store_true",
                    help="write zeros for the time columns (byte-reproducible CSV)")
     b.set_defaults(func=cmd_bench)

@@ -30,7 +30,7 @@ LAYOUTS = ("linear", "circle", "central", "neighbour")
 
 @dataclass(frozen=True)
 class CouplingGraph:
-    """``num_qubits`` vertices, at most :data:`~qlayout.ir.MAX_REGISTER`, and
+    """``num_qubits`` vertices, 1 to :data:`~qlayout.ir.MAX_REGISTER`, and
     a set of (control, target) edges.
 
     One table, :attr:`distances`, built on first use, answers every
@@ -44,8 +44,8 @@ class CouplingGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "num_qubits", _int_arg(self.num_qubits, "num_qubits"))
-        if self.num_qubits > MAX_REGISTER:
-            raise ValueError(f"a coupling graph has at most {MAX_REGISTER} qubits "
+        if not 1 <= self.num_qubits <= MAX_REGISTER:
+            raise ValueError(f"a coupling graph has 1 to {MAX_REGISTER} qubits "
                              f"(MAX_REGISTER), got {self.num_qubits}")
         object.__setattr__(self, "edges", frozenset((int(a), int(b)) for a, b in self.edges))
         for a, b in self.edges:

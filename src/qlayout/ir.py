@@ -4,17 +4,17 @@ The gate set is the OpenQASM 2.0 u-family plus CNOT: u1/u2/u3 carry one,
 two and three Euler angles (radians, double precision), ``h`` is kept as
 its own kind even though its matrix equals u2(0, pi), and measure/barrier
 are carried through every transformation untouched.  The weighted gate
-cost, :func:`cost`, is defined here once: the pipeline's report, the
-router's SWAP price and the benchmark all derive from its two prices.
+cost, :func:`price`, is defined here once: :func:`cost`, the pipeline's
+report, the router's SWAP price and the benchmark all derive from it.
 
 Everything here is immutable; transformations return new values.
 
 Values are checked once, where they enter the program.  The public
 constructors (``Gate(...)``, ``Circuit(...)``, ``cx``/``h``/``u1``/...,
 ``QubitMapping``) check every field: parameter count, finite angles,
-operand count and distinctness, qubit and clbit bounds.  The QASM reader
-makes the same checks on its input and builds its gates and circuit
-without a second pass.  A rewrite inside the program (relabeling
+operand count and distinctness, register sizes, qubit and clbit bounds.
+The QASM reader makes the same checks on its input and builds its gates
+and circuit without a second pass.  A rewrite inside the program (relabeling
 through a permutation, a SWAP triple on a graph edge, a reversed CNOT, a
 fused single-qubit gate, a widened register) builds values whose validity
 follows from valid inputs, and the seeded random generator
@@ -185,7 +185,8 @@ def barrier(*qubits: int) -> Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list over ``num_qubits`` qubits and ``num_clbits`` bits.
+    """An ordered gate list over ``num_qubits`` qubits and ``num_clbits``
+    bits, each register holding 0 to :data:`MAX_REGISTER`.
 
     Gate order is program order: the first gate acts first, so the circuit
     unitary is the right-to-left product of the gate matrices.
@@ -196,6 +197,12 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
+        for name in ("num_qubits", "num_clbits"):
+            size = _int_arg(getattr(self, name), name)
+            if not 0 <= size <= MAX_REGISTER:
+                raise ValueError(f"{name} must be in 0..{MAX_REGISTER} (MAX_REGISTER), "
+                                 f"got {size}")
+            object.__setattr__(self, name, size)
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if any(q < 0 or q >= self.num_qubits for q in g.qubits):
@@ -312,11 +319,14 @@ CNOT_COST = 10
 SINGLE_COST = 1
 
 
+def price(cnots: int, singles: int) -> int:
+    """Weighted gate count: :data:`CNOT_COST` per CNOT, :data:`SINGLE_COST` per single."""
+    return cnots * CNOT_COST + singles * SINGLE_COST
+
+
 def cost(circuit: Circuit) -> int:
-    """Weighted gate count of a circuit: :data:`CNOT_COST` per CNOT plus
-    :data:`SINGLE_COST` per single-qubit gate."""
-    n2, n1 = gate_counts(circuit)
-    return n2 * CNOT_COST + n1 * SINGLE_COST
+    """The :func:`price` of a circuit's :func:`gate_counts`."""
+    return price(*gate_counts(circuit))
 
 
 # --- 2x2 gate matrices -------------------------------------------------------

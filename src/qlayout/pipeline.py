@@ -23,15 +23,7 @@ from typing import Callable
 
 from .coupling import CouplingGraph, DisconnectedGraphError
 from .relabel import SearchLimits, global_adjust
-from .ir import (
-    CNOT_COST,
-    SINGLE_COST,
-    Circuit,
-    GateKind,
-    QubitMapping,
-    cost,
-    gate_counts,
-)
+from .ir import Circuit, GateKind, QubitMapping, gate_counts, price
 from .merge import merge_single_qubit_runs
 from .routing import (
     DEFAULT_LOOKAHEAD,
@@ -69,12 +61,11 @@ class TranspileResult:
 
     @property
     def cost_before(self) -> int:
-        n2, n1 = self.stage_counts["input"]
-        return n2 * CNOT_COST + n1 * SINGLE_COST
+        return price(*self.stage_counts["input"])
 
     @property
     def cost_after(self) -> int:
-        return cost(self.circuit)
+        return price(*self.stage_counts["merge"])
 
     def report(self) -> dict:
         """JSON-ready summary."""
@@ -95,16 +86,22 @@ class TranspileResult:
 class _Stages:
     """Gate counts and seconds per stage, read at each stage boundary: a
     stage's seconds run from the boundary before it, and the first
-    boundary, "input", counts the input when the log is made."""
+    boundary, "input", counts the input when the log is made.  A stage
+    that hands back the circuit it was given (the relabel, the direction
+    fixer on an undirected graph, fusion when off) reuses the last count,
+    so :func:`transpile` walks the gates three times, four if directed."""
 
     def __init__(self, work: Circuit):
         self.start = self._last = time.perf_counter()
         self.counts: dict[str, tuple[int, int]] = {}
         self.seconds: dict[str, float] = {}
+        self._counted, self._count = None, (0, 0)
         self.done("input", work)
 
     def done(self, name: str, work: Circuit) -> None:
-        self.counts[name] = gate_counts(work)
+        if work is not self._counted:
+            self._counted, self._count = work, gate_counts(work)
+        self.counts[name] = self._count
         now = time.perf_counter()
         self.seconds[name] = now - self._last
         self._last = now

@@ -55,10 +55,10 @@ from typing import Any, Sequence
 import numpy as np
 
 from .coupling import CouplingGraph, DisconnectedGraphError
-from .ir import CNOT_COST, SINGLE_COST, Circuit, Gate, GateKind, QubitMapping
+from .ir import Circuit, Gate, GateKind, QubitMapping, price
 
 #: flat accounting cost of one SWAP: 3 CNOTs + 4 direction-fix H
-SWAP_COST = 3 * CNOT_COST + 4 * SINGLE_COST
+SWAP_COST = price(3, 4)
 
 #: extra accounting cost when the displaced endpoint is the control
 CONTROL_MOVE_COST = 4

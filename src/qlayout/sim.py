@@ -8,18 +8,16 @@ oracle compares states, not samples.
 A circuit is run on a (2**n, k) block of column states in two steps:
 
 * *Fusion.*  One pass over the gates turns the circuit into a short list
-  of dense blocks.  Consecutive single-qubit gates on a qubit multiply out
-  to one 2x2 (``ir.mat2_mul``).  A CNOT opens a 4x4 block on its pair,
-  folding in the 2x2s pending on both qubits, or extends the pair's open
-  block; gates on either qubit of an open block join it.  A CNOT that
+  of dense blocks.  Each qubit's single-qubit gates fold into one pending
+  2x2 (``ir.mat2_mul``), from one vectorized evaluation of the u3 formula
+  for all of them.  A CNOT opens a 4x4 block on its pair or extends the
+  pair's open block, appending one factor: its row swap after the
+  Kronecker product of the 2x2s it pops from its two qubits.  A CNOT that
   would join two open blocks, or one open block and a third qubit, first
-  closes -- emits -- the blocks it straddles.  Open blocks sit on disjoint
-  qubits, so they commute, and the order in which they are emitted only
-  has to respect each qubit's own gate order.  The 2x2s of all the
-  single-qubit gates come from one vectorized evaluation of the u3
-  formula, and a pair block keeps one 4x4 factor per CNOT (the CNOT's row
-  swap after the Kronecker product of the 2x2s pending on its qubits),
-  multiplied out when the block closes.
+  closes -- emits -- the blocks it straddles, popping the 2x2s still
+  pending on their qubits into a last factor.  Open blocks sit on
+  disjoint qubits, so they commute, and the order in which they are
+  emitted only has to respect each qubit's own gate order.
 * *Kernels.*  A 2x2 on qubit q is one broadcast ``matmul`` over the
   ``(2**(n-q-1), 2, 2**q * k)`` view of the block.  A 4x4 on a pair
   gathers the rows grouped by the pair's two bits -- a strided copy
@@ -59,6 +57,9 @@ from .ir import (
 
 MAX_QUBITS = 16
 
+#: the default fidelity tolerance of every equivalence check
+DEFAULT_TOL = 1e-6
+
 #: probe budget for registers too large to sweep every basis state
 BASIS_PROBES = 32
 PRODUCT_PROBES = 8
@@ -90,28 +91,26 @@ def _kron(x: Mat2, y: Mat2) -> list[complex]:
 class _Pair:
     """An open 4x4 block on qubits (x, y), whose local index is
     ``2 * bit(x) + bit(y)``: its factors so far, each a row-major 4x4
-    list, and the single-qubit gates since its last CNOT."""
+    list.  The single-qubit gates since its last CNOT wait in the map of
+    pending 2x2s, as on any other qubit."""
 
-    __slots__ = ("x", "y", "factors", "ux", "uy")
+    __slots__ = ("x", "y", "factors")
 
-    def __init__(self, x: int, y: int, ux: Mat2 | None, uy: Mat2 | None):
+    def __init__(self, x: int, y: int):
         self.x, self.y = x, y
         self.factors: list[list[complex]] = []
-        self.ux, self.uy = ux, uy
 
-    def cnot(self, control: int) -> None:
-        """Append the pending single-qubit gates, then a CNOT: it swaps
-        rows 2 and 3 when x is the control, rows 1 and 3 when y is."""
-        f = _kron(self.ux or IDENTITY_2, self.uy or IDENTITY_2)
-        a = 8 if control == self.x else 4
-        f[a:a + 4], f[12:16] = f[12:16], f[a:a + 4]
+    def push(self, single: dict[int, Mat2], control: int | None = None) -> None:
+        """Append the kron of the 2x2s popped from ``single`` for x and y, then
+        a CNOT's row swap: rows 2, 3 when x is the control, rows 1, 3 when y is."""
+        f = _kron(single.pop(self.x, IDENTITY_2), single.pop(self.y, IDENTITY_2))
+        if control is not None:
+            a = 8 if control == self.x else 4
+            f[a:a + 4], f[12:16] = f[12:16], f[a:a + 4]
         self.factors.append(f)
-        self.ux = self.uy = None
 
     def matrix(self) -> np.ndarray:
-        """The product of the factors, the pending gates last."""
-        if self.ux is not None or self.uy is not None:
-            self.factors.append(_kron(self.ux or IDENTITY_2, self.uy or IDENTITY_2))
+        """The product of the factors."""
         factors = np.array(self.factors, dtype=np.complex128).reshape(-1, 4, 4)
         product = factors[0]
         for f in factors[1:]:
@@ -124,12 +123,14 @@ def _fuse(gates: Sequence[Gate]) -> list[tuple[tuple[int, ...], np.ndarray]]:
     keeps every qubit's gates in program order; a 4x4 on ``(x, y)`` has
     local index ``2 * bit(x) + bit(y)``."""
     blocks: list[tuple[tuple[int, ...], np.ndarray]] = []
-    single: dict[int, Mat2] = {}  # pending 2x2s on qubits outside any pair
+    single: dict[int, Mat2] = {}  # pending 2x2 of each qubit
     pair: dict[int, _Pair] = {}   # open pair of each of its two qubits
     matrices = iter(_single_matrices(gates))
     cnot, measure, barrier = GateKind.CNOT, GateKind.MEASURE, GateKind.BARRIER
 
     def close(p: _Pair) -> None:
+        if p.x in single or p.y in single:
+            p.push(single)  # the last factor: the 2x2s left pending on the pair
         blocks.append(((p.x, p.y), p.matrix()))
         del pair[p.x], pair[p.y]
 
@@ -142,20 +143,12 @@ def _fuse(gates: Sequence[Gate]) -> list[tuple[tuple[int, ...], np.ndarray]]:
                 for q in (c, t):
                     if q in pair:
                         close(pair[q])
-                p = _Pair(c, t, single.pop(c, None), single.pop(t, None))
-                pair[c] = pair[t] = p
-            p.cnot(c)
+                p = pair[c] = pair[t] = _Pair(c, t)
+            p.push(single, c)
         elif kind is not measure and kind is not barrier:
-            q = g.qubits[0]
-            u = next(matrices)
-            p = pair.get(q)
-            if p is None:
-                prev = single.get(q)
-                single[q] = u if prev is None else mat2_mul(u, prev)
-            elif q == p.x:
-                p.ux = u if p.ux is None else mat2_mul(u, p.ux)
-            else:
-                p.uy = u if p.uy is None else mat2_mul(u, p.uy)
+            q, u = g.qubits[0], next(matrices)
+            prev = single.get(q)
+            single[q] = u if prev is None else mat2_mul(u, prev)
         # measure/barrier: identity
     for p in {id(p): p for p in pair.values()}.values():
         close(p)
@@ -188,12 +181,16 @@ def _apply(circuit: Circuit, block: np.ndarray) -> np.ndarray:
     return src
 
 
-def simulate(circuit: Circuit, initial: int | np.ndarray = 0) -> np.ndarray:
-    """Statevector after the circuit, from a basis index or a state vector."""
-    n = circuit.num_qubits
+def _width(n: int) -> int:
+    """``n``, checked as the width of a simulated register: at most :data:`MAX_QUBITS`."""
     if n > MAX_QUBITS:
         raise ValueError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit simulator limit")
-    dim = 1 << n
+    return n
+
+
+def simulate(circuit: Circuit, initial: int | np.ndarray = 0) -> np.ndarray:
+    """Statevector after the circuit, from a basis index or a state vector."""
+    dim = 1 << _width(circuit.num_qubits)
     if isinstance(initial, (bool, np.bool_)):
         raise ValueError(f"initial must be a basis index or a state vector, got {initial!r}")
     if isinstance(initial, (int, np.integer)):
@@ -269,9 +266,7 @@ def probe_fidelity(original: Circuit, transpiled: Circuit,
     """
     final_map = _as_mapping(final_map or {})
     initial_map = _as_mapping(initial_map or {})
-    n = max(original.num_qubits, transpiled.num_qubits)
-    if n > MAX_QUBITS:
-        raise ValueError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit simulator limit")
+    n = _width(max(original.num_qubits, transpiled.num_qubits))
     probes = _probe_block(n, seed)
     ref = permute_amplitudes(_apply(original, probes.copy()), final_map, n)
     if not initial_map.is_identity:
@@ -291,7 +286,7 @@ def _check_tol(tol: float) -> None:
 
 def equivalent(original: Circuit, transpiled: Circuit,
                final_map: QubitMapping | Mapping[int, int] | None = None,
-               tol: float = 1e-6, *,
+               tol: float = DEFAULT_TOL, *,
                initial_map: QubitMapping | Mapping[int, int] | None = None,
                seed: int = 0) -> bool:
     """Whether the circuits agree on every probe, up to the given

@@ -1,5 +1,6 @@
 """Random circuit generator, cost model, benchmark records and aggregates."""
 import csv
+import inspect
 import io
 import math
 
@@ -18,7 +19,8 @@ from qlayout.bench import (
     run_benchmark,
 )
 from qlayout.ir import CNOT_COST, SINGLE_COST
-from qlayout.routing import SWAP_COST
+from qlayout.routing import DEFAULT_LOOKAHEAD, SWAP_COST
+from qlayout.sim import DEFAULT_TOL
 
 
 class TestGenRandomCircuit:
@@ -199,6 +201,18 @@ class TestRunBenchmark:
             "cost_baseline,time_pipeline_s,time_baseline_s,verified")
         assert len(lines) == 2
         assert lines[1].startswith("circle,4,1,0,")
+
+    def test_csv_row_formats_each_field_by_its_type(self):
+        records = [BenchRecord("linear", 3, 1, 0, 42, 100, 90, 120, 0.1, 1e-05, False),
+                   BenchRecord("star", 8, 2, 4, 7, 10, 9, 12, 2.5, 0.0, True)]
+        assert records_to_csv(records).splitlines()[1:] == [
+            "linear,3,1,0,42,100,90,120,0.1,1e-05,false",
+            "star,8,2,4,7,10,9,12,2.5,0.0,true"]
+
+    def test_defaults_are_the_library_defaults(self):
+        params = inspect.signature(run_benchmark).parameters
+        assert params["lookahead"].default == DEFAULT_LOOKAHEAD
+        assert params["tol"].default == DEFAULT_TOL == 1e-6
 
     def test_record_seed_stability(self):
         assert record_seed(7, 0, 3, 1, 0) == record_seed(7, 0, 3, 1, 0)

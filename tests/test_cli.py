@@ -9,6 +9,7 @@ from qlayout import cli
 from qlayout.cli import build_parser, main
 from qlayout.ir import MAX_REGISTER
 from qlayout.routing import LegalityError
+from qlayout.sim import DEFAULT_TOL
 
 
 CHAIN5_QASM = """OPENQASM 2.0;
@@ -62,6 +63,14 @@ class TestTranspileCommand:
             assert main(["transpile", "--qasm", str(workdir / "in.qasm"),
                          "--coupling", coupling, "--out", str(workdir / "x.qasm")]) == 1
             assert "MAX_REGISTER" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_graph_without_vertices_exits_1(self, workdir, capsys, n):
+        empty = workdir / "empty.json"
+        empty.write_text(f'{{"n": {n}, "edges": []}}')
+        assert main(["transpile", "--qasm", str(workdir / "in.qasm"),
+                     "--coupling", str(empty), "--out", str(workdir / "x.qasm")]) == 1
+        assert f"1 to {MAX_REGISTER} qubits (MAX_REGISTER), got {n}" in capsys.readouterr().err
 
     def test_parse_error_exits_1(self, workdir):
         bad = workdir / "bad.qasm"
@@ -252,6 +261,13 @@ class TestBenchCommand:
         assert [line.split()[:4] for line in err[1:]] == [
             ["layout=linear", "n=3", "su4_depth=1", f"trial={trial}"] for trial in (0, 1)]
         assert csv_path.exists()  # the records are written before the exit
+
+    def test_tol_defaults_are_the_library_default(self):
+        parser = build_parser()
+        verify = parser.parse_args(["verify", "--original", "a", "--transpiled", "b"])
+        bench = parser.parse_args(["bench", "--layouts", "linear", "--qubits", "3",
+                                   "--depths", "1", "--csv", "x.csv"])
+        assert verify.tol == bench.tol == DEFAULT_TOL
 
     def test_single_value_is_a_one_value_range(self):
         args = build_parser().parse_args(["bench", "--layouts", "linear", "--qubits", "5",

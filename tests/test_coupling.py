@@ -232,6 +232,16 @@ class TestWidthBound:
         with pytest.raises(ValueError, match="MAX_REGISTER"):
             ql.coupling_from_json(f'{{"n": {MAX_REGISTER + 1}, "edges": [[0, 1]]}}')
 
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    def test_graph_and_json_need_a_vertex(self, n):
+        with pytest.raises(ValueError, match=rf"1 to {MAX_REGISTER} qubits \(MAX_REGISTER\), got {n}"):
+            CouplingGraph(n, frozenset())
+        with pytest.raises(ValueError, match="MAX_REGISTER"):
+            ql.coupling_from_json(f'{{"n": {n}, "edges": []}}')
+
+    def test_one_vertex_graph_accepted(self):
+        assert ql.coupling_from_json('{"n": 1, "edges": []}').num_qubits == 1
+
     @pytest.mark.parametrize("kind", LAYOUTS)
     def test_layout_checks_before_building_edges(self, kind):
         # the edge set of MAX_REGISTER vertices alone takes several MB

@@ -2,12 +2,20 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import qlayout as ql
-from qlayout.ir import Gate, GateKind, QubitMapping, single_qubit_matrix, u3_angles
+from qlayout.ir import (
+    MAX_REGISTER,
+    Gate,
+    GateKind,
+    QubitMapping,
+    single_qubit_matrix,
+    u3_angles,
+)
 
 from conftest import phase_aligned_error
 
@@ -92,6 +100,30 @@ class TestCircuit:
     def test_clbit_range_checked(self):
         with pytest.raises(ValueError):
             ql.Circuit(2, 1, (ql.measure(0, 1),))
+
+    @pytest.mark.parametrize("sizes,name", [
+        ((2.5,), "num_qubits"), ((True,), "num_qubits"), (("3",), "num_qubits"),
+        ((2, 1.0), "num_clbits"), ((2, False), "num_clbits"),
+    ])
+    def test_non_integer_register_size_rejected(self, sizes, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ql.Circuit(*sizes)
+
+    @pytest.mark.parametrize("sizes,name", [
+        ((-1,), "num_qubits"), ((MAX_REGISTER + 1,), "num_qubits"), ((10**6,), "num_qubits"),
+        ((2, -1), "num_clbits"), ((2, MAX_REGISTER + 1), "num_clbits"),
+    ])
+    def test_register_size_outside_the_bound_rejected(self, sizes, name):
+        with pytest.raises(ValueError, match=rf"{name} must be in 0\.\.{MAX_REGISTER}"):
+            ql.Circuit(*sizes)
+
+    def test_register_sizes_at_the_bounds_stored_as_int(self):
+        for sizes in ((0, MAX_REGISTER), (np.int64(MAX_REGISTER), np.int64(0))):
+            c = ql.Circuit(*sizes)
+            assert (c.num_qubits, c.num_clbits) == tuple(map(int, sizes))
+            assert type(c.num_qubits) is int and type(c.num_clbits) is int
+            text = ql.emit_qasm(c)
+            assert ql.emit_qasm(ql.parse_qasm(text)) == text
 
     def test_widened_keeps_gates(self):
         c = ql.Circuit(2, 2, (ql.cx(0, 1),))

@@ -12,8 +12,16 @@ import qlayout as ql
 from conftest import circuits, connected_graphs
 from qlayout.coupling import CouplingGraph, DisconnectedGraphError, make_layout
 from qlayout.ir import GateKind
+from qlayout import pipeline
+from qlayout.merge import merge_single_qubit_runs
 from qlayout.pipeline import PipelineConfig, check_legal, transpile, transpile_baseline
-from qlayout.routing import MAX_LOOKAHEAD, LegalityError
+from qlayout.routing import (
+    MAX_LOOKAHEAD,
+    LegalityError,
+    fit_to_graph,
+    fix_directions,
+    route_circuit,
+)
 
 
 # directed chain: relabeling 1<->3 legalizes cx(1,4) without any new gate
@@ -113,6 +121,44 @@ class TestTranspile:
         with pytest.raises(ValueError, match=f"between 1 and {MAX_LOOKAHEAD}"):
             PipelineConfig(lookahead=MAX_LOOKAHEAD + 1)
         assert PipelineConfig(lookahead=MAX_LOOKAHEAD).lookahead == MAX_LOOKAHEAD
+
+
+class TestStageLog:
+    @pytest.mark.parametrize("directed,walks", [(False, 3), (True, 4)])
+    def test_each_circuit_is_counted_once(self, monkeypatch, directed, walks):
+        graph = make_layout("central", 5)
+        if directed:
+            graph = CouplingGraph(5, graph.edges, directed=True)
+        circuit = ql.gen_random_circuit(5, 3, 7)
+        counted = []
+
+        def spy(c):
+            counted.append(c)
+            return ql.gate_counts(c)
+
+        monkeypatch.setattr(pipeline, "gate_counts", spy)
+        res = transpile(circuit, graph)
+        assert len(counted) == walks
+
+        # recount every stage from a replay of the stages
+        work = fit_to_graph(circuit, graph)
+        routed = route_circuit(work, graph, initial_mapping=res.initial_mapping).circuit
+        fixed = fix_directions(routed, graph)
+        assert res.stage_counts == {
+            name: ql.gate_counts(c) for name, c in [
+                ("input", work), ("global_adjust", work), ("local_adjust", routed),
+                ("fix_directions", fixed), ("merge", merge_single_qubit_runs(fixed))]}
+        assert res.cost_before == ql.cost(circuit)
+        assert res.cost_after == ql.cost(res.circuit)
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_costs_without_fusion_price_the_output(self, baseline):
+        circuit = ql.gen_random_circuit(4, 2, 3)
+        graph = CouplingGraph(4, make_layout("linear", 4).edges, directed=True)
+        res = (transpile_baseline(circuit, graph, do_merge=False) if baseline
+               else transpile(circuit, graph, PipelineConfig(do_merge=False)))
+        assert res.stage_counts["merge"] == ql.gate_counts(res.circuit)
+        assert (res.cost_before, res.cost_after) == (ql.cost(circuit), ql.cost(res.circuit))
 
 
 class TestBaseline:

@@ -10,7 +10,7 @@ import qlayout as ql
 from qlayout.coupling import CouplingGraph, make_layout
 from qlayout.ir import GateKind, QubitMapping, single_qubit_matrix
 from qlayout.routing import MAX_ORACLE_ILLEGAL, brute_force_route_cost
-from qlayout.sim import permute_amplitudes, probe_fidelity, simulate
+from qlayout.sim import _fuse, permute_amplitudes, probe_fidelity, simulate
 
 from conftest import circuits, random_unitary_circuit
 
@@ -125,6 +125,26 @@ class TestSimulate:
             psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             psi /= np.linalg.norm(psi)
             assert np.max(np.abs(simulate(circuit, psi) - unitary @ psi)) <= 1e-12
+
+    @pytest.mark.parametrize("gates", [
+        (ql.h(0), ql.cx(0, 1), ql.u3(0.3, 0.5, 0.7, 0), ql.cx(0, 1), ql.cx(1, 0)),
+        (ql.cx(0, 1), ql.u1(0.4, 0), ql.u2(0.2, 0.9, 1), ql.cx(0, 2), ql.h(1), ql.cx(2, 1)),
+        (ql.u2(0.6, 0.1, 1), ql.cx(2, 1), ql.u3(1.1, 0.2, 0.3, 2), ql.u1(0.8, 1), ql.h(1)),
+    ], ids=["gate on x between two CNOTs of (x, y)",
+            "gates on x and y pending when cx(x, z) closes (x, y)",
+            "gates on both qubits of a pair pending at the end"])
+    def test_gates_pending_on_a_pair_match_the_reference(self, gates):
+        circuit = ql.Circuit(3, 0, gates)
+        unitary = reference_unitary(circuit)
+        for b in range(8):
+            assert np.max(np.abs(simulate(circuit, b) - unitary[:, b])) <= 1e-12
+
+    def test_pair_layer_fuses_to_one_block(self):
+        # one layer on two qubits: 3 CNOTs and 8 u3s, all on the one pair
+        circuit = ql.gen_random_circuit(2, 1, 11)
+        assert ql.gate_counts(circuit) == (3, 8)
+        blocks = _fuse(circuit.gates)
+        assert [(sorted(qubits), matrix.shape) for qubits, matrix in blocks] == [([0, 1], (4, 4))]
 
 
 class TestPermutation:
