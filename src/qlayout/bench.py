@@ -3,8 +3,10 @@
 Circuits are stacks of two-qubit blocks: per layer, a seeded random
 maximal pairing of the register, each pair filled with the universal
 3-CNOT template (four slices of random-angle u3 pairs interleaved with
-three CNOTs), the odd qubit out getting a lone random u3.  Circuits are
-priced by ``ir.cost``.
+three CNOTs), the odd qubit out getting a lone random u3.  A record's
+prices are its two transpile results' ``cost_before`` and ``cost_after``,
+read from their stage logs: the ``ir.cost`` of the input and of each
+output, without another walk over the gates.
 
 The draw contract: from ``np.random.default_rng(seed)``, each layer takes
 one ``permutation(n)``, then one ``uniform(0, 2*pi)`` block of three angles
@@ -30,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .coupling import make_layout
-from .ir import Circuit, Gate, GateKind, _int_arg, cost
+from .ir import Circuit, Gate, GateKind, _int_arg
 from .pipeline import PipelineConfig, transpile, transpile_baseline
 from .routing import DEFAULT_LOOKAHEAD
 from .sim import DEFAULT_TOL, _check_tol, equivalent
@@ -198,9 +200,9 @@ def run_benchmark(layouts: Sequence[str], qubits: Sequence[int],
                     records.append(BenchRecord(
                         layout=str(layout), n=n, su4_depth=d, trial=trial,
                         seed=circ_seed,
-                        cost_original=cost(circuit),
-                        cost_pipeline=cost(ours.circuit),
-                        cost_baseline=cost(base.circuit),
+                        cost_original=ours.cost_before,
+                        cost_pipeline=ours.cost_after,
+                        cost_baseline=base.cost_after,
                         time_pipeline_s=t_pipeline if record_times else 0.0,
                         time_baseline_s=t_baseline if record_times else 0.0,
                         verified=ok,

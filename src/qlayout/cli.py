@@ -25,7 +25,7 @@ from .ir import QubitMapping
 from .pipeline import PipelineConfig, transpile, transpile_baseline
 from .qasm import QasmError, emit_qasm, parse_qasm
 from .routing import DEFAULT_LOOKAHEAD, LegalityError
-from .sim import DEFAULT_TOL, _check_tol, probe_fidelity
+from .sim import DEFAULT_TOL, _check_tol, _within_tol, probe_fidelity
 
 
 def _load_circuit(path: str):
@@ -96,7 +96,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"worst probe fidelity: {worst:.12f}")
-    if worst >= 1 - args.tol:
+    if _within_tol(worst, args.tol):
         print("equivalent")
         return 0
     print("NOT equivalent", file=sys.stderr)

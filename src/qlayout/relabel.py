@@ -132,11 +132,18 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
     neighbors = graph.neighbors
 
     leaves = _Leaves(cnots, graph)
+    size, block, pending = len(cnots), leaves.block, leaves.pending
+    waiting = 0  # leaf x CNOT elements pending
     budget = limits.max_nodes
 
     def offer(start: int) -> None:
+        nonlocal waiting
         wires = tuple(perm)
-        leaves.add(wires, start, 0.0, wires)
+        pending.append((wires, start, 0.0, wires))
+        waiting += size - start
+        if waiting >= block:
+            leaves.flush(waiting)
+            waiting = 0
 
     # partner masks of cnots[:i], for each i a node has asked for
     passed: dict[int, list[int]] = {0: [0] * graph.num_qubits}
@@ -181,5 +188,5 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
     search(0, 0)
     # every transposition has been undone: perm is the identity fallback
     offer(0)
-    cost, wires = leaves.take()
+    cost, wires = leaves.take(waiting)
     return QubitMapping(tuple(enumerate(wires))), cost

@@ -29,15 +29,24 @@ returns (:func:`_repairs`): a tree node only composes a step onto its
 permutation.  The router keeps one running wire permutation, applies the
 chosen step to it, and builds each output gate once, when it is emitted.
 
+A decision reuses the one before it.  The router commits the chosen
+first-level repair, so the next illegal CNOT is the one that child's scan
+found, and levels 1 to L - 1 of the next search are the chosen child's
+subtree from the last one.  A tree node keeps its permutation, its scan's
+result and its children, and :func:`_choose_repair` keeps the chosen
+child (at most 2^L - 2 nodes below it, one subtree at a time): the next
+decision rooted there descends the kept levels and builds only the new
+bottom one, 2^L compositions and scans instead of 2^(L+1) - 2.
+
 Each leaf still scores its whole residue, but not one at a time.  No
 cost is read while the tree is descended, so the leaves are collected in
 exploration order and scored in blocks (:class:`_Leaves`), and the first
 cheapest one wins, as if each had been scored when it was reached.  A
 block large enough to pay for it is scored with numpy
-(:meth:`_Leaves.score`): one gather of distances over every leaf and
-CNOT, less 1 for the intermediate-vertex counts, and an exact integer sum
-per leaf, so the estimates, and with them the decisions, are the same
-bits as leaf by leaf.
+(:meth:`_Leaves.score`): one gather of distances less 1, the
+intermediate-vertex counts, over every leaf and CNOT, and an exact
+integer sum per leaf, so the estimates, and with them the decisions, are
+the same bits as leaf by leaf.
 
 Orientation (on directed graphs) is repaired afterwards by
 :func:`fix_directions`, and :func:`naive_route` provides the classic
@@ -173,7 +182,7 @@ _BLOCK_ELEMENTS = 4096
 
 #: smallest block scored with numpy: below it, the fixed cost of the numpy
 #: calls exceeds that of scoring each leaf in Python
-_NUMPY_MIN_ELEMENTS = 512
+_NUMPY_MIN_ELEMENTS = 128
 
 
 class _Leaves:
@@ -181,20 +190,25 @@ class _Leaves:
 
     A leaf is (perm, start, base, tag): a dense permutation, the index of
     its first CNOT still to score, a base cost and a tag; its cost is the
-    base plus the estimate of its residue.  Leaves wait in exploration
-    order until about :data:`_BLOCK_ELEMENTS` leaf x CNOT elements are
-    pending, and then are scored together.  :meth:`take` returns the first
-    leaf of least cost, as a search that scored each leaf when it reached
-    it would keep, and starts over for the next search on the same CNOTs.
-    The searches of one routing call share ``repairs``, the table of
-    :func:`_repairs`.
+    base plus the estimate of its residue.  A search appends its leaves to
+    ``pending`` in exploration order and counts the leaf x CNOT elements
+    they hold, ``len(cnots) - start`` each; once about ``block``
+    (:data:`_BLOCK_ELEMENTS`) elements wait, it hands the count to
+    :meth:`flush`, which scores them together.  :meth:`take` flushes the
+    rest and returns the first leaf of least cost, as a search that scored
+    each leaf when it reached it would keep, and starts over for the next
+    search on the same CNOTs.  The searches of one routing call share
+    ``repairs``, the table of :func:`_repairs`, and ``kept``, the node the
+    last decision chose, whose subtree the next decision reuses (see
+    :func:`_choose_repair`).
     """
 
     def __init__(self, cnots: Sequence[tuple[int, int]], graph: CouplingGraph):
         self.cnots, self.graph = cnots, graph
         self.repairs: dict[tuple[int, int], tuple[_Repair, _Repair]] = {}
         self.pending: list[tuple[Sequence[int], int, float, Any]] = []
-        self.waiting = 0
+        self.block = _BLOCK_ELEMENTS
+        self.kept: _Node | None = None
         self.best: tuple[float, Any] = (float("inf"), None)
 
     @cached_property
@@ -203,59 +217,96 @@ class _Leaves:
         pairs = np.array(self.cnots, dtype=np.intp).reshape(len(self.cnots), 2)
         return pairs[:, 0], pairs[:, 1]
 
-    def add(self, perm: Sequence[int], start: int, base: float, tag: Any) -> None:
-        self.pending.append((perm, start, base, tag))
-        self.waiting += len(self.cnots) - start
-        if self.waiting >= _BLOCK_ELEMENTS:
-            self._flush()
+    @cached_property
+    def gaps(self) -> np.ndarray:
+        """The graph's distances less 1: 0 on an edge, the intermediate-vertex
+        count off it, -2 across components."""
+        return self.graph.distance_array - 1
 
-    def _flush(self) -> None:
+    @cached_property
+    def index(self) -> np.ndarray:
+        """The CNOT indices, ``arange(len(cnots))``."""
+        return np.arange(len(self.cnots))
+
+    def flush(self, elements: int) -> None:
+        """Score the pending leaves, which hold ``elements`` leaf x CNOT
+        elements, keep the first cheapest so far and empty the queue."""
+        pending = self.pending
         best_cost, best_tag = self.best
-        for (_, _, base, tag), estimate in zip(self.pending, self.score(self.pending)):
+        for (_, _, base, tag), estimate in zip(pending, self.score(pending, elements)):
             cost = base + estimate
             if cost < best_cost:
                 best_cost, best_tag = cost, tag
         self.best = (best_cost, best_tag)
-        self.pending, self.waiting = [], 0
+        pending.clear()
 
-    def take(self) -> tuple[float, Any]:
-        """(cost, tag) of the first cheapest leaf since the last take."""
-        self._flush()
+    def take(self, elements: int) -> tuple[float, Any]:
+        """(cost, tag) of the first cheapest leaf since the last take; the
+        pending leaves hold ``elements`` elements."""
+        self.flush(elements)
         best, self.best = self.best, (float("inf"), None)
         return best
 
-    def score(self, block: Sequence[tuple[Sequence[int], int, float, Any]]) -> list[float]:
+    def score(self, block: Sequence[tuple[Sequence[int], int, float, Any]],
+              elements: int) -> list[float]:
         """``estimate_cost(_residual_intermediates(cnots, graph, start, perm))``
-        for each leaf of ``block``, bit for bit.
+        for each leaf of ``block``, bit for bit; the leaves hold ``elements``
+        leaf x CNOT elements.
 
-        A large block gathers the distances of every leaf over the CNOTs from
-        the smallest start on, less 1 for the intermediate counts (0 on an
-        edge, -2 across components), zeroes those before each leaf's
-        own start (they may be illegal under its permutation), and ranks
-        the illegal ones by a running count.  The weighted sum is exact in
-        int64, so the one division per leaf rounds as in
-        :func:`estimate_cost`.
+        A large block gathers :attr:`gaps` for every leaf over the CNOTs from
+        the smallest start on, zeroes those before each leaf's own start
+        (they may be illegal under its permutation; there are none when all
+        starts are equal), and ranks the illegal ones by a running count.
+        The weighted sum is exact in int64, so the one division per leaf
+        rounds as in :func:`estimate_cost`.
         """
         cnots, graph = self.cnots, self.graph
         size = len(cnots)
-        elements = sum(size - start for _, start, _, _ in block)
         # size^3 * num_qubits bounds the weighted sum, which must fit in int64
         if elements < _NUMPY_MIN_ELEMENTS or size ** 3 * graph.num_qubits >= 2 ** 63:
             return [estimate_cost(_residual_intermediates(cnots, graph, start, perm))
                     if start < size else 0.0 for perm, start, _, _ in block]
-        first = min(start for _, start, _, _ in block)
-        controls, targets = self.columns[0][first:], self.columns[1][first:]
-        perms = np.array([perm for perm, _, _, _ in block], dtype=np.intp)
-        gap = graph.distance_array[perms[:, controls], perms[:, targets]] - 1
-        starts = np.array([start - first for _, start, _, _ in block])
-        gap[np.arange(size - first) < starts[:, None]] = 0
+        starts = [leaf[1] for leaf in block]
+        first = min(starts)
+        controls, targets = self.columns
+        perms = np.array([leaf[0] for leaf in block], dtype=np.intp)
+        # each CNOT's wire pair under each permutation, as a flat index of gaps
+        pairs = perms.take(controls[first:], axis=1)
+        pairs *= graph.num_qubits
+        pairs += perms.take(targets[first:], axis=1)
+        gap = self.gaps.take(pairs)
+        if max(starts) > first:
+            gap[self.index[first:] < np.array(starts)[:, None]] = 0
         if not graph.is_connected and (gap < 0).any():
             raise DisconnectedGraphError("no path between the qubits of an illegal CNOT")
-        rank = np.cumsum(gap != 0, axis=1)
-        n = rank[:, -1:]
-        total = ((n - rank) ** 2 * gap).sum(axis=1)
+        rank = np.add.accumulate(gap != 0, axis=1, dtype=np.int64)
+        counts = rank[:, -1:].copy()
+        rank -= counts
+        rank *= rank
+        total = np.einsum("ij,ij->i", rank, gap)
         return [SWAP_COST * t / (k * k) if k else 0.0
-                for t, k in zip(total.tolist(), n[:, 0].tolist())]
+                for t, k in zip(total.tolist(), counts[:, 0].tolist())]
+
+
+#: a node of the lookahead tree, ``[repair, perm, j, children]``: the repair
+#: (one of :func:`_repairs`) that leads to it from its parent, the
+#: permutation after it, the index of the first CNOT illegal under that
+#: permutation (-1 if none), and its two children once it has been expanded
+_Node = list
+
+
+def _children(ill: tuple[int, int], start: int, perm: Sequence[int],
+              leaves: _Leaves) -> list[_Node]:
+    """The two repairs of ``ill`` applied to ``perm``, control moved first,
+    each as a new unexpanded node whose scan for the next illegal CNOT
+    starts at ``start``."""
+    cnots, graph = leaves.cnots, leaves.graph
+    kids = []
+    for repair in _repairs(ill, graph, leaves.repairs):
+        step = repair[1]
+        moved = [step[q] for q in perm]
+        kids.append([repair, moved, _first_illegal(cnots, graph, start, moved), None])
+    return kids
 
 
 def _choose_repair(ill: tuple[int, int], leaves: _Leaves, start: int,
@@ -265,31 +316,55 @@ def _choose_repair(ill: tuple[int, int], leaves: _Leaves, start: int,
     control/target decision tree.
 
     The CNOTs after ``ill`` are ``leaves.cnots[start:]`` read through the
-    dense relabeling ``perm``; a branch composes its chain onto ``perm``
-    instead of rewriting them.  Leaves below the horizon add the estimated
-    cost of their residue.  The control branch is explored before the
-    target branch at every level, and ties keep the earlier-explored leaf.
-    No cost is read during the descent, so the leaves are scored in blocks.
+    dense relabeling ``perm``.  A node above the horizon whose permutation
+    leaves an illegal CNOT is expanded, and the others are leaves: their
+    cost is the repairs' costs from the root down plus the estimated cost
+    of their residue.  Children are visited control first at every level,
+    and the leaves are queued in that order and scored in blocks, so ties
+    keep the earlier-explored leaf.
+
+    The router commits the repair this returns, so its next decision is
+    rooted at the chosen child: same permutation, and ``ill`` is that
+    child's first illegal CNOT.  The chosen child is kept on ``leaves``
+    (``leaves.kept``), and a decision at that root reuses its subtree and
+    only builds the nodes below it, the new bottom level: 2^L of the
+    2^(L+1) - 2 nodes at lookahead L.  The tree depends only on the root,
+    so the decision is the one a fresh search makes.  One subtree is kept
+    at a time, at most 2^L - 2 nodes below its root.
     """
-    cnots, graph, table = leaves.cnots, leaves.graph, leaves.repairs
-
-    def descend(ill: tuple[int, int], start: int, perm: Sequence[int], acc: float,
-                lead: _Repair | None, depth: int) -> None:
-        for repair in _repairs(ill, graph, table):
-            step_cost, step, _ = repair
-            moved = [step[q] for q in perm]
-            cost = acc + step_cost
-            first = repair if lead is None else lead
-            j = _first_illegal(cnots, graph, start, moved)
-            if j >= 0 and depth < lookahead:
+    cnots, size, block, pending = leaves.cnots, len(leaves.cnots), leaves.block, leaves.pending
+    # an expanded node has an illegal CNOT, its ``ill``, at index j
+    kept, kids = leaves.kept, None
+    if kept is not None and kept[3] is not None and kept[2] == start - 1 and kept[1] == perm:
+        c, t = cnots[start - 1]
+        if (perm[c], perm[t]) == ill:
+            kids = kept[3]
+    if kids is None:
+        kids = _children(ill, start, perm, leaves)
+    # depth first, control first: (node, its parent's cost, its first-level
+    # node, its depth)
+    stack = [(kid, 0.0, kid, 1) for kid in reversed(kids)]
+    push, pop = stack.append, stack.pop
+    waiting = 0
+    while stack:
+        node, acc, first, depth = pop()
+        repair, moved, j, below = node
+        cost = acc + repair[0]
+        if j >= 0 and depth < lookahead:
+            if below is None:
                 c, t = cnots[j]
-                descend((moved[c], moved[t]), j + 1, moved, cost, first, depth + 1)
-            else:
-                leaves.add(moved, j if j >= 0 else len(cnots), cost, first)
-
-    descend(ill, start, perm, 0.0, None, 1)
-    best_cost, best = leaves.take()
-    return best, best_cost
+                below = node[3] = _children((moved[c], moved[t]), j + 1, moved, leaves)
+            push((below[1], cost, first, depth + 1))
+            push((below[0], cost, first, depth + 1))
+            continue
+        rest = j if j >= 0 else size
+        pending.append((moved, rest, cost, first))
+        waiting += size - rest
+        if waiting >= block:
+            leaves.flush(waiting)
+            waiting = 0
+    best_cost, leaves.kept = leaves.take(waiting)
+    return leaves.kept[0], best_cost
 
 
 @dataclass(frozen=True)
@@ -324,7 +399,9 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
     through one running wire permutation, and each output gate is built
     once, when it is emitted (a gate the permutation leaves in place is
     emitted as itself); qubit q ends on wire ``final_mapping(q)``.
-    The output is as wide as the graph (see :func:`fit_to_graph`).
+    Each decision after the first starts from the subtree the one before it
+    kept (see :func:`_choose_repair`).  The output is as wide as the graph
+    (see :func:`fit_to_graph`).
     """
     _check_lookahead(lookahead)
     circuit = fit_to_graph(circuit, graph)

@@ -284,6 +284,12 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be a real number with 0 <= tol < 1, got {tol!r}")
 
 
+def _within_tol(worst: float, tol: float) -> bool:
+    """The equivalence verdict on a worst probe fidelity: within ``tol`` of
+    1, the boundary included."""
+    return worst >= 1 - tol
+
+
 def equivalent(original: Circuit, transpiled: Circuit,
                final_map: QubitMapping | Mapping[int, int] | None = None,
                tol: float = DEFAULT_TOL, *,
@@ -295,4 +301,4 @@ def equivalent(original: Circuit, transpiled: Circuit,
     _check_tol(tol)
     worst = probe_fidelity(original, transpiled, final_map,
                            initial_map=initial_map, seed=seed)
-    return worst >= 1 - tol
+    return _within_tol(worst, tol)

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import qlayout as ql
-from qlayout.bench import BenchRecord, aggregate, cost, gen_random_circuit, record_seed
+from qlayout.bench import BenchRecord, aggregate, gen_random_circuit, record_seed
 from qlayout.cli import main
-from qlayout.ir import GateKind, mat2_mul, single_qubit_matrix
+from qlayout.ir import GateKind, cost, mat2_mul, single_qubit_matrix
 from qlayout.merge import merge_adjacent, merge_single_qubit_runs, yz_to_zy
 from qlayout.pipeline import transpile, transpile_baseline
 from qlayout.routing import brute_force_route_cost, estimate_cost, route_circuit

@@ -12,13 +12,12 @@ from qlayout.bench import (
     CSV_HEADER,
     BenchRecord,
     aggregate,
-    cost,
     gen_random_circuit,
     record_seed,
     records_to_csv,
     run_benchmark,
 )
-from qlayout.ir import CNOT_COST, SINGLE_COST
+from qlayout.ir import CNOT_COST, SINGLE_COST, cost
 from qlayout.routing import DEFAULT_LOOKAHEAD, SWAP_COST
 from qlayout.sim import DEFAULT_TOL
 
@@ -146,6 +145,17 @@ class TestRunBenchmark:
         assert len(result.records) == 8
         assert all(r.verified for r in result.records)
         assert result.aggregates["records_verified"] == 8
+
+    def test_records_price_the_circuits_themselves(self):
+        # the prices come from the stage logs; they must be the gate walk's
+        result = run_benchmark(["central", "linear"], [3, 5], [1, 3], trials=1, seed=5,
+                               record_times=False)
+        for r in result.records:
+            circuit = gen_random_circuit(r.n, r.su4_depth, r.seed)
+            graph = ql.make_layout(r.layout, r.n)
+            assert r.cost_original == cost(circuit)
+            assert r.cost_pipeline == cost(ql.transpile(circuit, graph).circuit)
+            assert r.cost_baseline == cost(ql.transpile_baseline(circuit, graph).circuit)
 
     def test_aggregates_match_independent_recomputation(self):
         result = run_benchmark(["central", "linear"], [3, 4], [1, 2], trials=2,

@@ -173,12 +173,15 @@ def oracle_choose_chain(ill, cnots, start, perm, graph, lookahead):
     return ref_chain(ill, graph.shortest_path(*ill), best_mover), best_cost
 
 
-def oracle_route(circuit, graph, lookahead):
-    """The router's loop over :func:`oracle_choose_chain`: gates, final
-    wire permutation, search cost and SWAP count."""
+def oracle_route(circuit, graph, lookahead, placement=None):
+    """The router's loop over :func:`oracle_choose_chain`, which decides
+    afresh every time, from qubit q on wire ``placement(q)`` (default: the
+    identity): gates, final wire permutation, search cost and SWAP count."""
     dist = graph.distances
     cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
     wire = list(range(graph.num_qubits))
+    if placement is not None:
+        wire = [placement(q) for q in wire]
     out = []
     k = search_cost = swaps = 0
     for g in circuit.gates:
@@ -270,17 +273,100 @@ class TestLookaheadMatchesLeafByLeaf:
         assert cost.hex() == ref_cost.hex()
 
     @settings(max_examples=30, deadline=None)
-    @given(case=graph_and_cnots(max_cnots=30),
-           lookahead=st.integers(min_value=1, max_value=4))
-    def test_route_circuit(self, case, lookahead):
-        # every decision after the first starts mid-list, on a moved permutation
+    @given(case=graph_and_cnots(max_cnots=30), data=st.data(),
+           lookahead=st.integers(min_value=1, max_value=6))
+    def test_route_circuit(self, case, data, lookahead):
+        # every decision after the first starts mid-list, on a moved
+        # permutation, from the subtree the decision before it kept
         graph, pairs = case
-        circuit = cnot_circuit(graph.num_qubits, pairs)
-        result = route_circuit(circuit, graph, lookahead)
-        gates, wire, search_cost, swaps = oracle_route(circuit, graph, lookahead)
+        n = graph.num_qubits
+        placement = QubitMapping(tuple(enumerate(data.draw(st.permutations(range(n))))))
+        circuit = cnot_circuit(n, pairs)
+        result = route_circuit(circuit, graph, lookahead, initial_mapping=placement)
+        gates, wire, search_cost, swaps = oracle_route(circuit, graph, lookahead, placement)
         assert list(result.circuit.gates) == gates
         assert result.final_mapping == QubitMapping(tuple(enumerate(wire)))
         assert (result.search_cost, result.swaps_emitted) == (search_cost, swaps)
+
+
+#: central n = 8 at depth 30, from the relabel search's placement as in
+#: ``transpile``: about 150 decisions, each but the first rooted in the
+#: subtree the one before it kept
+LONG_CIRCUIT = ql.gen_random_circuit(8, 30, 20250808)
+
+
+@pytest.mark.parametrize("lookahead", [1, 4, 6])
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_long_route_equals_fresh_decisions(directed, lookahead):
+    graph = ql.make_layout("central", 8)
+    graph = CouplingGraph(8, graph.edges, directed=directed)
+    placement, _ = global_adjust(LONG_CIRCUIT, graph)
+    result = route_circuit(LONG_CIRCUIT, graph, lookahead, initial_mapping=placement)
+    gates, wire, search_cost, swaps = oracle_route(LONG_CIRCUIT, graph, lookahead, placement)
+    assert list(result.circuit.gates) == gates
+    assert result.final_mapping == QubitMapping(tuple(enumerate(wire)))
+    assert (result.search_cost, result.swaps_emitted) == (search_cost, swaps)
+    assert swaps > 100
+
+
+class TestKeptSubtree:
+    def route_counting(self, monkeypatch, lookahead, fresh):
+        """Route ``LONG_CIRCUIT`` on central-8, with every decision searching
+        afresh if ``fresh``; the result and, per decision, the number of tree
+        nodes it expands."""
+        per_decision = []
+        choose, children = routing._choose_repair, routing._children
+
+        def counting_choose(ill, leaves, *rest):
+            per_decision.append(0)
+            if fresh:
+                leaves.kept = None
+            return choose(ill, leaves, *rest)
+
+        def counting_children(*args):
+            per_decision[-1] += 1
+            return children(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(routing, "_choose_repair", counting_choose)
+            mp.setattr(routing, "_children", counting_children)
+            result = route_circuit(LONG_CIRCUIT, ql.make_layout("central", 8), lookahead)
+        return result, per_decision
+
+    @pytest.mark.parametrize("lookahead", [1, 2, 4, 6])
+    def test_a_decision_expands_only_the_new_bottom_level(self, monkeypatch, lookahead):
+        # the first decision expands its root and up to 2^L - 2 nodes below
+        # it; each later one at most the 2^(L-1) nodes on its last level
+        # above the horizon, and never its root, which a fresh search expands
+        result, kept = self.route_counting(monkeypatch, lookahead, fresh=False)
+        fresh_result, fresh = self.route_counting(monkeypatch, lookahead, fresh=True)
+        assert result == fresh_result
+        assert len(kept) == len(fresh) > 100
+        assert kept[0] == fresh[0] <= 2 ** lookahead - 1
+        assert max(kept[1:]) <= 2 ** (lookahead - 1)
+        if lookahead > 1:
+            assert sum(fresh) - sum(kept) >= len(kept) - 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=graph_and_cnots(), data=st.data(),
+           lookahead=st.integers(min_value=1, max_value=5))
+    def test_a_decision_at_another_root_searches_afresh(self, case, data, lookahead):
+        # the subtree kept by one decision must not leak into a decision
+        # that is not rooted at its chosen child
+        graph, pairs = case
+        n = graph.num_qubits
+        q = st.integers(min_value=0, max_value=n - 1)
+        apart = st.tuples(q, q).filter(lambda p: graph.distances[p[0]][p[1]] > 1)
+        if not any(graph.distances[a][b] > 1 for a in range(n) for b in range(n)):
+            return
+        shared = _Leaves(pairs, graph)
+        for _ in range(3):
+            ill = data.draw(apart)
+            start = data.draw(st.integers(min_value=0, max_value=len(pairs)))
+            perm = data.draw(st.permutations(range(n)))
+            got = routing._choose_repair(ill, shared, start, perm, lookahead)
+            fresh = routing._choose_repair(ill, _Leaves(pairs, graph), start, perm, lookahead)
+            assert got[0] == fresh[0] and got[1].hex() == fresh[1].hex()
 
 
 def near_masks(graph, inverse):
@@ -420,7 +506,9 @@ class TestScoreBlock:
     CNOTS = [(0, 1), (0, 3), (1, 2), (0, 2), (2, 3)]  # illegal: (0, 3) and (0, 2)
 
     def scores(self, cnots, graph, block):
-        got = _Leaves(cnots, graph).score([(perm, start, 0.0, None) for perm, start in block])
+        elements = sum(len(cnots) - start for _, start in block)
+        got = _Leaves(cnots, graph).score([(perm, start, 0.0, None) for perm, start in block],
+                                          elements)
         assert [x.hex() for x in got] == [x.hex() for x in reference_scores(cnots, graph, block)]
         return got
 
@@ -434,6 +522,22 @@ class TestScoreBlock:
 
     def test_single_illegal_cnot_weighs_nothing(self):
         assert self.scores(self.CNOTS, self.CHAIN4, [(list(range(4)), 2)]) == [0.0]
+
+    def test_equal_starts_need_no_mask(self):
+        # one start for the whole block: the gather begins there, and no
+        # CNOT before it is read, not even (0, 1), illegal under the third
+        identity, flipped, moved = list(range(4)), [3, 2, 1, 0], [2, 0, 1, 3]
+        block = [(identity, 1), (flipped, 1), (moved, 1)]
+        assert self.scores(self.CNOTS, self.CHAIN4, block) == [17.0, 17.0, 0.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=graph_and_cnots(max_cnots=40), data=st.data())
+    def test_equal_starts_equal_leaf_by_leaf(self, case, data):
+        graph, cnots = case
+        start = data.draw(st.integers(min_value=0, max_value=len(cnots)))
+        perms = data.draw(st.lists(st.permutations(range(graph.num_qubits)), min_size=1,
+                                   max_size=12))
+        self.scores(cnots, graph, [(perm, start) for perm in perms])
 
     def test_starts_differ_within_a_block(self):
         identity, flipped = list(range(4)), [3, 2, 1, 0]

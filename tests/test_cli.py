@@ -1,11 +1,12 @@
 """CLI surface: subcommands, exit codes, file formats."""
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 import qlayout as ql
-from qlayout import cli
+from qlayout import cli, sim
 from qlayout.cli import build_parser, main
 from qlayout.ir import MAX_REGISTER
 from qlayout.routing import LegalityError
@@ -210,6 +211,21 @@ class TestVerifyCommand:
         assert main(["verify", "--original", str(workdir / "in.qasm"),
                      "--transpiled", str(workdir / "in.qasm"), "--mapping", str(m)]) == 2
         assert "JSON object of integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", [False, True], ids=["at", "below"])
+    def test_verdict_at_the_boundary_is_equivalents(self, workdir, monkeypatch, below):
+        # a worst fidelity of exactly 1 - tol passes, the next float down fails,
+        # in the library and on the command line alike
+        tol = 1e-6
+        worst = math.nextafter(1 - tol, 0) if below else 1 - tol
+        monkeypatch.setattr(cli, "probe_fidelity", lambda *args, **kwargs: worst)
+        monkeypatch.setattr(sim, "probe_fidelity", lambda *args, **kwargs: worst)
+        circuit = ql.parse_qasm(CHAIN5_QASM)
+        verdict = ql.equivalent(circuit, circuit, tol=tol)
+        assert verdict is not below
+        path = str(workdir / "in.qasm")
+        code = main(["verify", "--original", path, "--transpiled", path, "--tol", repr(tol)])
+        assert code == (0 if verdict else 1)
 
     def test_missing_file_exits_2(self, workdir):
         assert main(["verify", "--original", str(workdir / "nope.qasm"),
