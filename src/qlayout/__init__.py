@@ -39,11 +39,11 @@ from .routing import (
     LegalityError,
     RouteResult,
     brute_force_route_cost,
-    estimate_cost,
     fix_directions,
     naive_route,
     route_circuit,
 )
+from .search import estimate_cost
 from .sim import equivalent, probe_fidelity, simulate
 
 __version__ = "0.1.0"

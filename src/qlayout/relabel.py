@@ -23,21 +23,22 @@ CNOTs: ``partners[i][q]``, the input qubits that share a CNOT with q in
 ``cnots[:i]``, depends only on the CNOT list, and is built only for the
 indices i at which the search branches, each row from the row of the
 node above; and ``near[w]``, the input qubits on the wires adjacent to
-wire w, is kept current as transpositions are applied and undone.  A transposition only moves the two qubits it exchanges, so
-the passed CNOTs stay legal exactly when each of the two finds its
-partners among the qubits next to its new wire: the test covers the same
-CNOTs as a rescan, and keeps the same candidates in the same order.  The
-search visits the same nodes in the same order as a search that
-relabels the whole list, at a fraction of the cost per node.
+wire w, is kept current as transpositions are applied and undone.  A
+transposition only moves the two qubits it exchanges, so the passed CNOTs
+stay legal exactly when each of the two finds its partners among the
+qubits next to its new wire: the test covers the same CNOTs as a rescan,
+and keeps the same candidates in the same order.  The search visits the
+same nodes in the same order as a search that relabels the whole list, at
+a fraction of the cost per node.
 
 Terminals are ranked in blocks.  The node budget does not look at a
 cost, so the search never needs a terminal's estimate while it runs:
-each terminal's relabeling is queued in exploration order, and whenever
-a few thousand terminal x CNOT elements wait, the queue is scored at
-once (see :class:`~qlayout.routing._Leaves`) and only the running best
-is kept.  The estimate is exact, whatever the block, and the first
-cheapest terminal wins, so the result is the one a search that scored
-every terminal on the spot would return.
+each terminal's relabeling is queued in exploration order on the leaf
+queue the router uses too (:class:`~qlayout.search.Leaves`), which scores
+its terminals together whenever a few thousand terminal x CNOT elements
+wait, and keeps only the running best.  The estimate is exact, whatever
+the block, and the first cheapest terminal wins, so the result is the one
+a search that scored every terminal on the spot would return.
 """
 from __future__ import annotations
 
@@ -46,7 +47,8 @@ from typing import Sequence
 
 from .coupling import CouplingGraph
 from .ir import Circuit, GateKind, QubitMapping
-from .routing import _first_illegal, _Leaves, fit_to_graph
+from .routing import fit_to_graph
+from .search import Leaves, first_illegal
 
 
 @dataclass(frozen=True)
@@ -131,19 +133,12 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
     near = _near_masks(graph)
     neighbors = graph.neighbors
 
-    leaves = _Leaves(cnots, graph)
-    size, block, pending = len(cnots), leaves.block, leaves.pending
-    waiting = 0  # leaf x CNOT elements pending
+    leaves = Leaves(cnots, graph)
     budget = limits.max_nodes
 
     def offer(start: int) -> None:
-        nonlocal waiting
         wires = tuple(perm)
-        pending.append((wires, start, 0.0, wires))
-        waiting += size - start
-        if waiting >= block:
-            leaves.flush(waiting)
-            waiting = 0
+        leaves.add(wires, start, 0.0, wires)
 
     # partner masks of cnots[:i], for each i a node has asked for
     passed: dict[int, list[int]] = {0: [0] * graph.num_qubits}
@@ -152,7 +147,7 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
         # cnots[:start] are legal under perm, so the scan starts there;
         # passed has a row for parent <= start, where the parent node branched
         nonlocal budget
-        i = _first_illegal(cnots, graph, start, perm)
+        i = first_illegal(cnots, graph, start, perm)
         if i < 0:
             offer(len(cnots))
             return
@@ -188,5 +183,5 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
     search(0, 0)
     # every transposition has been undone: perm is the identity fallback
     offer(0)
-    cost, wires = leaves.take(waiting)
+    cost, wires = leaves.take()
     return QubitMapping(tuple(enumerate(wires))), cost

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 import qlayout as ql
 from qlayout.coupling import CouplingGraph
 from qlayout.ir import Gate, GateKind, QubitMapping
-from qlayout.routing import DEFAULT_LOOKAHEAD, _choose_repair, _Leaves
+from qlayout.routing import DEFAULT_LOOKAHEAD, _choose_repair
+from qlayout.search import Leaves
 
 finite_angles = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi,
                           allow_nan=False, allow_infinity=False)
@@ -73,8 +74,9 @@ def lookahead_choose(ill, rest, graph, lookahead=DEFAULT_LOOKAHEAD):
     the CNOTs ``rest``, from the identity relabeling: the chosen repair's
     relabeling as a mapping, and its search cost (exact over the horizon,
     estimated below it)."""
-    (_, step, _), cost = _choose_repair(ill, _Leaves(rest, graph), 0,
-                                        range(graph.num_qubits), lookahead)
+    node, cost = _choose_repair(Leaves([ill, *rest], graph), {}, None, 1,
+                                range(graph.num_qubits), lookahead)
+    (_, step, _) = node[0]
     return QubitMapping(tuple(enumerate(step))), cost
 
 

@@ -17,7 +17,8 @@ from qlayout.cli import main
 from qlayout.ir import GateKind, cost, mat2_mul, single_qubit_matrix
 from qlayout.merge import merge_adjacent, merge_single_qubit_runs, yz_to_zy
 from qlayout.pipeline import transpile, transpile_baseline
-from qlayout.routing import brute_force_route_cost, estimate_cost, route_circuit
+from qlayout.routing import brute_force_route_cost, route_circuit
+from qlayout.search import estimate_cost
 
 from conftest import phase_aligned_error
 

@@ -16,19 +16,17 @@ from hypothesis import strategies as st
 
 import qlayout as ql
 from conftest import circuits, connected_graphs, lookahead_choose
-from qlayout import relabel, routing
+from qlayout import relabel, routing, search
 from qlayout.coupling import CouplingGraph, DisconnectedGraphError
 from qlayout.relabel import SearchLimits, _partners, global_adjust
 from qlayout.ir import GateKind, QubitMapping
-from qlayout.routing import (
-    CONTROL_MOVE_COST,
+from qlayout.routing import CONTROL_MOVE_COST, _repairs, route_circuit
+from qlayout.search import (
     SWAP_COST,
-    _Leaves,
-    _first_illegal,
-    _repairs,
-    _residual_intermediates,
+    Leaves,
     estimate_cost,
-    route_circuit,
+    first_illegal,
+    residual_intermediates,
 )
 
 
@@ -121,19 +119,19 @@ def oracle_global_adjust(circuit, graph, limits=None):
 
     def search(start):
         nonlocal budget
-        i = _first_illegal(cnots, graph, start, perm)
+        i = first_illegal(cnots, graph, start, perm)
         if i < 0:
             offer(0.0)
             return
         if budget <= 0:
-            offer(estimate_cost(_residual_intermediates(cnots, graph, i, perm)))
+            offer(estimate_cost(residual_intermediates(cnots, graph, i, perm)))
             return
         budget -= 1
         c, t = cnots[i]
         swaps = list(ref_legalizing_swaps((perm[c], perm[t]), graph, cnots, passed, i,
                                           perm, inverse))
         if not swaps:
-            offer(estimate_cost(_residual_intermediates(cnots, graph, i, perm)))
+            offer(estimate_cost(residual_intermediates(cnots, graph, i, perm)))
             return
         for moved, nbr in swaps:
             if budget <= 0:
@@ -144,7 +142,7 @@ def oracle_global_adjust(circuit, graph, limits=None):
             perm[a], perm[b], inverse[moved], inverse[nbr] = moved, nbr, a, b
 
     search(0)
-    offer(estimate_cost(_residual_intermediates(cnots, graph, 0, perm)))
+    offer(estimate_cost(residual_intermediates(cnots, graph, 0, perm)))
     wires, cost = best
     return QubitMapping(tuple(enumerate(wires))), cost
 
@@ -159,13 +157,13 @@ def oracle_choose_chain(ill, cnots, start, perm, graph, lookahead):
         for mover, step_cost, moved in ref_repairs(ill, graph, perm):
             cost = acc + step_cost
             first = mover if lead is None else lead
-            j = _first_illegal(cnots, graph, start, moved)
+            j = first_illegal(cnots, graph, start, moved)
             if j >= 0 and depth < lookahead:
                 c, t = cnots[j]
                 descend((moved[c], moved[t]), j + 1, moved, cost, first, depth + 1)
                 continue
             if j >= 0:
-                cost += estimate_cost(_residual_intermediates(cnots, graph, j, moved))
+                cost += estimate_cost(residual_intermediates(cnots, graph, j, moved))
             if cost < best_cost:
                 best_cost, best_mover = cost, first
 
@@ -226,9 +224,9 @@ def block_sizes(request):
     block, numpy_from = request.param
     with pytest.MonkeyPatch.context() as mp:
         if block != "default":
-            mp.setattr(routing, "_BLOCK_ELEMENTS", block)
+            mp.setattr(search, "_BLOCK_ELEMENTS", block)
         if numpy_from != "default":
-            mp.setattr(routing, "_NUMPY_MIN_ELEMENTS", numpy_from)
+            mp.setattr(search, "_NUMPY_MIN_ELEMENTS", numpy_from)
         yield
 
 
@@ -317,11 +315,9 @@ class TestKeptSubtree:
         per_decision = []
         choose, children = routing._choose_repair, routing._children
 
-        def counting_choose(ill, leaves, *rest):
+        def counting_choose(leaves, repairs, kept, *rest):
             per_decision.append(0)
-            if fresh:
-                leaves.kept = None
-            return choose(ill, leaves, *rest)
+            return choose(leaves, repairs, None if fresh else kept, *rest)
 
         def counting_children(*args):
             per_decision[-1] += 1
@@ -357,16 +353,20 @@ class TestKeptSubtree:
         n = graph.num_qubits
         q = st.integers(min_value=0, max_value=n - 1)
         apart = st.tuples(q, q).filter(lambda p: graph.distances[p[0]][p[1]] > 1)
-        if not any(graph.distances[a][b] > 1 for a in range(n) for b in range(n)):
+        if not pairs or not any(graph.distances[a][b] > 1 for a in range(n) for b in range(n)):
             return
-        shared = _Leaves(pairs, graph)
+        shared, repairs, kept = Leaves(pairs, graph), {}, None
         for _ in range(3):
-            ill = data.draw(apart)
-            start = data.draw(st.integers(min_value=0, max_value=len(pairs)))
+            # a root: a start and a permutation that puts the CNOT before
+            # that start on two wires apart
+            start = data.draw(st.integers(min_value=1, max_value=len(pairs)))
             perm = data.draw(st.permutations(range(n)))
-            got = routing._choose_repair(ill, shared, start, perm, lookahead)
-            fresh = routing._choose_repair(ill, _Leaves(pairs, graph), start, perm, lookahead)
-            assert got[0] == fresh[0] and got[1].hex() == fresh[1].hex()
+            for q, wire in zip(pairs[start - 1], data.draw(apart)):
+                other = perm.index(wire)
+                perm[q], perm[other] = wire, perm[q]
+            kept, cost = routing._choose_repair(shared, repairs, kept, start, perm, lookahead)
+            fresh = routing._choose_repair(Leaves(pairs, graph), {}, None, start, perm, lookahead)
+            assert kept[0] == fresh[0][0] and cost.hex() == fresh[1].hex()
 
 
 def near_masks(graph, inverse):
@@ -397,7 +397,7 @@ def checked_candidates(graph, cnots, nodes):
         for wire, q in enumerate(inverse):
             perm[q] = wire
         # the search legalizes the first illegal CNOT; every one before it is legal
-        i = _first_illegal(cnots, graph, 0, perm)
+        i = first_illegal(cnots, graph, 0, perm)
         c, t = cnots[i]
         assert ill == (perm[c], perm[t])
         assert list(partners) == partner_row(cnots[:i], n)
@@ -490,14 +490,14 @@ class TestRepairTable:
 
 
 def reference_scores(cnots, graph, block):
-    return [estimate_cost(_residual_intermediates(cnots, graph, start, perm))
+    return [estimate_cost(residual_intermediates(cnots, graph, start, perm))
             for perm, start in block]
 
 
 @pytest.fixture(params=[1, "default"], ids=["numpy", "default"])
 def numpy_from(request, monkeypatch):
     if request.param != "default":
-        monkeypatch.setattr(routing, "_NUMPY_MIN_ELEMENTS", request.param)
+        monkeypatch.setattr(search, "_NUMPY_MIN_ELEMENTS", request.param)
 
 
 @pytest.mark.usefixtures("numpy_from")
@@ -507,8 +507,8 @@ class TestScoreBlock:
 
     def scores(self, cnots, graph, block):
         elements = sum(len(cnots) - start for _, start in block)
-        got = _Leaves(cnots, graph).score([(perm, start, 0.0, None) for perm, start in block],
-                                          elements)
+        got = Leaves(cnots, graph).score([(perm, start, 0.0, None) for perm, start in block],
+                                         elements)
         assert [x.hex() for x in got] == [x.hex() for x in reference_scores(cnots, graph, block)]
         return got
 
@@ -555,6 +555,30 @@ class TestScoreBlock:
                          st.integers(min_value=0, max_value=len(cnots)))
         block = data.draw(st.lists(leaf, max_size=12))
         self.scores(cnots, graph, block)
+
+
+class TestQueue:
+    CHAIN4, CNOTS = TestScoreBlock.CHAIN4, TestScoreBlock.CNOTS
+
+    def test_add_counts_the_span_and_flushes_at_the_block(self, monkeypatch):
+        monkeypatch.setattr(search, "_BLOCK_ELEMENTS", 8)
+        identity, flipped = list(range(4)), [3, 2, 1, 0]
+        leaves = Leaves(self.CNOTS, self.CHAIN4)
+        # each leaf counts len(cnots) - start elements: 5, then 1, then 2
+        leaves.add(identity, 0, 0.0, "a")  # residue (0, 3), (0, 2): 17.0
+        assert (len(leaves.pending), leaves.elements) == (1, 5)
+        leaves.add(identity, 4, 2.0, "b")  # (2, 3) is legal: 2.0
+        assert (len(leaves.pending), leaves.elements) == (2, 6)
+        leaves.add(flipped, 3, 2.0, "c")  # one illegal CNOT weighs nothing: 2.0
+        assert (len(leaves.pending), leaves.elements) == (0, 0)
+        assert leaves.best == (2.0, "b")
+        leaves.add(identity, 5, 2.0, "d")  # nothing left to score
+        assert (len(leaves.pending), leaves.elements) == (1, 0)
+        # the first cheapest leaf across the flush, then a fresh start
+        assert leaves.take() == (2.0, "b")
+        assert leaves.take() == (float("inf"), None)
+        leaves.add(flipped, 3, 1.0, "e")
+        assert leaves.take() == (1.0, "e")
 
 
 @pytest.mark.usefixtures("numpy_from")

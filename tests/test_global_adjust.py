@@ -144,14 +144,14 @@ class TestGlobalAdjust:
         assert before == after and len(moved) == len(circ)
 
     def test_never_worse_than_identity(self):
-        from qlayout.routing import _residual_intermediates, estimate_cost
+        from qlayout.search import estimate_cost, residual_intermediates
         for seed in range(6):
             circ = ql.gen_random_circuit(6, 2, seed=seed)
             for kind in ("linear", "central", "circle", "neighbour"):
                 g = make_layout(kind, 6)
                 cnots = [(x.qubits[0], x.qubits[1]) for x in circ.gates
                          if x.kind is ql.GateKind.CNOT]
-                identity_est = estimate_cost(_residual_intermediates(cnots, g, 0, range(6)))
+                identity_est = estimate_cost(residual_intermediates(cnots, g, 0, range(6)))
                 _, est = global_adjust(circ, g)
                 assert est <= identity_est
 

@@ -43,6 +43,19 @@ def test_import_graph_has_no_cycle():
         raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
 
 
+def test_searches_share_only_public_names():
+    # the relabel search and the router share the search core's public
+    # names, and the core knows neither of them
+    trees = modules()
+    for name in ("relabel", "routing"):
+        for node in ast.walk(trees[name]):
+            if isinstance(node, ast.ImportFrom) and package_imports([node]) & {
+                    "relabel", "routing", "search"}:
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, f"{name} imports {private} from {node.module}"
+    assert not package_imports(ast.walk(trees["search"])) & {"relabel", "routing"}
+
+
 def test_package_imports_only_at_module_level():
     for name, tree in modules().items():
         nested = package_imports(ast.walk(tree)) - package_imports(tree.body)

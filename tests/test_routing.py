@@ -15,18 +15,16 @@ from qlayout.routing import (
     DEFAULT_LOOKAHEAD,
     MAX_LOOKAHEAD,
     LegalityError,
-    SWAP_COST,
     _choose_repair,
-    _Leaves,
     _repairs,
     _swap_gates,
     brute_force_route_cost,
-    estimate_cost,
     fit_to_graph,
     fix_directions,
     naive_route,
     route_circuit,
 )
+from qlayout.search import SWAP_COST, Leaves, estimate_cost
 
 
 CHAIN3 = make_layout("linear", 3)
@@ -363,15 +361,16 @@ def reference_route(circuit: ql.Circuit, graph: CouplingGraph, lookahead: int,
     constructor, and every unmoved one emitted as itself."""
     circuit = fit_to_graph(circuit, graph)
     wire = [placement(q) for q in range(graph.num_qubits)]
-    leaves = _Leaves([g.qubits for g in circuit.gates if g.kind is GateKind.CNOT], graph)
+    leaves = Leaves([g.qubits for g in circuit.gates if g.kind is GateKind.CNOT], graph)
+    repairs, kept = {}, None
     out, search_cost, swaps, k = [], 0, 0, 0
     for g in circuit.gates:
         if g.kind is GateKind.CNOT:
             k += 1
             c, t = g.qubits
             if not graph.is_legal_cnot(wire[c], wire[t], respect_direction=False):
-                (step_cost, step, stops), _ = _choose_repair(
-                    (wire[c], wire[t]), leaves, k, wire, lookahead)
+                kept, _ = _choose_repair(leaves, repairs, kept, k, wire, lookahead)
+                step_cost, step, stops = kept[0]
                 for a, b in zip(stops, stops[1:]):
                     out += _swap_gates(a, b)
                 wire = [step[w] for w in wire]

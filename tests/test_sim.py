@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import qlayout as ql
 from qlayout.coupling import CouplingGraph, make_layout
 from qlayout.ir import GateKind, QubitMapping, single_qubit_matrix
+from qlayout import routing
 from qlayout.routing import MAX_ORACLE_ILLEGAL, brute_force_route_cost
 from qlayout.sim import _fuse, permute_amplitudes, probe_fidelity, simulate
 
@@ -266,6 +267,35 @@ class TestBruteForceOracle:
     def test_circuit_wider_than_the_graph_is_a_value_error(self):
         with pytest.raises(ValueError, match="circuit uses 5 qubits but the layout has only 3"):
             brute_force_route_cost(ql.Circuit(5, 0, (ql.cx(3, 4),)), make_layout("linear", 3))
+
+    #: 12 CNOTs illegal under the identity on linear-4, at the cap, but the
+    #: branches that relabel the rest meet more, and the tree outgrows the bound
+    DEEP = [(0, 3), (1, 0), (1, 0), (0, 2), (0, 3), (2, 3), (2, 1), (1, 3), (2, 3), (3, 2),
+            (3, 2), (0, 3), (1, 2), (2, 3), (2, 1), (3, 2), (2, 0), (2, 1), (0, 2), (3, 2),
+            (0, 3), (2, 0), (1, 2), (2, 1), (2, 1), (2, 3), (1, 3), (2, 3), (0, 3), (2, 1),
+            (1, 0), (3, 2), (2, 1), (3, 2), (3, 1)]
+
+    def test_oracle_bounds_the_nodes_it_visits(self, monkeypatch):
+        g = make_layout("linear", 4)
+        assert sum(g.distances[c][t] != 1 for c, t in self.DEEP) == MAX_ORACLE_ILLEGAL
+        circuit = ql.Circuit(4, 0, tuple(ql.cx(c, t) for c, t in self.DEEP))
+        scans = 0
+        first_illegal = routing.first_illegal
+
+        def counting(*args):
+            nonlocal scans
+            scans += 1
+            return first_illegal(*args)
+
+        monkeypatch.setattr(routing, "first_illegal", counting)
+        with pytest.raises(ValueError, match=r"oracle cap of 12 \(MAX_ORACLE_ILLEGAL\)"):
+            brute_force_route_cost(circuit, g)
+        # every node of a tree 12 repairs deep, and not one more
+        assert scans == 2 ** (MAX_ORACLE_ILLEGAL + 1) - 1
+        # the first 19 CNOTs grow 6,269 nodes, under the bound
+        scans = 0
+        assert brute_force_route_cost(ql.Circuit(4, 0, circuit.gates[:19]), g) == 272
+        assert scans == 6269
 
     def test_oracle_never_beaten_by_router(self):
         rng = np.random.default_rng(13)
