@@ -47,7 +47,8 @@ class CouplingGraph:
         if not 1 <= self.num_qubits <= MAX_REGISTER:
             raise ValueError(f"a coupling graph has 1 to {MAX_REGISTER} qubits "
                              f"(MAX_REGISTER), got {self.num_qubits}")
-        object.__setattr__(self, "edges", frozenset((int(a), int(b)) for a, b in self.edges))
+        object.__setattr__(self, "edges", frozenset(
+            (_int_arg(a, "edge endpoint"), _int_arg(b, "edge endpoint")) for a, b in self.edges))
         for a, b in self.edges:
             if a == b:
                 raise ValueError(f"self-loop at qubit {a}")

@@ -13,6 +13,11 @@ Values are checked once, where they enter the program.  The public
 constructors (``Gate(...)``, ``Circuit(...)``, ``cx``/``h``/``u1``/...,
 ``QubitMapping``) check every field: parameter count, finite angles,
 operand count and distinctness, register sizes, qubit and clbit bounds.
+Every integer field -- a register size, a qubit, a clbit, a mapped qubit,
+and a coupling graph's size and edge endpoints -- is read by one rule,
+:func:`_int_arg`: a Python or numpy integer is stored as ``int``, and
+anything else (a float, a bool, a string) is a ``ValueError`` naming the
+field, never truncated.
 The QASM reader makes the same checks on its input and builds its gates
 and circuit without a second pass.  A rewrite inside the program (relabeling
 through a permutation, a SWAP triple on a graph edge, a reversed CNOT, a
@@ -95,7 +100,9 @@ class Gate:
     clbit: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(_int_arg(q, "qubit") for q in self.qubits))
+        if self.clbit is not None:
+            object.__setattr__(self, "clbit", _int_arg(self.clbit, "clbit"))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if len(self.params) != _PARAM_COUNT[self.kind]:
             raise ValueError(
@@ -242,7 +249,8 @@ class QubitMapping:
     pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        cleaned = tuple(sorted((int(a), int(b)) for a, b in self.pairs if int(a) != int(b)))
+        pairs = [(_int_arg(a, "mapped qubit"), _int_arg(b, "mapped qubit")) for a, b in self.pairs]
+        cleaned = tuple(sorted((a, b) for a, b in pairs if a != b))
         object.__setattr__(self, "pairs", cleaned)
         srcs = [a for a, _ in cleaned]
         dsts = [b for _, b in cleaned]

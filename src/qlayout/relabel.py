@@ -5,8 +5,10 @@ the CNOT list front to back, and at the first illegal one branch over the
 transpositions that would make it legal -- swap the control with a
 neighbour of the target, or the target with a neighbour of the control --
 keeping only candidates that leave every already-passed CNOT legal.  Each
-branch relabels the whole list and recurses, so the first-illegal index
-strictly increases and every branch terminates.
+branch relabels the whole list and searches on from the CNOT after, so the
+first-illegal index strictly increases and every branch terminates.  The
+walk is depth first on an explicit stack, not the interpreter's: a path is
+as deep as it needs, whatever Python's recursion limit.
 
 Terminal relabelings (fully legal, dead end, or cut by the node budget)
 are ranked by the estimated SWAP cost of whatever is still illegal; the
@@ -15,21 +17,21 @@ that removes every illegal CNOT beats doing nothing even when the
 estimate rounds to zero.
 
 The search runs on plain arrays and bitmasks.  The CNOTs stay as
-(control, target) pairs of the input, and the accumulated relabeling is
-one dense permutation that a transposition updates in place (and undoes
-on backtrack); legality is read from the graph's distance table.  A
-candidate is checked with two integer masks, not by rereading the passed
-CNOTs: ``partners[i][q]``, the input qubits that share a CNOT with q in
-``cnots[:i]``, depends only on the CNOT list, and is built only for the
-indices i at which the search branches, each row from the row of the
-node above; and ``near[w]``, the input qubits on the wires adjacent to
-wire w, is kept current as transpositions are applied and undone.  A
-transposition only moves the two qubits it exchanges, so the passed CNOTs
-stay legal exactly when each of the two finds its partners among the
-qubits next to its new wire: the test covers the same CNOTs as a rescan,
-and keeps the same candidates in the same order.  The search visits the
-same nodes in the same order as a search that relabels the whole list, at
-a fraction of the cost per node.
+(control, target) pairs of the input, and each node's accumulated
+relabeling is a dense permutation: a node copies its parent's and applies
+its one transposition, and nothing is undone; legality is read from the
+graph's distance table.  A candidate is checked with two integer masks,
+not by rereading the passed CNOTs: ``partners[i][q]``, the input qubits
+that share a CNOT with q in ``cnots[:i]``, depends only on the CNOT list,
+and is built only for the indices i at which the search branches, each
+row from the row of the node above; and ``near[w]``, the input qubits on
+the wires adjacent to wire w, is copied and updated with the permutation.
+A transposition only moves the two qubits it exchanges, so the passed
+CNOTs stay legal exactly when each of the two finds its partners among
+the qubits next to its new wire: the test covers the same CNOTs as a
+rescan, and keeps the same candidates in the same order.  The search
+visits the same nodes in the same order as a search that relabels the
+whole list, at a fraction of the cost per node.
 
 Terminals are ranked in blocks.  The node budget does not look at a
 cost, so the search never needs a terminal's estimate while it runs:
@@ -57,7 +59,8 @@ class SearchLimits:
     branching nodes, the best terminal seen so far wins.  No depth cap is
     needed: each level legalizes one more qubit pair and keeps the passed
     ones legal, and legal pairs sit on distinct edges, so a search path is
-    at most as deep as the graph has edges."""
+    at most as deep as the graph has edges.  The search walks an explicit
+    stack, so that depth is not limited by Python's recursion limit."""
 
     max_nodes: int = 4096
 
@@ -128,60 +131,47 @@ def global_adjust(circuit: Circuit, graph: CouplingGraph,
     circuit = fit_to_graph(circuit, graph)
     limits = limits or SearchLimits()
     cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
-    perm = list(range(graph.num_qubits))  # input qubit -> wire, the accumulated relabeling
-    inverse = list(range(graph.num_qubits))
-    near = _near_masks(graph)
     neighbors = graph.neighbors
-
     leaves = Leaves(cnots, graph)
     budget = limits.max_nodes
-
-    def offer(start: int) -> None:
-        wires = tuple(perm)
-        leaves.add(wires, start, 0.0, wires)
-
     # partner masks of cnots[:i], for each i a node has asked for
     passed: dict[int, list[int]] = {0: [0] * graph.num_qubits}
-
-    def search(start: int, parent: int) -> None:
-        # cnots[:start] are legal under perm, so the scan starts there;
-        # passed has a row for parent <= start, where the parent node branched
-        nonlocal budget
-        i = first_illegal(cnots, graph, start, perm)
-        if i < 0:
-            offer(len(cnots))
-            return
-        if budget <= 0:
-            offer(i)
-            return
-        budget -= 1
-        c, t = cnots[i]
-        partners = passed.get(i)
-        if partners is None:
-            partners = passed[i] = _partners(passed[parent], cnots, parent, i)
-        swaps = _candidates((perm[c], perm[t]), graph, partners, near, inverse)
-        if not swaps:
-            offer(i)
-            return
-        for moved, nbr in swaps:
-            if budget <= 0:
-                break
+    identity = list(range(graph.num_qubits))
+    # depth first: (start, parent, the parent's perm (input qubit -> wire,
+    # the accumulated relabeling), inverse and near, the transposition that
+    # leads here); cnots[:start] are legal under the node's perm, and
+    # passed has a row for parent <= start, where the parent branched
+    stack = [(0, 0, identity, identity, _near_masks(graph), None)]
+    push, pop = stack.append, stack.pop
+    # a spent budget ends the search: the best leaf queued so far wins
+    while stack and budget > 0:
+        start, parent, perm, inverse, near, swap = pop()
+        if swap is not None:
             # the qubits a and b exchange wires, so every wire next to
             # either one swaps bit a for bit b in its mask; a wire next to
             # both keeps both, and its two flips cancel
+            moved, nbr = swap
             a, b = inverse[moved], inverse[nbr]
-            ab = (1 << a) | (1 << b)
-            flips = neighbors[moved] + neighbors[nbr]
+            perm, inverse, near = perm[:], inverse[:], near[:]
             perm[a], perm[b], inverse[moved], inverse[nbr] = nbr, moved, b, a
-            for u in flips:
+            ab = (1 << a) | (1 << b)
+            for u in neighbors[moved] + neighbors[nbr]:
                 near[u] ^= ab
-            search(i + 1, i)
-            perm[a], perm[b], inverse[moved], inverse[nbr] = moved, nbr, a, b
-            for u in flips:
-                near[u] ^= ab
-
-    search(0, 0)
-    # every transposition has been undone: perm is the identity fallback
-    offer(0)
+        i = first_illegal(cnots, graph, start, perm)
+        if i >= 0:
+            budget -= 1
+            c, t = cnots[i]
+            partners = passed.get(i)
+            if partners is None:
+                partners = passed[i] = _partners(passed[parent], cnots, parent, i)
+            swaps = _candidates((perm[c], perm[t]), graph, partners, near, inverse)
+            if swaps:
+                for swap in reversed(swaps):  # so the first is popped first
+                    push((i + 1, i, perm, inverse, near, swap))
+                continue
+        wires = tuple(perm)
+        leaves.add(wires, i if i >= 0 else len(cnots), 0.0, wires)
+    wires = tuple(identity)  # the fallback, queued last
+    leaves.add(wires, 0, 0.0, wires)
     cost, wires = leaves.take()
     return QubitMapping(tuple(enumerate(wires))), cost

@@ -28,8 +28,9 @@ an ordered wire pair -- each chain's cost, its relabeling as a dense step
 and the wires its mover visits -- depend only on the graph, so a routing
 call builds them the first time it meets the pair and keeps them until it
 returns (:func:`_repairs`): a tree node only composes a step onto its
-permutation.  The router keeps one running wire permutation, applies the
-chosen step to it, and builds each output gate once, when it is emitted.
+permutation.  The router keeps one running wire permutation, takes the
+chosen node's permutation as the next one, and builds each output gate
+once, when it is emitted.
 
 A decision reuses the one before it.  The router commits the chosen
 first-level repair, so the next illegal CNOT is the one that child's scan
@@ -249,10 +250,10 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
             c, t = g.qubits
             if dist[wire[c]][wire[t]] != 1:
                 chosen, _ = _choose_repair(leaves, repairs, chosen, k, wire, lookahead)
-                step_cost, step, stops = chosen[0]
+                step_cost, _, stops = chosen[0]
                 for a, b in zip(stops, stops[1:]):
                     out += _swap_gates(a, b)
-                wire = [step[w] for w in wire]
+                wire = chosen[1]
                 search_cost += step_cost
                 swaps += len(stops) - 1
                 if dist[wire[c]][wire[t]] != 1:
@@ -272,13 +273,15 @@ def brute_force_route_cost(circuit: Circuit, graph: CouplingGraph) -> int:
 
     Walks the same decision tree as the router but exhaustively: at each
     illegal CNOT both the control and the target displacement are realized
-    (chain applied, its relabeling applied to the remainder) and the
-    cheaper subtree wins.  No estimation anywhere, so this is the ground
+    (chain applied, its relabeling applied to the remainder), and the
+    answer is the least cost at a leaf.  The walk is depth first on an
+    explicit stack, so a branch may be longer than Python's recursion
+    limit.  No estimation anywhere, so this is the ground
     truth the lookahead router is measured against; cost units match the
     router's accounting (34 per intermediate vertex, +4 per displaced
     control).  A circuit wider than the graph is an error (see :func:`fit_to_graph`).
 
-    The tree is bounded by the work it takes: more than
+    The tree is bounded by the work it takes, not by its depth: more than
     :data:`MAX_ORACLE_ILLEGAL` illegal CNOTs under the identity, or a search
     that visits more nodes than a tree that many repairs deep holds (each
     branch relabels the rest of the circuit, and may meet more illegal
@@ -291,22 +294,24 @@ def brute_force_route_cost(circuit: Circuit, graph: CouplingGraph) -> int:
                          f"of {MAX_ORACLE_ILLEGAL} (MAX_ORACLE_ILLEGAL)")
     room = 2 ** (MAX_ORACLE_ILLEGAL + 1) - 1  # the nodes of a tree that many repairs deep
     table: _RepairTable = {}
-
-    def best(start: int, perm: list[int]) -> int:
-        # the CNOTs from ``start`` on, read through the relabeling ``perm``
-        nonlocal room
+    best = float("inf")
+    # (start, perm, cost): the CNOTs from ``start`` on, read through the
+    # relabeling ``perm``, reached at ``cost``
+    stack = [(0, list(range(graph.num_qubits)), 0)]
+    while stack:
         room -= 1
         if room < 0:
             raise ValueError(f"the search outgrew a tree as deep as the oracle cap of "
                              f"{MAX_ORACLE_ILLEGAL} (MAX_ORACLE_ILLEGAL) repairs")
+        start, perm, cost = stack.pop()
         i = first_illegal(cnots, graph, start, perm)
         if i < 0:
-            return 0
+            best = min(best, cost)
+            continue
         c, t = cnots[i]
-        return min(cost + best(i + 1, [step[q] for q in perm])
-                   for cost, step, _ in _repairs((perm[c], perm[t]), graph, table))
-
-    return best(0, list(range(graph.num_qubits)))
+        for step_cost, step, _ in _repairs((perm[c], perm[t]), graph, table):
+            stack.append((i + 1, [step[q] for q in perm], cost + step_cost))
+    return best
 
 
 def fix_directions(circuit: Circuit, graph: CouplingGraph) -> Circuit:

@@ -284,6 +284,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CouplingGraph(3, frozenset({(0, 3)}))
 
+    @pytest.mark.parametrize("edges", [{(0, 1.5), (1, 2)}, {(0.0, 1)}, {(0, True)}, {(0, "1")}])
+    def test_non_integer_edge_endpoint_rejected(self, edges):
+        # a float is not truncated: (0, 1.5) is not the edge (0, 1)
+        with pytest.raises(ValueError, match="^edge endpoint must be an integer"):
+            CouplingGraph(3, frozenset(edges))
+
     def test_json_round_trip(self):
         g = CouplingGraph(4, frozenset({(0, 1), (1, 2), (3, 2)}), directed=True)
         text = json.dumps({"n": g.num_qubits, "directed": g.directed,
@@ -312,8 +318,10 @@ class TestConstruction:
             CouplingGraph(n, frozenset({(0, 1)}))
 
     def test_numpy_integer_size_is_stored_as_an_int(self):
-        g = CouplingGraph(np.int64(3), frozenset({(0, 1), (1, 2)}), directed=True)
+        g = CouplingGraph(np.int64(3), frozenset({(0, 1), (np.int64(1), np.int32(2))}),
+                          directed=True)
         assert type(g.num_qubits) is int
+        assert all(type(q) is int for edge in g.edges for q in edge)
         assert g == CouplingGraph(3, frozenset({(0, 1), (1, 2)}), directed=True)
         assert g.distances == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
 

@@ -1,5 +1,7 @@
 """Zero-gate relabeling search: candidates, ranking, and invariants."""
+import inspect
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +170,22 @@ class TestGlobalAdjust:
         assert isinstance(mapping, QubitMapping)  # always returns something
         unlimited_map, unlimited_est = global_adjust(circ, g)
         assert unlimited_est <= est
+
+    def test_a_path_deeper_than_the_recursion_limit(self):
+        # each cx(3k, 3k + 2) is legalized by one more transposition on the
+        # path, so the path is 200 deep; the search and the router must not
+        # lean on the interpreter's stack for it
+        g = make_layout("linear", 600)
+        c = ql.Circuit(600, 0, tuple(ql.cx(3 * k, 3 * k + 2) for k in range(200)))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            mapping, est = global_adjust(c, g)
+            routed = ql.transpile(c, g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(mapping.pairs) == 400 and est == 0.0
+        assert routed.swaps_emitted == 0
 
     def test_circuit_wider_than_graph_rejected(self):
         c = ql.Circuit(5, 0, (ql.cx(0, 2), ql.cx(3, 4)))

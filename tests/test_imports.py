@@ -56,6 +56,18 @@ def test_searches_share_only_public_names():
     assert not package_imports(ast.walk(trees["search"])) & {"relabel", "routing"}
 
 
+def test_no_search_recurses():
+    # a search walks an explicit stack: its depth is bounded by its own
+    # limits, not by the interpreter's recursion limit
+    trees = modules()
+    for name in ("relabel", "routing", "search"):
+        for node in ast.walk(trees[name]):
+            if isinstance(node, ast.FunctionDef):
+                names = {sub.id if isinstance(sub, ast.Name) else sub.attr
+                         for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+                assert node.name not in names, f"{name}.{node.name} refers to its own name"
+
+
 def test_package_imports_only_at_module_level():
     for name, tree in modules().items():
         nested = package_imports(ast.walk(tree)) - package_imports(tree.body)

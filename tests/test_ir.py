@@ -48,6 +48,24 @@ class TestGate:
         with pytest.raises(ValueError):
             ql.u3(0.1, math.nan, 0.2, 0)
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: ql.cx(0.7, 1.2), "qubit"),
+        (lambda: ql.h(1.0), "qubit"),
+        (lambda: ql.barrier(0, True), "qubit"),
+        (lambda: ql.measure(0, 0.9), "clbit"),
+        (lambda: ql.measure(0, "0"), "clbit"),
+    ], ids=["cx(0.7, 1.2)", "h(1.0)", "barrier(0, True)", "measure(0, 0.9)", "measure(0, '0')"])
+    def test_non_integer_operand_rejected(self, build, field):
+        # a float is not truncated: cx(0.7, 1.2) is not cx(0, 1)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            build()
+
+    def test_numpy_integer_operands_stored_as_int(self):
+        g = ql.measure(np.int8(1), np.int64(0))
+        assert (g.qubits, g.clbit) == ((1,), 0)
+        assert type(g.qubits[0]) is int and type(g.clbit) is int
+        assert ql.cx(np.int32(0), np.intp(1)) == ql.cx(0, 1)
+
     def test_clbit_pins_to_measure_only(self):
         with pytest.raises(ValueError):
             Gate(GateKind.U1, (0,), (0.5,), clbit=0)
@@ -151,6 +169,16 @@ class TestQubitMapping:
             QubitMapping.from_dict({1: 3})  # 1 and 3 both land on 3
         with pytest.raises(ValueError):
             QubitMapping(((0, 1), (0, 2)))
+
+    @pytest.mark.parametrize("pairs", [((0, 1.7), (1, 0.2)), ((0.0, 1), (1, 0)), ((True, 0), (0, 1))])
+    def test_non_integer_index_rejected(self, pairs):
+        with pytest.raises(ValueError, match="^mapped qubit must be an integer"):
+            QubitMapping(pairs)
+
+    def test_numpy_integer_indices_stored_as_int(self):
+        m = QubitMapping(((np.int64(0), np.int64(1)), (np.int32(1), 0)))
+        assert m == QubitMapping.swap(0, 1)
+        assert all(type(q) is int for pair in m.pairs for q in pair)
 
     def test_identity_pairs_dropped(self):
         assert QubitMapping.from_dict({2: 2}).is_identity

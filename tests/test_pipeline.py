@@ -1,4 +1,5 @@
 """End-to-end pipeline contracts: stage order, mappings, reports."""
+import gc
 import tracemalloc
 
 import re
@@ -274,3 +275,39 @@ class TestCheckLegal:
         # program order decides which error comes first
         with pytest.raises(LegalityError):
             check_legal(ql.Circuit(4, 0, (ql.cx(0, 2), ql.cx(2, 3))), g)
+
+
+class TestNoReferenceCycles:
+    """A public call leaves no garbage that only the cyclic collector frees:
+    what a search builds (its leaf queue, its arrays) goes when it returns."""
+
+    CIRCUIT = ql.Circuit(5, 1, (ql.h(0), ql.cx(0, 3), ql.u1(0.3, 2), ql.cx(4, 1), ql.cx(1, 2),
+                                ql.cx(0, 4), ql.measure(2, 0)))
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_each_call_leaves_no_cycle(self, directed):
+        g = (CouplingGraph(5, frozenset({(0, 1), (2, 1), (2, 3), (4, 3)}), directed=True)
+             if directed else make_layout("linear", 5))
+        c = self.CIRCUIT
+        text = ql.emit_qasm(c)
+        res = transpile(c, g)
+        calls = {
+            "parse_qasm": lambda: ql.parse_qasm(text),
+            "transpile": lambda: transpile(c, g),
+            "transpile_baseline": lambda: transpile_baseline(c, g),
+            "global_adjust": lambda: ql.global_adjust(c, g),
+            "route_circuit": lambda: route_circuit(c, g),
+            "brute_force_route_cost": lambda: ql.brute_force_route_cost(c, g),
+            "equivalent": lambda: ql.equivalent(c, res.circuit, res.final_mapping,
+                                                initial_map=res.initial_mapping),
+            "emit_qasm": lambda: ql.emit_qasm(res.circuit),
+        }
+        for name, call in calls.items():
+            call()  # builds the graph's cached tables
+            gc.collect()
+            gc.disable()
+            try:
+                call()
+                assert gc.collect() == 0, name
+            finally:
+                gc.enable()

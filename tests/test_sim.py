@@ -297,6 +297,16 @@ class TestBruteForceOracle:
         assert brute_force_route_cost(ql.Circuit(4, 0, circuit.gates[:19]), g) == 272
         assert scans == 6269
 
+    def test_a_long_branch_is_walked_without_recursion(self):
+        # one CNOT illegal under the identity, but at each level one repair
+        # leaves the rest legal and the other meets a later pair: the tree
+        # is narrow (3,297 nodes) and hundreds of repairs deep, deeper than
+        # the interpreter's stack
+        gates = (ql.cx(0, 2),) + (ql.cx(2, 1), ql.cx(0, 1)) * 412
+        circuit = ql.Circuit(3, 0, gates)
+        assert len(circuit) == 825
+        assert brute_force_route_cost(circuit, make_layout("linear", 3)) == 68
+
     def test_oracle_never_beaten_by_router(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
