@@ -340,13 +340,11 @@ def cost(circuit: Circuit) -> int:
 # --- 2x2 gate matrices -------------------------------------------------------
 #
 # Matrices are row-major 4-tuples (a, b, c, d) = [[a, b], [c, d]] of complex
-# scalars; plain cmath is much faster than numpy at this size and these are
-# the workhorses of gate fusion.
+# scalars; plain cmath is much faster than numpy for one matrix at a time.
+# The merge pass tests its runs with them, and the tests take them as the
+# reference products; the statevector oracle builds its matrices in batches.
 
 Mat2 = tuple[complex, complex, complex, complex]
-
-IDENTITY_2: Mat2 = (1 + 0j, 0j, 0j, 1 + 0j)
-
 
 #: per single-qubit kind, the u3 angles it fixes, ahead of its own
 #: parameters: u1(lam) is u3(0, 0, lam), u2(phi, lam) is u3(pi/2, phi, lam)

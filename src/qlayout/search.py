@@ -86,6 +86,10 @@ def residual_intermediates(cnots: Sequence[tuple[int, int]], graph: CouplingGrap
 #: leaf x CNOT elements a queue lets wait before it scores its leaves
 _BLOCK_ELEMENTS = 4096
 
+#: leaves a queue lets wait before it scores them, however few elements
+#: they hold: each holds a permutation as wide as the graph
+_BLOCK_LEAVES = 256
+
 #: smallest block scored with numpy: below it, the fixed cost of the numpy
 #: calls exceeds that of scoring each leaf in Python
 _NUMPY_MIN_ELEMENTS = 128
@@ -99,10 +103,12 @@ class Leaves:
     base plus the estimate of its residue, ``cnots[start:]``.  A search
     queues its leaves with :meth:`add` in exploration order; the queue
     counts the leaf x CNOT elements they hold, ``len(cnots) - start`` each,
-    and once :data:`_BLOCK_ELEMENTS` of them wait, it scores them together
-    (:meth:`flush`).  :meth:`take` flushes the rest and returns the first
-    leaf of least cost, as a search that scored each leaf when it reached
-    it would keep, and starts over for the next search on the same CNOTs.
+    and once :data:`_BLOCK_ELEMENTS` of them or :data:`_BLOCK_LEAVES` leaves
+    wait, it scores them together (:meth:`flush`).  The leaf bound is what
+    bounds its memory: a legal terminal holds no element but a whole
+    permutation.  :meth:`take` flushes the rest and returns the first leaf
+    of least cost, as a search that scored each leaf when it reached it
+    would keep, and starts over for the next search on the same CNOTs.
     """
 
     def __init__(self, cnots: Sequence[tuple[int, int]], graph: CouplingGraph):
@@ -133,7 +139,7 @@ class Leaves:
         it holds a block."""
         self.pending.append((perm, start, base, tag))
         self.elements += self.size - start
-        if self.elements >= _BLOCK_ELEMENTS:
+        if self.elements >= _BLOCK_ELEMENTS or len(self.pending) >= _BLOCK_LEAVES:
             self.flush()
 
     def flush(self) -> None:

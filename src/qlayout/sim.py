@@ -5,26 +5,38 @@ Qubit 0 is the least significant bit of the basis index, so basis state
 16 qubits; measures and barriers are treated as the identity, since the
 oracle compares states, not samples.
 
-A circuit is run on a (2**n, k) block of column states in two steps:
+A circuit runs on a block of k column states held as two real planes, a
+float64 array ``(2, 2**n, k)`` of real and imaginary parts, in two steps:
 
 * *Fusion.*  One pass over the gates turns the circuit into a short list
-  of dense blocks.  Each qubit's single-qubit gates fold into one pending
-  2x2 (``ir.mat2_mul``), from one vectorized evaluation of the u3 formula
-  for all of them.  A CNOT opens a 4x4 block on its pair or extends the
-  pair's open block, appending one factor: its row swap after the
-  Kronecker product of the 2x2s it pops from its two qubits.  A CNOT that
-  would join two open blocks, or one open block and a third qubit, first
-  closes -- emits -- the blocks it straddles, popping the 2x2s still
-  pending on their qubits into a last factor.  Open blocks sit on
-  disjoint qubits, so they commute, and the order in which they are
-  emitted only has to respect each qubit's own gate order.
-* *Kernels.*  A 2x2 on qubit q is one broadcast ``matmul`` over the
-  ``(2**(n-q-1), 2, 2**q * k)`` view of the block.  A 4x4 on a pair
-  gathers the rows grouped by the pair's two bits -- a strided copy
-  through a transposed view, so no index table is built -- multiplies
-  them by the block in one ``(4, 4) @ (4, 2**n * k / 4)`` product and
-  scatters the result back.  Each kernel reads one buffer and writes the
-  other, so a run holds exactly two blocks however long the circuit.
+  of dense blocks, recording only integers.  Each qubit's single-qubit
+  gates since its last CNOT form a run.  A CNOT opens a block on its pair
+  or extends the pair's open block by one factor: the Kronecker product of
+  the runs it pops from the pair's two qubits, then its row swap.  A CNOT
+  that would join two open blocks, or one open block and a third qubit,
+  first closes -- emits -- the blocks it straddles, popping the runs still
+  pending on their qubits into a last factor.  Open blocks sit on disjoint
+  qubits, so they commute, and the order in which they are emitted only
+  has to respect each qubit's own gate order.  numpy then builds every
+  matrix in batches: the 2x2 of every gate from one evaluation of the u3
+  formula, every run's product and every block's product as a segmented
+  batched product that loops over the position in the segment, every
+  factor's Kronecker product in one ``einsum`` and its row swap in one
+  fancy index, and every block's real form ``[[A, -B], [B, A]]`` of its
+  complex matrix ``A + iB``.
+* *Kernels.*  The states' qubit axes are kept in a lazy order: they stay
+  as the last kernel left them.  A kernel on m qubits needs them as the
+  leading qubit axes, right after the plane axis; when they are not, one
+  transposing copy into the other buffer puts them there, the rest keeping
+  their order.  The kernel is then one real ``(2**(m+1), 2**(m+1)) @
+  (2**(m+1), 2**(n-m) * k)`` product from one buffer into the other, so a
+  run holds exactly two blocks however long the circuit.
+
+Relabelings cost no kernel.  The transpiled side of :func:`probe_fidelity`
+starts from the probes read with probe qubit q on wire ``initial_map(q)``,
+which is an axis order, not a copy; the reference side ends with one
+transposing copy into the transpiled side's final axis order, with its
+qubit q read as wire ``final_map(q)``.
 
 The probe states are built in one pass: the angles of all product probes
 are one ``rng.random`` draw -- the same doubles, in the same order, that
@@ -43,16 +55,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ir import (
-    IDENTITY_2,
-    SINGLE_QUBIT_KINDS,
+    _U3_PREFIX,
     Circuit,
     Gate,
     GateKind,
-    Mat2,
     QubitMapping,
     _as_mapping,
-    mat2_mul,
-    u3_angles,
 )
 
 MAX_QUBITS = 16
@@ -64,121 +72,146 @@ DEFAULT_TOL = 1e-6
 BASIS_PROBES = 32
 PRODUCT_PROBES = 8
 
+#: rows of a pair factor, a 4x4 on local index ``2 * bit(x) + bit(y)``,
+#: after the CNOT it ends with: none (a closing factor), control x (rows
+#: 2 and 3 swap) or control y (rows 1 and 3 swap)
+_CNOT_ROWS = np.array([[0, 1, 2, 3], [0, 1, 3, 2], [0, 3, 2, 1]])
 
-def _single_matrices(gates: Sequence[Gate]) -> list[list[complex]]:
-    """The row-major 2x2 of every single-qubit gate, in order, from one
-    vectorized evaluation of ``ir.u3_matrix``'s formula over the
-    ``ir.u3_angles`` of all of them; each agrees with
+#: the 2x2 a pair factor reads for a qubit with no single-qubit gate pending
+_IDENTITY = np.eye(2, dtype=np.complex128)[None]
+
+#: an m-qubit block: its qubits, the high bit of its local index first, and
+#: the real form of its matrix, ``2**(m+1)`` square
+Block = tuple[tuple[int, ...], np.ndarray]
+
+
+def _single_matrices(angles: Sequence[float]) -> np.ndarray:
+    """The 2x2 of each single-qubit gate whose ``ir.u3_angles`` come three
+    by three in ``angles``, ``(len(angles) // 3, 2, 2)``, from one
+    vectorized evaluation of ``ir.u3_matrix``'s formula; each agrees with
     ``ir.single_qubit_matrix`` to rounding."""
-    angles = [u3_angles(g) for g in gates if g.kind in SINGLE_QUBIT_KINDS]
     theta, phi, lam = np.array(angles, dtype=float).reshape(-1, 3).T
     cos, sin = np.cos(theta / 2), np.sin(theta / 2)
     e_phi, e_lam = np.exp(1j * phi), np.exp(1j * lam)
     return np.stack((cos + 0j, -e_lam * sin, e_phi * sin, e_phi * e_lam * cos),
-                    axis=1).tolist()
+                    axis=1).reshape(-1, 2, 2)
 
 
-def _kron(x: Mat2, y: Mat2) -> list[complex]:
-    """Row-major 4x4 ``x (x) y``: x acts on the high bit of the local index."""
-    a, b, c, d = x
-    e, f, g, h = y
-    return [a * e, a * f, b * e, b * f,
-            a * g, a * h, b * g, b * h,
-            c * e, c * f, d * e, d * f,
-            c * g, c * h, d * g, d * h]
+def _segment_products(matrices: np.ndarray, segments: np.ndarray, count: int) -> np.ndarray:
+    """For each of ``count`` segments, the product of the matrices whose
+    entry in ``segments`` names it, a later one on the left.  The loop runs
+    over the position in a segment: with the segments longest first, step j
+    is one batched product over those longer than j, a leading slice.  Every
+    segment names at least one matrix."""
+    sizes = np.bincount(segments, minlength=count)
+    grouped = np.argsort(segments, kind="stable")  # matrix indices, segment by segment
+    longest = np.argsort(-sizes, kind="stable")
+    first = (np.cumsum(sizes) - sizes)[longest]    # each segment's first entry in grouped
+    longer = np.cumsum(np.bincount(sizes)[::-1])[::-1]  # segments longer than j, at j + 1
+    products = matrices[grouped[first]]
+    for j in range(1, len(longer) - 1):
+        live = longer[j + 1]
+        products[:live] = matrices[grouped[first[:live] + j]] @ products[:live]
+    out = np.empty_like(products)
+    out[longest] = products
+    return out
 
 
-class _Pair:
-    """An open 4x4 block on qubits (x, y), whose local index is
-    ``2 * bit(x) + bit(y)``: its factors so far, each a row-major 4x4
-    list.  The single-qubit gates since its last CNOT wait in the map of
-    pending 2x2s, as on any other qubit."""
-
-    __slots__ = ("x", "y", "factors")
-
-    def __init__(self, x: int, y: int):
-        self.x, self.y = x, y
-        self.factors: list[list[complex]] = []
-
-    def push(self, single: dict[int, Mat2], control: int | None = None) -> None:
-        """Append the kron of the 2x2s popped from ``single`` for x and y, then
-        a CNOT's row swap: rows 2, 3 when x is the control, rows 1, 3 when y is."""
-        f = _kron(single.pop(self.x, IDENTITY_2), single.pop(self.y, IDENTITY_2))
-        if control is not None:
-            a = 8 if control == self.x else 4
-            f[a:a + 4], f[12:16] = f[12:16], f[a:a + 4]
-        self.factors.append(f)
-
-    def matrix(self) -> np.ndarray:
-        """The product of the factors."""
-        factors = np.array(self.factors, dtype=np.complex128).reshape(-1, 4, 4)
-        product = factors[0]
-        for f in factors[1:]:
-            product = f @ product
-        return product
+def _real_forms(matrices: np.ndarray) -> np.ndarray:
+    """``[[A, -B], [B, A]]`` of each complex ``A + iB`` of the batch: the
+    matrix that acts on the real and imaginary planes stacked."""
+    re, im = matrices.real, matrices.imag
+    return np.concatenate((np.concatenate((re, -im), axis=2),
+                           np.concatenate((im, re), axis=2)), axis=1)
 
 
-def _fuse(gates: Sequence[Gate]) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """The gates as dense blocks ``(qubits, matrix)``, in an order that
-    keeps every qubit's gates in program order; a 4x4 on ``(x, y)`` has
-    local index ``2 * bit(x) + bit(y)``."""
-    blocks: list[tuple[tuple[int, ...], np.ndarray]] = []
-    single: dict[int, Mat2] = {}  # pending 2x2 of each qubit
-    pair: dict[int, _Pair] = {}   # open pair of each of its two qubits
-    matrices = iter(_single_matrices(gates))
-    cnot, measure, barrier = GateKind.CNOT, GateKind.MEASURE, GateKind.BARRIER
+def _fuse(gates: Sequence[Gate]) -> list[Block]:
+    """The gates as dense blocks (:data:`Block`), in an order that keeps
+    every qubit's gates in program order; a block on ``(x, y)`` has local
+    index ``2 * bit(x) + bit(y)``."""
+    angles: list[float] = []       # u3 angles of the single-qubit gates, flat
+    runs: list[int] = []           # the run of each single-qubit gate
+    run: dict[int, int] = {}       # the open run of each qubit
+    pairs: list[tuple[int, int]] = []  # the qubits of each pair block, by opening
+    pair: dict[int, int] = {}      # the open block of each of its two qubits
+    closed: list[int] = []         # pair blocks in emission order
+    # four entries per pair factor: the runs it pops for its block's x and
+    # y (-1: none), its row order in _CNOT_ROWS and its block
+    factors: list[int] = []
+    num_runs = 0
+    cnot, prefix = GateKind.CNOT, _U3_PREFIX
+    pop = run.pop
 
-    def close(p: _Pair) -> None:
-        if p.x in single or p.y in single:
-            p.push(single)  # the last factor: the 2x2s left pending on the pair
-        blocks.append(((p.x, p.y), p.matrix()))
-        del pair[p.x], pair[p.y]
+    def close(b: int) -> None:
+        x, y = pairs[b]
+        if x in run or y in run:  # the last factor: the runs left pending on the pair
+            factors.extend((pop(x, -1), pop(y, -1), 0, b))
+        closed.append(b)
+        del pair[x], pair[y]
 
     for g in gates:
         kind = g.kind
         if kind is cnot:
             c, t = g.qubits
-            p = pair.get(c)
-            if p is None or pair.get(t) is not p:
+            b = pair.get(c)
+            if b is None or pair.get(t) != b:
                 for q in (c, t):
                     if q in pair:
                         close(pair[q])
-                p = pair[c] = pair[t] = _Pair(c, t)
-            p.push(single, c)
-        elif kind is not measure and kind is not barrier:
-            q, u = g.qubits[0], next(matrices)
-            prev = single.get(q)
-            single[q] = u if prev is None else mat2_mul(u, prev)
-        # measure/barrier: identity
-    for p in {id(p): p for p in pair.values()}.values():
-        close(p)
-    for q, u in single.items():
-        blocks.append(((q,), np.array(u, dtype=np.complex128).reshape(2, 2)))
-    return blocks
+                b = pair[c] = pair[t] = len(pairs)
+                pairs.append((c, t))
+            x, y = pairs[b]
+            factors.extend((pop(x, -1), pop(y, -1), 1 if c == x else 2, b))
+        elif kind in prefix:  # a single-qubit gate; measure and barrier are the identity
+            q = g.qubits[0]
+            r = run.get(q)
+            if r is None:
+                r = run[q] = num_runs
+                num_runs += 1
+            runs.append(r)
+            angles += prefix[kind] + g.params  # ir.u3_angles(g)
+    for b in dict.fromkeys(pair.values()):
+        close(b)
+
+    products = _segment_products(_single_matrices(angles), np.array(runs, dtype=np.intp),
+                                 num_runs)
+    # run -1, a qubit with nothing pending, reads the identity
+    products = np.concatenate((products, _IDENTITY))
+    fx, fy, rows, owner = np.array(factors, dtype=np.intp).reshape(-1, 4).T
+    kron = np.einsum("fab,fcd->facbd", products[fx], products[fy]).reshape(-1, 4, 4)
+    kron = kron[np.arange(len(rows))[:, None], _CNOT_ROWS[rows]]
+    blocks = _real_forms(_segment_products(kron, owner, len(pairs)))
+    singles = _real_forms(products[list(run.values())])
+    return [(pairs[b], blocks[b]) for b in closed] + [((q,), m) for q, m in zip(run, singles)]
 
 
-def _apply(circuit: Circuit, block: np.ndarray) -> np.ndarray:
-    """Run the circuit on a (2**n, k) block of column states, n at least
-    the circuit's width, and return the result.  ``block`` is used as one
-    of the two work buffers, so its contents are lost."""
-    dim, k = block.shape
-    src, dst = block, np.empty_like(block)
-    for qubits, matrix in _fuse(circuit.gates):
-        if len(qubits) == 1:
-            q = qubits[0]
-            shape = (dim >> (q + 1), 2, k << q)
-            np.matmul(matrix, src.reshape(shape), out=dst.reshape(shape))
-        else:
-            x, y = qubits
-            lo, hi = min(x, y), max(x, y)
-            shape = (dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, k << lo)
-            axes = (1, 3, 0, 2, 4) if x == hi else (3, 1, 0, 2, 4)
-            grouped = dst.reshape((2, 2) + shape[0:5:2])
-            np.copyto(grouped, src.reshape(shape).transpose(axes))
-            np.matmul(matrix, grouped.reshape(4, -1), out=src.reshape(4, -1))
-            np.copyto(dst.reshape(shape).transpose(axes), src.reshape(grouped.shape))
+def _arrange(src: np.ndarray, dst: np.ndarray, order: list[int], new: list[int]) -> None:
+    """Copy the planes ``src``, whose qubit axes hold the qubits of
+    ``order``, into ``dst`` with them in the order ``new``."""
+    n, k = len(order), src.shape[-1]
+    shape = (2,) * (n + 1) + (k,)
+    axis = {q: i for i, q in enumerate(order, 1)}
+    np.copyto(dst.reshape(shape),
+              src.reshape(shape).transpose([0, *(axis[q] for q in new), n + 1]))
+
+
+def _run(blocks: Sequence[Block], planes: np.ndarray, spare: np.ndarray,
+         order: list[int]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Apply the blocks to ``planes``, a ``(2, 2**n, k)`` block of column
+    states whose qubit axes hold the qubits of ``order``, the most
+    significant first.  ``planes`` and ``spare`` are the two work buffers,
+    so the contents of both are lost; return the buffer that holds the
+    result, the other one, and the result's axis order."""
+    src, dst = planes, spare
+    for qubits, matrix in blocks:
+        m = len(qubits)
+        if tuple(order[:m]) != qubits:
+            new = [*qubits, *(q for q in order if q not in qubits)]
+            _arrange(src, dst, order, new)
+            src, dst, order = dst, src, new
+        np.matmul(matrix, src.reshape(2 << m, -1), out=dst.reshape(2 << m, -1))
         src, dst = dst, src
-    return src
+    return src, dst, order
 
 
 def _width(n: int) -> int:
@@ -188,9 +221,21 @@ def _width(n: int) -> int:
     return n
 
 
+def _planes(states: np.ndarray) -> np.ndarray:
+    """The real and imaginary planes of a complex block, ``(2, *states.shape)``."""
+    return np.stack((states.real, states.imag))
+
+
+def _natural(n: int) -> list[int]:
+    """The axis order of a state indexed by basis state: qubit n-1, the most
+    significant bit, first."""
+    return list(range(n - 1, -1, -1))
+
+
 def simulate(circuit: Circuit, initial: int | np.ndarray = 0) -> np.ndarray:
     """Statevector after the circuit, from a basis index or a state vector."""
-    dim = 1 << _width(circuit.num_qubits)
+    n = _width(circuit.num_qubits)
+    dim = 1 << n
     if isinstance(initial, (bool, np.bool_)):
         raise ValueError(f"initial must be a basis index or a state vector, got {initial!r}")
     if isinstance(initial, (int, np.integer)):
@@ -199,31 +244,26 @@ def simulate(circuit: Circuit, initial: int | np.ndarray = 0) -> np.ndarray:
         state = np.zeros(dim, dtype=np.complex128)
         state[initial] = 1.0
     else:
-        state = np.asarray(initial, dtype=np.complex128).reshape(dim).copy()
+        state = np.asarray(initial, dtype=np.complex128).reshape(dim)
         norm = np.linalg.norm(state)
         if norm == 0:
             raise ValueError("initial state must be nonzero")
-        state /= norm
-    return _apply(circuit, state.reshape(dim, 1)).reshape(dim)
+        state = state / norm
+    planes = _planes(state.reshape(dim, 1))
+    natural = _natural(n)
+    out, spare, order = _run(_fuse(circuit.gates), planes, np.empty_like(planes), natural)
+    _arrange(out, spare, order, natural)
+    return spare[0, :, 0] + 1j * spare[1, :, 0]
 
 
-def permute_amplitudes(state: np.ndarray, mapping: QubitMapping,
-                       num_qubits: int) -> np.ndarray:
-    """``state`` (rows indexed by basis state) under the relabeling
-    ``mapping``: the amplitude of basis index b moves to sigma[b], where
-    bit q of b lands on wire mapping(q).  A mapping that moves a qubit of the register
-    outside 0..num_qubits-1 is a ValueError."""
+def _wires(mapping: QubitMapping, num_qubits: int) -> list[int]:
+    """The wire ``mapping`` moves each qubit of the register to; a mapping
+    that moves one outside 0..num_qubits-1 is a ValueError."""
     wires = [mapping(q) for q in range(num_qubits)]
     if not all(0 <= w < num_qubits for w in wires):
         raise ValueError(f"mapping {mapping.as_dict()} moves a qubit outside "
                          f"0..{num_qubits - 1}")
-    idx = np.arange(1 << num_qubits)
-    sigma = np.zeros_like(idx)
-    for q, w in enumerate(wires):
-        sigma |= ((idx >> q) & 1) << w
-    out = np.empty_like(state)
-    out[sigma] = state
-    return out
+    return wires
 
 
 def _probe_block(n: int, seed: int) -> np.ndarray:
@@ -264,17 +304,22 @@ def probe_fidelity(original: Circuit, transpiled: Circuit,
     ``apply_mapping``.  The narrower circuit runs on the wider register as
     it is.
     """
-    final_map = _as_mapping(final_map or {})
-    initial_map = _as_mapping(initial_map or {})
     n = _width(max(original.num_qubits, transpiled.num_qubits))
-    probes = _probe_block(n, seed)
-    ref = permute_amplitudes(_apply(original, probes.copy()), final_map, n)
-    if not initial_map.is_identity:
-        probes = permute_amplitudes(probes, initial_map, n)
-    out = _apply(transpiled, probes)
-    np.conj(ref, out=ref)
-    ref *= out
-    return float(np.abs(ref.sum(axis=0)).min())
+    final = _wires(_as_mapping(final_map or {}), n)
+    initial = _wires(_as_mapping(initial_map or {}), n)
+    planes = _planes(_probe_block(n, seed))
+    natural = _natural(n)
+    ref, free, ref_order = _run(_fuse(original.gates), planes.copy(),
+                                np.empty_like(planes), natural)
+    # the transpiled side starts with probe qubit q on wire initial[q]
+    out, free, out_order = _run(_fuse(transpiled.gates), planes, free,
+                                [initial[q] for q in natural])
+    # and the reference side ends with its qubit q read as wire final[q]
+    qubit = {w: q for q, w in enumerate(final)}
+    _arrange(ref, free, ref_order, [qubit[w] for w in out_order])
+    re = np.einsum("pdk,pdk->k", free, out)
+    im = np.einsum("dk,dk->k", free[0], out[1]) - np.einsum("dk,dk->k", free[1], out[0])
+    return float(np.hypot(re, im).min())
 
 
 def _check_tol(tol: float) -> None:

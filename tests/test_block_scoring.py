@@ -220,11 +220,13 @@ SIZES = (1, 7, "default")
                 ids=lambda p: f"block={p[0]}-numpy_from={p[1]}")
 def block_sizes(request):
     """Flushes mid-search, ties across block boundaries, and both the
-    per-leaf and the numpy scoring path."""
+    per-leaf and the numpy scoring path.  A block size bounds both the
+    elements and the leaves a queue lets wait."""
     block, numpy_from = request.param
     with pytest.MonkeyPatch.context() as mp:
         if block != "default":
             mp.setattr(search, "_BLOCK_ELEMENTS", block)
+            mp.setattr(search, "_BLOCK_LEAVES", block)
         if numpy_from != "default":
             mp.setattr(search, "_NUMPY_MIN_ELEMENTS", numpy_from)
         yield

@@ -2,6 +2,7 @@
 import inspect
 import itertools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,25 @@ class TestGlobalAdjust:
             sys.setrecursionlimit(limit)
         assert len(mapping.pairs) == 400 and est == 0.0
         assert routed.swaps_emitted == 0
+
+    def test_legal_terminals_do_not_pile_up_in_the_leaf_queue(self):
+        # the same 200-deep path: its terminals leave every CNOT legal, so
+        # they hold no residue to score, but each holds a 600-wide
+        # permutation; a queue that waited for residue elements alone held
+        # 7,357 of them at once and peaked at 130 MB
+        g = make_layout("linear", 600)
+        c = ql.Circuit(600, 0, tuple(ql.cx(3 * k, 3 * k + 2) for k in range(200)))
+        g.distances  # the graph's own table is not the search's
+        tracemalloc.start()
+        try:
+            mapping, est = global_adjust(c, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        # each cx(3k, 3k + 2) legalized by swapping 3k and 3k + 1
+        swaps = {3 * k + side: 3 * k + 1 - side for k in range(200) for side in (0, 1)}
+        assert mapping.as_dict() == swaps and est == 0.0
 
     def test_circuit_wider_than_graph_rejected(self):
         c = ql.Circuit(5, 0, (ql.cx(0, 2), ql.cx(3, 4)))

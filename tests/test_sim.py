@@ -11,7 +11,7 @@ from qlayout.coupling import CouplingGraph, make_layout
 from qlayout.ir import GateKind, QubitMapping, single_qubit_matrix
 from qlayout import routing
 from qlayout.routing import MAX_ORACLE_ILLEGAL, brute_force_route_cost
-from qlayout.sim import _fuse, permute_amplitudes, probe_fidelity, simulate
+from qlayout.sim import _fuse, _probe_block, probe_fidelity, simulate
 
 from conftest import circuits, random_unitary_circuit
 
@@ -39,6 +39,16 @@ def reference_unitary(circuit: ql.Circuit) -> np.ndarray:
             continue
         total = full @ total
     return total
+
+
+def permutation_matrix(mapping: QubitMapping, n: int) -> np.ndarray:
+    """The 2**n x 2**n matrix that moves basis state b to the one with bit
+    q of b on wire mapping(q)."""
+    dim = 1 << n
+    full = np.zeros((dim, dim))
+    for b in range(dim):
+        full[sum((b >> q & 1) << mapping(q) for q in range(n)), b] = 1
+    return full
 
 
 @st.composite
@@ -140,25 +150,62 @@ class TestSimulate:
         for b in range(8):
             assert np.max(np.abs(simulate(circuit, b) - unitary[:, b])) <= 1e-12
 
+    @pytest.mark.parametrize("circuit", [
+        ql.Circuit(3),
+        ql.Circuit(3, 2, (ql.measure(0, 1), ql.barrier(0, 1, 2), ql.measure(2, 0))),
+        ql.Circuit(3, 0, (ql.h(2), ql.u1(0.3, 0), ql.u3(0.1, 0.2, 0.4, 2), ql.u2(0.5, 0.6, 1))),
+        ql.Circuit(1, 1, (ql.u2(0.2, 0.9, 0), ql.measure(0, 0), ql.h(0), ql.u1(0.7, 0))),
+        ql.Circuit(1),
+    ], ids=["empty", "measure and barrier only", "single-qubit gates only",
+            "one qubit", "one qubit, empty"])
+    def test_edge_circuits_match_the_reference(self, circuit):
+        unitary = reference_unitary(circuit)
+        dim = 1 << circuit.num_qubits
+        for b in range(dim):
+            assert np.max(np.abs(simulate(circuit, b) - unitary[:, b])) <= 1e-12
+        psi = np.array([1, 1j]) @ np.random.default_rng(5).normal(size=(2, dim))
+        psi /= np.linalg.norm(psi)
+        assert np.max(np.abs(simulate(circuit, psi) - unitary @ psi)) <= 1e-12
+
     def test_pair_layer_fuses_to_one_block(self):
         # one layer on two qubits: 3 CNOTs and 8 u3s, all on the one pair
         circuit = ql.gen_random_circuit(2, 1, 11)
         assert ql.gate_counts(circuit) == (3, 8)
-        blocks = _fuse(circuit.gates)
-        assert [(sorted(qubits), matrix.shape) for qubits, matrix in blocks] == [([0, 1], (4, 4))]
+        assert [set(qubits) for qubits, _ in _fuse(circuit.gates)] == [{0, 1}]
 
 
-class TestPermutation:
-    def test_swap_permutes_bits(self):
-        state = np.zeros(4, dtype=complex)
-        state[0b01] = 1.0  # q0 set
-        out = permute_amplitudes(state, QubitMapping.swap(0, 1), 2)
-        assert out[0b10] == 1.0  # now q1 set
+class TestRelabeling:
+    def test_final_swap_moves_the_state(self):
+        # a SWAP triple leaves qubit 0's state on wire 1 and qubit 1's on wire 0
+        idle = ql.Circuit(2, 0, (ql.u3(0.4, 0.2, 0.1, 0),))
+        swapped = idle.with_gates(idle.gates + (ql.cx(0, 1), ql.cx(1, 0), ql.cx(0, 1)))
+        assert probe_fidelity(idle, swapped, QubitMapping.swap(0, 1)) == pytest.approx(1, abs=1e-12)
+        assert probe_fidelity(idle, swapped) < 0.5
 
-    def test_identity(self):
-        state = np.arange(8, dtype=complex)
-        out = permute_amplitudes(state, QubitMapping.identity(), 3)
-        assert np.array_equal(out, state)
+    def test_identity_mapping_is_no_mapping(self):
+        a = random_unitary_circuit(np.random.default_rng(9), 3, 15)
+        b = random_unitary_circuit(np.random.default_rng(10), 3, 15)
+        identity = QubitMapping.identity()
+        assert (probe_fidelity(a, b, identity, initial_map=identity)
+                == probe_fidelity(a, b) == probe_fidelity(a, b, {}, initial_map={}))
+
+    @settings(max_examples=100, deadline=None)
+    @given(fusion_circuits(), st.data(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_explicit_permutations(self, original, data, seed):
+        n = original.num_qubits
+        initial, final = (QubitMapping.from_dict(dict(enumerate(data.draw(st.permutations(range(n))))))
+                          for _ in range(2))
+        if data.draw(st.booleans()):  # the same program on relabeled wires
+            transpiled = ql.apply_mapping(original, initial)
+        else:
+            transpiled = data.draw(fusion_circuits().filter(lambda c: c.num_qubits <= n))
+        probes = _probe_block(n, seed)
+        ref = permutation_matrix(final, n) @ reference_unitary(original) @ probes
+        out = (reference_unitary(transpiled.widened(n)) @ permutation_matrix(initial, n)
+               @ probes)
+        expected = np.abs(np.sum(ref.conj() * out, axis=0)).min()
+        got = probe_fidelity(original, transpiled, final, initial_map=initial, seed=seed)
+        assert abs(got - expected) <= 1e-12
 
 
 class TestEquivalent:
