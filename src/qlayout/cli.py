@@ -32,11 +32,22 @@ def _load_circuit(path: str):
     return parse_qasm(Path(path).read_text())
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object that names no key twice; a repeated key is a ValueError."""
+    if len(dict(pairs)) != len(pairs):
+        raise ValueError(f"a JSON object repeats a key: {[k for k, _ in pairs]!r}")
+    return dict(pairs)
+
+
 def _mapping_from_json(obj: object) -> QubitMapping:
-    """A mapping from a JSON object of qubit indices; anything else is a
-    ValueError."""
-    if not isinstance(obj, dict) or not all(type(v) is int for v in obj.values()):
-        raise ValueError(f"a mapping must be a JSON object of integers, got {obj!r}")
+    """A mapping from a JSON object of integers keyed by qubit indices in
+    ASCII decimal digits, as the QASM reader reads an index, each qubit
+    once; anything else is a ValueError."""
+    if not (isinstance(obj, dict) and all(type(v) is int for v in obj.values())
+            and all(k.isascii() and k.isdigit() for k in obj)
+            and len({int(k) for k in obj}) == len(obj)):
+        raise ValueError(f"a mapping must be a JSON object of integers, keyed by distinct "
+                         f"qubit indices in decimal digits, got {obj!r}")
     return QubitMapping.from_dict({int(k): v for k, v in obj.items()})
 
 
@@ -54,7 +65,6 @@ def cmd_transpile(args: argparse.Namespace) -> int:
             config = PipelineConfig(
                 lookahead=args.lookahead,
                 global_limits=SearchLimits(max_nodes=args.global_limit),
-                do_global=not args.no_global,
                 do_merge=not args.no_merge,
             )
             result = transpile(circuit, graph, config)
@@ -84,7 +94,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         final_map = QubitMapping.identity()
         initial_map = QubitMapping.identity()
         if args.mapping:
-            data = json.loads(Path(args.mapping).read_text())
+            data = json.loads(Path(args.mapping).read_text(), object_pairs_hook=_unique_keys)
             if isinstance(data, dict) and "final_mapping" in data:  # a transpile report
                 final_map = _mapping_from_json(data["final_mapping"])
                 initial_map = _mapping_from_json(data.get("initial_mapping", {}))
@@ -153,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--lookahead", type=int, default=DEFAULT_LOOKAHEAD)
     t.add_argument("--global-limit", type=int, default=SearchLimits().max_nodes,
                    help="node cap for the relabeling search")
-    t.add_argument("--no-global", action="store_true", help="skip global relabeling")
     t.add_argument("--no-merge", action="store_true", help="skip single-qubit fusion")
     t.add_argument("--baseline", choices=["naive"],
                    help="route with the swap-there-and-back baseline instead")

@@ -183,11 +183,12 @@ def coupling_from_json(text: str) -> CouplingGraph:
 
 def load_coupling(spec: str | Path) -> CouplingGraph:
     """Load a graph from a JSON file, or build one from the shorthand
-    ``layout:NAME:N`` (e.g. ``layout:central:5``)."""
+    ``layout:NAME:N`` (e.g. ``layout:central:5``), N in ASCII decimal
+    digits, as the QASM reader reads a register size."""
     text = str(spec)
     if text.startswith("layout:"):
         parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"expected layout:NAME:N, got {text!r}")
+        if len(parts) != 3 or not (parts[2].isascii() and parts[2].isdigit()):
+            raise ValueError(f"expected layout:NAME:N, N in decimal digits, got {text!r}")
         return make_layout(parts[1], int(parts[2]))
     return coupling_from_json(Path(spec).read_text())

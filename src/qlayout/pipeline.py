@@ -41,7 +41,6 @@ from .routing import (
 class PipelineConfig:
     lookahead: int = DEFAULT_LOOKAHEAD
     global_limits: SearchLimits = field(default_factory=SearchLimits)
-    do_global: bool = True
     do_merge: bool = True
 
     def __post_init__(self):
@@ -153,9 +152,7 @@ def transpile(circuit: Circuit, graph: CouplingGraph,
     config = config or PipelineConfig()
 
     def route(work: Circuit, stages: _Stages) -> tuple[QubitMapping, RouteResult]:
-        initial = QubitMapping.identity()
-        if config.do_global:
-            initial, _ = global_adjust(work, graph, config.global_limits)
+        initial, _ = global_adjust(work, graph, config.global_limits)
         stages.done("global_adjust", work)
         routed = route_circuit(work, graph, config.lookahead, initial_mapping=initial)
         stages.done("local_adjust", routed.circuit)

@@ -32,15 +32,15 @@ permutation.  The router keeps one running wire permutation, takes the
 chosen node's permutation as the next one, and builds each output gate
 once, when it is emitted.
 
-A decision reuses the one before it.  The router commits the chosen
-first-level repair, so the next illegal CNOT is the one that child's scan
-found, and levels 1 to L - 1 of the next search are the chosen child's
-subtree from the last one.  A tree node keeps its permutation, its scan's
-result and its children, and :func:`route_circuit` keeps the child
-:func:`_choose_repair` chose (at most 2^L - 2 nodes below it, one subtree
-at a time): the next decision rooted there descends the kept levels and
-builds only the new bottom one, 2^L compositions and scans instead of
-2^(L+1) - 2.
+The router walks one lookahead tree.  A tree node keeps its permutation,
+its scan's result -- the next illegal CNOT -- and its children once it is
+expanded.  The router commits the repair a decision chooses, so the
+chosen first-level node is the next decision's root: its permutation is
+the router's, and its scan names the CNOT the next decision repairs, so
+the router finds the CNOTs to repair without a scan of its own.  Levels
+1 to L - 1 below that root were built by the decision before, so each
+decision after the first builds only the new bottom level, 2^L
+compositions and scans instead of 2^(L+1) - 2.
 
 Orientation (on directed graphs) is repaired afterwards by
 :func:`fix_directions`, and :func:`naive_route` provides the classic
@@ -51,7 +51,6 @@ it is the oracle the lookahead router is certified against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .coupling import CouplingGraph, DisconnectedGraphError
 from .ir import Circuit, Gate, GateKind, QubitMapping
@@ -120,69 +119,62 @@ def _repairs(ill: tuple[int, int], graph: CouplingGraph,
 
 
 #: a node of the lookahead tree, ``[repair, perm, j, children]``: the repair
-#: (one of :func:`_repairs`) that leads to it from its parent, the
-#: permutation after it, the index of the first CNOT illegal under that
-#: permutation (-1 if none), and its two children once it has been expanded
+#: (one of :func:`_repairs`) that leads to it from its parent (None at the
+#: placement, the first root), the permutation after it, the index of the
+#: first CNOT illegal under that permutation (-1 if none), and its two
+#: children once it has been expanded
 _Node = list
 
 
-def _children(leaves: Leaves, repairs: _RepairTable, start: int,
-              perm: Sequence[int]) -> list[_Node]:
-    """The two repairs of the illegal CNOT before ``start``
-    (``cnots[start - 1]`` read through ``perm``), control moved first, each
-    applied to ``perm`` as a new unexpanded node whose scan for the next
-    illegal CNOT starts at ``start``."""
+def _children(leaves: Leaves, repairs: _RepairTable, node: _Node) -> list[_Node]:
+    """The two repairs of ``node``'s illegal CNOT (``cnots[node[2]]`` read
+    through its permutation), control moved first, each applied to that
+    permutation as a new unexpanded node whose scan for the next illegal
+    CNOT starts after it; they are stored as ``node``'s children."""
     cnots, graph = leaves.cnots, leaves.graph
-    c, t = cnots[start - 1]
+    _, perm, j, _ = node
+    c, t = cnots[j]
     kids = []
     for repair in _repairs((perm[c], perm[t]), graph, repairs):
         step = repair[1]
         moved = [step[q] for q in perm]
-        kids.append([repair, moved, first_illegal(cnots, graph, start, moved), None])
+        kids.append([repair, moved, first_illegal(cnots, graph, j + 1, moved), None])
+    node[3] = kids
     return kids
 
 
-def _choose_repair(leaves: Leaves, repairs: _RepairTable, kept: _Node | None, start: int,
-                   perm: Sequence[int], lookahead: int) -> tuple[_Node, float]:
-    """The best first-level repair of the illegal CNOT ``cnots[start - 1]``,
-    read through the dense relabeling ``perm``, as the node it leads to
-    (its first element is one of :func:`_repairs`), and its cost, by exact
-    search of the top ``lookahead`` levels of the control/target decision
-    tree.
+def _choose_repair(leaves: Leaves, repairs: _RepairTable, root: _Node,
+                   lookahead: int) -> tuple[_Node, float]:
+    """The best repair of ``root``'s illegal CNOT, as the child of ``root``
+    it leads to (its first element is one of :func:`_repairs`), and its
+    cost, by exact search of the top ``lookahead`` levels of the
+    control/target decision tree below ``root``.
 
-    The CNOTs after it are ``leaves.cnots[start:]``, read through ``perm``.
     A node above the horizon whose permutation leaves an illegal CNOT is
     expanded, and the others are leaves: their cost is the repairs' costs
     from the root down plus the estimated cost of their residue.  Children
     are visited control first at every level, and the leaves are queued in
     that order and scored in blocks, so ties keep the earlier-explored leaf.
 
-    The router commits the repair this returns, so its next decision is
-    rooted at the chosen node: same permutation, and the illegal CNOT is
-    the one that node's scan found.  The router passes the node back as
-    ``kept``, and a decision at that root reuses its subtree and only builds
-    the nodes below it, the new bottom level: 2^L of the 2^(L+1) - 2 nodes
-    at lookahead L.  The tree depends only on the root, so the decision is
-    the one a fresh search makes.  One subtree is kept at a time, at most
-    2^L - 2 nodes below its root.  ``repairs`` is the routing call's table
-    of :func:`_repairs`.
+    A node keeps the children it was expanded with, so the router, which
+    commits the chosen repair and passes the chosen node back as the next
+    root, descends the levels the last decision built and only builds the
+    new bottom one: 2^L of the 2^(L+1) - 2 nodes at lookahead L.  The
+    tree depends only on its root, so each decision is the one a fresh
+    search makes.  ``repairs`` is the routing call's table of
+    :func:`_repairs`.
     """
     size, add = leaves.size, leaves.add
-    # an expanded node has an illegal CNOT, the one its children repair, at index j
-    kids = kept[3] if kept is not None and kept[2] == start - 1 and kept[1] == perm else None
-    if kids is None:
-        kids = _children(leaves, repairs, start, perm)
     # depth first, control first: (node, its parent's cost, its first-level
     # node, its depth)
-    stack = [(kid, 0.0, kid, 1) for kid in reversed(kids)]
+    stack = [(kid, 0.0, kid, 1) for kid in reversed(root[3] or _children(leaves, repairs, root))]
     push, pop = stack.append, stack.pop
     while stack:
         node, acc, first, depth = pop()
         repair, moved, j, below = node
         cost = acc + repair[0]
         if j >= 0 and depth < lookahead:
-            if below is None:
-                below = node[3] = _children(leaves, repairs, j + 1, moved)
+            below = below or _children(leaves, repairs, node)
             push((below[1], cost, first, depth + 1))
             push((below[0], cost, first, depth + 1))
             continue
@@ -223,9 +215,10 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
     through one running wire permutation, and each output gate is built
     once, when it is emitted (a gate the permutation leaves in place is
     emitted as itself); qubit q ends on wire ``final_mapping(q)``.
-    Each decision after the first starts from the subtree the one before it
-    kept (see :func:`_choose_repair`).  The output is as wide as the graph
-    (see :func:`fit_to_graph`).
+    The decisions walk one lookahead tree: the node a decision chooses is
+    the next one's root, and names the next CNOT to repair (see
+    :func:`_choose_repair`).  The output is as wide as the graph (see
+    :func:`fit_to_graph`).
     """
     _check_lookahead(lookahead)
     circuit = fit_to_graph(circuit, graph)
@@ -239,25 +232,26 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
     cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
     leaves = Leaves(cnots, graph)
     repairs: _RepairTable = {}
-    chosen: _Node | None = None  # the node the last decision chose
+    # the root of the next decision, whose scan names the CNOT it repairs
+    root: _Node = [None, wire, first_illegal(cnots, graph, 0, wire), None]
     out: list[Gate] = []
     search_cost = 0
     swaps = 0
-    k = 0  # CNOTs seen so far; cnots[k:] are the ones after the current gate
+    k = 0  # the index of the next CNOT
     for g in circuit.gates:
         if g.kind is GateKind.CNOT:
-            k += 1
-            c, t = g.qubits
-            if dist[wire[c]][wire[t]] != 1:
-                chosen, _ = _choose_repair(leaves, repairs, chosen, k, wire, lookahead)
-                step_cost, _, stops = chosen[0]
+            if k == root[2]:
+                root, _ = _choose_repair(leaves, repairs, root, lookahead)
+                step_cost, _, stops = root[0]
                 for a, b in zip(stops, stops[1:]):
                     out += _swap_gates(a, b)
-                wire = chosen[1]
+                wire = root[1]
                 search_cost += step_cost
                 swaps += len(stops) - 1
+                c, t = g.qubits
                 if dist[wire[c]][wire[t]] != 1:
                     raise LegalityError(f"the repair of cx({c},{t}) left its wires apart")
+            k += 1
         out.append(g._moved(wire))
     final = QubitMapping(tuple(enumerate(wire)))
     return RouteResult(Circuit._unchecked(circuit.num_qubits, circuit.num_clbits, tuple(out)),

@@ -74,8 +74,8 @@ def lookahead_choose(ill, rest, graph, lookahead=DEFAULT_LOOKAHEAD):
     the CNOTs ``rest``, from the identity relabeling: the chosen repair's
     relabeling as a mapping, and its search cost (exact over the horizon,
     estimated below it)."""
-    node, cost = _choose_repair(Leaves([ill, *rest], graph), {}, None, 1,
-                                range(graph.num_qubits), lookahead)
+    root = [None, list(range(graph.num_qubits)), 0, None]
+    node, cost = _choose_repair(Leaves([ill, *rest], graph), {}, root, lookahead)
     (_, step, _) = node[0]
     return QubitMapping(tuple(enumerate(step))), cost
 

@@ -200,12 +200,12 @@ def oracle_route(circuit, graph, lookahead, placement=None):
 
 
 @st.composite
-def graph_and_cnots(draw, max_cnots=24):
+def graph_and_cnots(draw, max_cnots=24, min_cnots=0):
     """A connected graph and a CNOT-only circuit on its qubits."""
     graph = draw(connected_graphs(max_qubits=8))
     q = st.integers(min_value=0, max_value=graph.num_qubits - 1)
     pairs = draw(st.lists(st.tuples(q, q).filter(lambda p: p[0] != p[1]),
-                          max_size=max_cnots))
+                          min_size=min_cnots, max_size=max_cnots))
     return graph, pairs
 
 
@@ -277,7 +277,7 @@ class TestLookaheadMatchesLeafByLeaf:
            lookahead=st.integers(min_value=1, max_value=6))
     def test_route_circuit(self, case, data, lookahead):
         # every decision after the first starts mid-list, on a moved
-        # permutation, from the subtree the decision before it kept
+        # permutation, at the node the decision before it chose
         graph, pairs = case
         n = graph.num_qubits
         placement = QubitMapping(tuple(enumerate(data.draw(st.permutations(range(n))))))
@@ -290,8 +290,8 @@ class TestLookaheadMatchesLeafByLeaf:
 
 
 #: central n = 8 at depth 30, from the relabel search's placement as in
-#: ``transpile``: about 150 decisions, each but the first rooted in the
-#: subtree the one before it kept
+#: ``transpile``: about 150 decisions, each but the first rooted at the
+#: node the one before it chose
 LONG_CIRCUIT = ql.gen_random_circuit(8, 30, 20250808)
 
 
@@ -312,14 +312,16 @@ def test_long_route_equals_fresh_decisions(directed, lookahead):
 class TestKeptSubtree:
     def route_counting(self, monkeypatch, lookahead, fresh):
         """Route ``LONG_CIRCUIT`` on central-8, with every decision searching
-        afresh if ``fresh``; the result and, per decision, the number of tree
-        nodes it expands."""
+        from a childless copy of its root if ``fresh``; the result and, per
+        decision, the number of tree nodes it expands."""
         per_decision = []
         choose, children = routing._choose_repair, routing._children
 
-        def counting_choose(leaves, repairs, kept, *rest):
+        def counting_choose(leaves, repairs, root, lookahead):
             per_decision.append(0)
-            return choose(leaves, repairs, None if fresh else kept, *rest)
+            if fresh:
+                root = [None, root[1], root[2], None]
+            return choose(leaves, repairs, root, lookahead)
 
         def counting_children(*args):
             per_decision[-1] += 1
@@ -346,29 +348,21 @@ class TestKeptSubtree:
             assert sum(fresh) - sum(kept) >= len(kept) - 1
 
     @settings(max_examples=40, deadline=None)
-    @given(case=graph_and_cnots(), data=st.data(),
+    @given(case=graph_and_cnots(min_cnots=12), data=st.data(),
            lookahead=st.integers(min_value=1, max_value=5))
-    def test_a_decision_at_another_root_searches_afresh(self, case, data, lookahead):
-        # the subtree kept by one decision must not leak into a decision
-        # that is not rooted at its chosen child
+    def test_each_chosen_root_decides_as_a_fresh_search(self, case, data, lookahead):
+        # down the chain of chosen nodes from a random permutation, the
+        # decision that reuses the levels built before it is the one a
+        # search from a childless copy of its root makes
         graph, pairs = case
-        n = graph.num_qubits
-        q = st.integers(min_value=0, max_value=n - 1)
-        apart = st.tuples(q, q).filter(lambda p: graph.distances[p[0]][p[1]] > 1)
-        if not pairs or not any(graph.distances[a][b] > 1 for a in range(n) for b in range(n)):
-            return
-        shared, repairs, kept = Leaves(pairs, graph), {}, None
-        for _ in range(3):
-            # a root: a start and a permutation that puts the CNOT before
-            # that start on two wires apart
-            start = data.draw(st.integers(min_value=1, max_value=len(pairs)))
-            perm = data.draw(st.permutations(range(n)))
-            for q, wire in zip(pairs[start - 1], data.draw(apart)):
-                other = perm.index(wire)
-                perm[q], perm[other] = wire, perm[q]
-            kept, cost = routing._choose_repair(shared, repairs, kept, start, perm, lookahead)
-            fresh = routing._choose_repair(Leaves(pairs, graph), {}, None, start, perm, lookahead)
-            assert kept[0] == fresh[0][0] and cost.hex() == fresh[1].hex()
+        perm = data.draw(st.permutations(range(graph.num_qubits)))
+        shared, repairs = Leaves(pairs, graph), {}
+        root = [None, perm, first_illegal(pairs, graph, 0, perm), None]
+        while root[2] >= 0:
+            fresh, fresh_cost = routing._choose_repair(
+                Leaves(pairs, graph), {}, [None, root[1], root[2], None], lookahead)
+            root, cost = routing._choose_repair(shared, repairs, root, lookahead)
+            assert root[:3] == fresh[:3] and cost.hex() == fresh_cost.hex()
 
 
 def near_masks(graph, inverse):

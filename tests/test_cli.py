@@ -65,6 +65,13 @@ class TestTranspileCommand:
                          "--coupling", coupling, "--out", str(workdir / "x.qasm")]) == 1
             assert "MAX_REGISTER" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["1_0", " \u0663", "+3"])
+    def test_size_not_in_decimal_digits_exits_1(self, workdir, capsys, n):
+        # int() would read these as 10, 3 and 3
+        assert main(["transpile", "--qasm", str(workdir / "in.qasm"),
+                     "--coupling", f"layout:linear:{n}", "--out", str(workdir / "x.qasm")]) == 1
+        assert "N in decimal digits" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_graph_without_vertices_exits_1(self, workdir, capsys, n):
         empty = workdir / "empty.json"
@@ -204,13 +211,23 @@ class TestVerifyCommand:
         assert main(args) == 2
         assert "outside 0..1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ['{"0": [1]}', "[0, 1]", '{"final_mapping": 3}'])
+    @pytest.mark.parametrize("text", ['{"0": [1]}', "[0, 1]", '{"final_mapping": 3}',
+                                      # two spellings of qubit 0, and keys int() reads as 10 and 3
+                                      '{"0": 0, "+0": 0}', '{"1_0": 10, "10": 1}',
+                                      '{" \\u0663": 3}', '{"final_mapping": {"1 ": 1}}'])
     def test_malformed_mapping_exits_2(self, workdir, capsys, text):
         m = workdir / "map.json"
         m.write_text(text)
         assert main(["verify", "--original", str(workdir / "in.qasm"),
                      "--transpiled", str(workdir / "in.qasm"), "--mapping", str(m)]) == 2
         assert "JSON object of integers" in capsys.readouterr().err
+
+    def test_mapping_that_repeats_a_key_exits_2(self, workdir, capsys):
+        m = workdir / "map.json"
+        m.write_text('{"0": 1, "1": 0, "0": 0}')
+        assert main(["verify", "--original", str(workdir / "in.qasm"),
+                     "--transpiled", str(workdir / "in.qasm"), "--mapping", str(m)]) == 2
+        assert "repeats a key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("below", [False, True], ids=["at", "below"])
     def test_verdict_at_the_boundary_is_equivalents(self, workdir, monkeypatch, below):

@@ -302,6 +302,12 @@ class TestConstruction:
         assert g == make_layout("central", 5)
         with pytest.raises(ValueError):
             ql.load_coupling("layout:central")
+        # N is ASCII decimal digits, as a QASM register size is read
+        assert ql.load_coupling("layout:linear:007") == make_layout("linear", 7)
+        for spec in ("layout:linear:1_0", "layout:linear: \u0663", "layout:linear:+3",
+                     "layout:linear: 3", "layout:linear:"):
+            with pytest.raises(ValueError, match="N in decimal digits"):
+                ql.load_coupling(spec)
 
     def test_json_file_loading(self, tmp_path):
         path = tmp_path / "g.json"

@@ -16,6 +16,7 @@ from qlayout.ir import GateKind
 from qlayout import pipeline
 from qlayout.merge import merge_single_qubit_runs
 from qlayout.pipeline import PipelineConfig, check_legal, transpile, transpile_baseline
+from qlayout.relabel import SearchLimits
 from qlayout.routing import (
     MAX_LOOKAHEAD,
     LegalityError,
@@ -73,7 +74,7 @@ class TestTranspile:
         g = make_layout("linear", 5)
         no_merge = transpile(c, g, PipelineConfig(do_merge=False))
         assert no_merge.stage_counts["merge"] == no_merge.stage_counts["fix_directions"]
-        no_global = transpile(c, g, PipelineConfig(do_global=False))
+        no_global = transpile(c, g, PipelineConfig(global_limits=SearchLimits(max_nodes=0)))
         assert no_global.initial_mapping.is_identity
         assert ql.equivalent(c, no_global.circuit, no_global.final_mapping, 1e-6)
 

@@ -358,19 +358,21 @@ class TestNaiveRoute:
 def reference_route(circuit: ql.Circuit, graph: CouplingGraph, lookahead: int,
                     placement: QubitMapping) -> routing.RouteResult:
     """The router's loop with every moved gate rebuilt through the checked
-    constructor, and every unmoved one emitted as itself."""
+    constructor, and every unmoved one emitted as itself; each decision
+    searches from a fresh root, and the running permutation is recomposed
+    from the chosen repair's step."""
     circuit = fit_to_graph(circuit, graph)
     wire = [placement(q) for q in range(graph.num_qubits)]
     leaves = Leaves([g.qubits for g in circuit.gates if g.kind is GateKind.CNOT], graph)
-    repairs, kept = {}, None
+    repairs = {}
     out, search_cost, swaps, k = [], 0, 0, 0
     for g in circuit.gates:
         if g.kind is GateKind.CNOT:
             k += 1
             c, t = g.qubits
             if not graph.is_legal_cnot(wire[c], wire[t], respect_direction=False):
-                kept, _ = _choose_repair(leaves, repairs, kept, k, wire, lookahead)
-                step_cost, step, stops = kept[0]
+                chosen, _ = _choose_repair(leaves, repairs, [None, wire, k - 1, None], lookahead)
+                step_cost, step, stops = chosen[0]
                 for a, b in zip(stops, stops[1:]):
                     out += _swap_gates(a, b)
                 wire = [step[w] for w in wire]
