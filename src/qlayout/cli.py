@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .bench import records_to_csv, result_to_json, run_benchmark
-from .coupling import DisconnectedGraphError, load_coupling
+from .coupling import DisconnectedGraphError, _unique_keys, load_coupling
 from .relabel import SearchLimits
 from .ir import QubitMapping
 from .pipeline import PipelineConfig, transpile, transpile_baseline
@@ -30,13 +30,6 @@ from .sim import DEFAULT_TOL, _check_tol, _within_tol, probe_fidelity
 
 def _load_circuit(path: str):
     return parse_qasm(Path(path).read_text())
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
-    """A JSON object that names no key twice; a repeated key is a ValueError."""
-    if len(dict(pairs)) != len(pairs):
-        raise ValueError(f"a JSON object repeats a key: {[k for k, _ in pairs]!r}")
-    return dict(pairs)
 
 
 def _mapping_from_json(obj: object) -> QubitMapping:
@@ -113,13 +106,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
+def _integer(text: str) -> int:
+    """An integer in ASCII decimal digits, after an optional minus sign, as
+    the QASM reader reads an index; anything else is a usage error."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer in decimal digits, got {text!r}")
+    return int(text)
+
+
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
         lo = hi = text
     try:
-        a, b = int(lo), int(hi)
-    except ValueError:
+        a, b = _integer(lo), _integer(hi)
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"expected a..b, got {text!r}") from None
     if a > b:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
@@ -160,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coupling graph JSON file or layout:NAME:N shorthand")
     t.add_argument("--out", required=True, help="output QASM path")
     t.add_argument("--report", help="write a JSON report here")
-    t.add_argument("--lookahead", type=int, default=DEFAULT_LOOKAHEAD)
-    t.add_argument("--global-limit", type=int, default=SearchLimits().max_nodes,
+    t.add_argument("--lookahead", type=_integer, default=DEFAULT_LOOKAHEAD)
+    t.add_argument("--global-limit", type=_integer, default=SearchLimits().max_nodes,
                    help="node cap for the relabeling search")
     t.add_argument("--no-merge", action="store_true", help="skip single-qubit fusion")
     t.add_argument("--baseline", choices=["naive"],
@@ -173,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--transpiled", required=True)
     v.add_argument("--mapping", help="transpile report JSON or a bare mapping object")
     v.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_integer, default=0)
     v.set_defaults(func=cmd_verify)
 
     b = sub.add_parser("bench", help="run the benchmark grid")
@@ -181,11 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated: linear,circle,central,neighbour")
     b.add_argument("--qubits", required=True, type=_parse_range, help="range a..b")
     b.add_argument("--depths", required=True, type=_parse_range, help="range a..b")
-    b.add_argument("--trials", type=int, default=10)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--trials", type=_integer, default=10)
+    b.add_argument("--seed", type=_integer, default=0)
     b.add_argument("--csv", required=True, help="records CSV path")
     b.add_argument("--json", help="aggregate JSON path (default: CSV path with .json)")
-    b.add_argument("--lookahead", type=int, default=DEFAULT_LOOKAHEAD)
+    b.add_argument("--lookahead", type=_integer, default=DEFAULT_LOOKAHEAD)
     b.add_argument("--tol", type=float, default=DEFAULT_TOL)
     b.add_argument("--fixed-times", action="store_true",
                    help="write zeros for the time columns (byte-reproducible CSV)")

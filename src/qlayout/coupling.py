@@ -164,11 +164,19 @@ def make_layout(kind: str, n: int) -> CouplingGraph:
     return CouplingGraph(n, frozenset(edges), directed=False)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object that names no key twice; a repeated key is a ValueError."""
+    if len(dict(pairs)) != len(pairs):
+        raise ValueError(f"a JSON object repeats a key: {[k for k, _ in pairs]!r}")
+    return dict(pairs)
+
+
 def coupling_from_json(text: str) -> CouplingGraph:
     """A graph from ``{"n": int, "edges": [[int, int], ...], "directed": bool}``;
     ``directed`` defaults to false.  Values are not coerced: a float, a
-    string or a boolean where an integer belongs is an error."""
-    data = json.loads(text)
+    string or a boolean where an integer belongs is an error, and so is a
+    key named twice."""
+    data = json.loads(text, object_pairs_hook=_unique_keys)
     try:
         n, edges, directed = data["n"], data["edges"], data.get("directed", False)
     except (KeyError, TypeError) as exc:

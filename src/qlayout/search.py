@@ -1,4 +1,4 @@
-"""What the two searches over a CNOT list share: the legality scan and the
+"""What the two searches over a CNOT list share: the estimator and the
 queue that scores their leaves.
 
 The relabel search (:func:`~qlayout.relabel.global_adjust`) and the
@@ -6,7 +6,10 @@ lookahead router (:func:`~qlayout.routing.route_circuit`) both read the
 CNOTs as the input's (control, target) pairs through a dense permutation
 ``perm[q]``, and both rank what they leave behind by :func:`estimate_cost`
 of its residue: the intermediate-vertex counts, distance - 1, of the CNOTs
-still illegal from a start index on (:func:`residual_intermediates`).
+still illegal from a start index on (:func:`residual_intermediates`).  The
+router finds its next illegal CNOT with :func:`first_illegal`; the relabel
+search runs the same scan inside its own loop, where one call per node
+would cost more than the scan.
 
 Each leaf scores its whole residue, but not one at a time.  Neither search
 reads a cost while it runs, so the leaves are queued in exploration order
@@ -83,8 +86,11 @@ def residual_intermediates(cnots: Sequence[tuple[int, int]], graph: CouplingGrap
     return counts
 
 
-#: leaf x CNOT elements a queue lets wait before it scores its leaves
-_BLOCK_ELEMENTS = 4096
+#: leaf x CNOT elements a queue lets wait before it scores its leaves: on
+#: the relabel search's large blocks, fewer and larger ones cost fewer numpy
+#: calls per leaf; the router's blocks are flushed by :meth:`Leaves.take`
+#: long before they reach it
+_BLOCK_ELEMENTS = 8192
 
 #: leaves a queue lets wait before it scores them, however few elements
 #: they hold: each holds a permutation as wide as the graph

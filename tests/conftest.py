@@ -69,6 +69,22 @@ def connected_graphs(draw, min_qubits: int = 3, max_qubits: int = 7):
                          directed=draw(st.booleans()))
 
 
+def queued_leaves(search, *args):
+    """The leaves the search call ``search(*args)`` queues on its
+    :class:`Leaves`, as (perm, start), in order."""
+    queued = []
+    add = Leaves.add
+
+    def recording(self, perm, start, base, tag):
+        queued.append((tuple(perm), start))
+        add(self, perm, start, base, tag)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Leaves, "add", recording)
+        search(*args)
+    return queued
+
+
 def lookahead_choose(ill, rest, graph, lookahead=DEFAULT_LOOKAHEAD):
     """The router's decision for the illegal wire pair ``ill`` followed by
     the CNOTs ``rest``, from the identity relabeling: the chosen repair's

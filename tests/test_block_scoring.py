@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlayout as ql
-from conftest import circuits, connected_graphs, lookahead_choose
-from qlayout import relabel, routing, search
+from conftest import circuits, connected_graphs, lookahead_choose, queued_leaves
+from qlayout import routing, search
 from qlayout.coupling import CouplingGraph, DisconnectedGraphError
 from qlayout.relabel import SearchLimits, _partners, global_adjust
 from qlayout.ir import GateKind, QubitMapping
@@ -101,8 +101,13 @@ def ref_repairs(ill, graph, perm):
         yield mover, ref_search_cost(stops, mover), ref_relabeled(perm, stops)
 
 
-def oracle_global_adjust(circuit, graph, limits=None):
-    """The relabel search with every leaf scored when it is reached."""
+def oracle_global_adjust(circuit, graph, limits=None, terminals=None, nodes=None):
+    """The relabel search with every leaf scored when it is reached.
+
+    It rescans the passed CNOTs for each candidate at every node.  When
+    given, ``terminals`` collects each terminal it ranks, as (perm, start),
+    in order, the identity fallback last, and ``nodes`` each branching
+    node's candidates."""
     limits = limits or SearchLimits()
     cnots = [g.qubits for g in circuit.gates if g.kind is GateKind.CNOT]
     width = max(circuit.num_qubits, graph.num_qubits)
@@ -111,9 +116,13 @@ def oracle_global_adjust(circuit, graph, limits=None):
     inverse = list(range(width))
     best = None
     budget = limits.max_nodes
+    terminals = [] if terminals is None else terminals
+    nodes = [] if nodes is None else nodes
 
-    def offer(cost):
+    def offer(start):
         nonlocal best
+        terminals.append((tuple(perm), start))
+        cost = estimate_cost(residual_intermediates(cnots, graph, start, perm))
         if best is None or cost < best[1]:
             best = (tuple(perm), cost)
 
@@ -121,17 +130,18 @@ def oracle_global_adjust(circuit, graph, limits=None):
         nonlocal budget
         i = first_illegal(cnots, graph, start, perm)
         if i < 0:
-            offer(0.0)
+            offer(len(cnots))
             return
         if budget <= 0:
-            offer(estimate_cost(residual_intermediates(cnots, graph, i, perm)))
+            offer(i)
             return
         budget -= 1
         c, t = cnots[i]
         swaps = list(ref_legalizing_swaps((perm[c], perm[t]), graph, cnots, passed, i,
                                           perm, inverse))
+        nodes.append(swaps)
         if not swaps:
-            offer(estimate_cost(residual_intermediates(cnots, graph, i, perm)))
+            offer(i)
             return
         for moved, nbr in swaps:
             if budget <= 0:
@@ -142,7 +152,7 @@ def oracle_global_adjust(circuit, graph, limits=None):
             perm[a], perm[b], inverse[moved], inverse[nbr] = moved, nbr, a, b
 
     search(0)
-    offer(estimate_cost(residual_intermediates(cnots, graph, 0, perm)))
+    offer(0)
     wires, cost = best
     return QubitMapping(tuple(enumerate(wires))), cost
 
@@ -365,70 +375,37 @@ class TestKeptSubtree:
             assert root[:3] == fresh[:3] and cost.hex() == fresh_cost.hex()
 
 
-def near_masks(graph, inverse):
-    """Per wire, the bitmask of the input qubits on its adjacent wires."""
-    return [sum(1 << inverse[u] for u in graph.neighbors[w]) for w in range(graph.num_qubits)]
-
-
-def partner_row(prefix, num_qubits):
-    """Per qubit, the bitmask of the qubits it shares a CNOT with in ``prefix``."""
-    row = [0] * num_qubits
-    for c, t in prefix:
-        row[c] |= 1 << t
-        row[t] |= 1 << c
-    return row
-
-
-def checked_candidates(graph, cnots, nodes):
-    """A stand-in for ``relabel._candidates`` in a search over ``cnots``:
-    at every node it recomputes the search's masks from scratch and
-    requires the candidates of the rescan, in the same order; ``nodes``
-    collects each node's candidates."""
-    n = graph.num_qubits
-    passed = ref_cnot_index(cnots, n)
-    candidates = relabel._candidates
-
-    def check(ill, graph_, partners, near, inverse):
-        perm = [0] * n
-        for wire, q in enumerate(inverse):
-            perm[q] = wire
-        # the search legalizes the first illegal CNOT; every one before it is legal
-        i = first_illegal(cnots, graph, 0, perm)
-        c, t = cnots[i]
-        assert ill == (perm[c], perm[t])
-        assert list(partners) == partner_row(cnots[:i], n)
-        assert list(near) == near_masks(graph, inverse)
-        found = candidates(ill, graph_, partners, near, inverse)
-        assert found == list(ref_legalizing_swaps(ill, graph, cnots, passed, i, perm, inverse))
-        nodes.append(found)
-        return found
-
-    return check
-
-
-def search_checked(graph, pairs, limits):
-    nodes = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(relabel, "_candidates", checked_candidates(graph, pairs, nodes))
-        global_adjust(cnot_circuit(graph.num_qubits, pairs), graph, limits)
-    return nodes
+def searched_and_rescanned(graph, pairs, limits):
+    """The terminals ``global_adjust`` queues over the CNOTs ``pairs``, and
+    those of the oracle, which rescans at every node, with the oracle's
+    branching nodes' candidates."""
+    circuit = cnot_circuit(graph.num_qubits, pairs)
+    terminals, nodes = [], []
+    oracle_global_adjust(circuit, graph, limits, terminals, nodes)
+    return queued_leaves(global_adjust, circuit, graph, limits), terminals, nodes
 
 
 class TestCandidateCheck:
+    """The masks the search tests its candidates with keep the candidates
+    of a rescan, in the same order: the search reaches the oracle's
+    terminals, one by one."""
+
     @settings(max_examples=80, deadline=None)
-    @given(case=graph_and_cnots(max_cnots=30), max_nodes=st.sampled_from([1, 17, 300]))
-    def test_masks_match_the_rescan_at_every_node(self, case, max_nodes):
+    @given(case=graph_and_cnots(max_cnots=30), max_nodes=st.sampled_from([1, 17, 300, 10**6]))
+    def test_terminals_match_the_rescan(self, case, max_nodes):
         graph, pairs = case
-        nodes = search_checked(graph, pairs, SearchLimits(max_nodes=max_nodes))
-        assert len(nodes) <= max_nodes
+        searched, rescanned, _ = searched_and_rescanned(graph, pairs, SearchLimits(max_nodes))
+        assert searched == rescanned
 
     def test_search_reaches_adjacent_and_shared_neighbour_swaps(self):
         # a 4-cycle with a chord: the search exchanges adjacent wires (whose
         # masks swap a bit for a bit) and wires with a neighbour in common
-        # (whose two flips cancel), and every node is checked
+        # (whose two flips cancel), and reaches every terminal of the rescan
         graph = CouplingGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4)}))
         pairs = [(0, 4), (0, 2), (1, 2), (2, 1), (4, 0), (4, 1), (3, 4), (4, 2), (4, 3), (4, 2)]
-        nodes = search_checked(graph, pairs, SearchLimits(max_nodes=10**6))
+        searched, rescanned, nodes = searched_and_rescanned(graph, pairs,
+                                                            SearchLimits(max_nodes=10**6))
+        assert searched == rescanned
         swaps = [pair for found in nodes for pair in found]
         assert len(nodes) > 20
         assert any(graph.distances[moved][nbr] == 1 for moved, nbr in swaps)

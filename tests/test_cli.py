@@ -57,6 +57,15 @@ class TestTranspileCommand:
         merged = ql.parse_qasm(out.read_text())
         assert ql.gate_counts(merged) == (0, 1)
 
+    def test_graph_file_that_repeats_a_key_exits_1(self, workdir, capsys):
+        # json.loads alone would build a 5-vertex graph from the last "n"
+        repeated = workdir / "repeated.json"
+        repeated.write_text('{"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]], "n": 6}')
+        assert main(["transpile", "--qasm", str(workdir / "in.qasm"),
+                     "--coupling", str(repeated), "--out", str(workdir / "x.qasm")]) == 1
+        assert "repeats a key" in capsys.readouterr().err
+        assert not (workdir / "x.qasm").exists()
+
     def test_graph_wider_than_a_register_exits_1(self, workdir, capsys):
         wide = workdir / "wide.json"
         wide.write_text(f'{{"n": {MAX_REGISTER + 1}, "edges": [[0, 1]]}}')
@@ -122,6 +131,19 @@ class TestTranspileCommand:
                      "--out", str(workdir / "x.qasm"), "--global-limit", limit]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "max_nodes" in err
+        assert not (workdir / "x.qasm").exists()
+
+    @pytest.mark.parametrize("flag", ["--lookahead", "--global-limit"])
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", "+3", " 3", "3 ", "", "-"])
+    def test_integer_flag_not_in_decimal_digits_is_usage_error(self, workdir, capsys,
+                                                               flag, value):
+        # int() would read the first five as 10, 3, 3, 3 and 3
+        with pytest.raises(SystemExit) as err:
+            main(["transpile", "--qasm", str(workdir / "in.qasm"),
+                  "--coupling", "layout:linear:5",
+                  "--out", str(workdir / "x.qasm"), f"{flag}={value}"])
+        assert err.value.code == 2
+        assert "an integer in decimal digits" in capsys.readouterr().err
         assert not (workdir / "x.qasm").exists()
 
     def test_zero_global_limit_is_accepted(self, workdir):
@@ -229,6 +251,14 @@ class TestVerifyCommand:
                      "--transpiled", str(workdir / "in.qasm"), "--mapping", str(m)]) == 2
         assert "repeats a key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", "+3"])
+    def test_seed_not_in_decimal_digits_is_usage_error(self, workdir, capsys, value):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--original", str(workdir / "in.qasm"),
+                  "--transpiled", str(workdir / "in.qasm"), f"--seed={value}"])
+        assert err.value.code == 2
+        assert "an integer in decimal digits" in capsys.readouterr().err
+
     @pytest.mark.parametrize("below", [False, True], ids=["at", "below"])
     def test_verdict_at_the_boundary_is_equivalents(self, workdir, monkeypatch, below):
         # a worst fidelity of exactly 1 - tol passes, the next float down fails,
@@ -313,6 +343,32 @@ class TestBenchCommand:
                   "--depths", "1..1", "--csv", str(workdir / "x.csv")])
         assert err.value.code == 2
         assert "expected a..b, got '3..x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1_0..1_2", "\u0663", "3..\u0664", " 3..4", "+3..4"])
+    def test_range_not_in_decimal_digits_is_usage_error(self, workdir, capsys, text):
+        # int() would read these as 10..12, 3, 3..4, 3..4 and 3..4
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--layouts", "linear", f"--qubits={text}",
+                  "--depths", "1..1", "--csv", str(workdir / "x.csv")])
+        assert err.value.code == 2
+        assert f"expected a..b, got {text!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--trials", "--seed", "--lookahead"])
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", "+3"])
+    def test_integer_flag_not_in_decimal_digits_is_usage_error(self, workdir, capsys,
+                                                               flag, value):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--layouts", "linear", "--qubits", "3", "--depths", "1",
+                  f"{flag}={value}", "--csv", str(workdir / "x.csv")])
+        assert err.value.code == 2
+        assert "an integer in decimal digits" in capsys.readouterr().err
+        assert not (workdir / "x.csv").exists()
+
+    def test_integer_flags_read_decimal_digits(self):
+        args = build_parser().parse_args(["bench", "--layouts", "linear", "--qubits", "03..4",
+                                          "--depths", "1", "--trials", "007", "--seed", "-2",
+                                          "--lookahead", "3", "--csv", "x.csv"])
+        assert (args.qubits, args.trials, args.seed, args.lookahead) == (range(3, 5), 7, -2, 3)
 
     def test_bad_range_is_usage_error(self, workdir):
         with pytest.raises(SystemExit) as err:

@@ -347,3 +347,13 @@ class TestConstruction:
     def test_json_values_are_not_coerced(self, text):
         with pytest.raises(ValueError, match="malformed coupling graph JSON"):
             ql.coupling_from_json(text)
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 3, "edges": [[0, 1], [1, 2]], "n": 5}',
+        '{"n": 3, "edges": [[0, 1]], "edges": [[1, 2]]}',
+        '{"n": 3, "directed": true, "edges": [[0, 1]], "directed": false}',
+    ])
+    def test_a_repeated_key_is_an_error(self, text):
+        # json.loads alone keeps the last value of a repeated key
+        with pytest.raises(ValueError, match="repeats a key"):
+            ql.coupling_from_json(text)

@@ -10,9 +10,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import qlayout as ql
-from conftest import connected_graphs
+from conftest import connected_graphs, queued_leaves
 from qlayout.coupling import CouplingGraph, make_layout
-from qlayout.relabel import SearchLimits, _candidates, _near_masks, _partners, global_adjust
+from qlayout.relabel import SearchLimits, global_adjust
 from qlayout.ir import QubitMapping
 
 
@@ -25,10 +25,15 @@ def candidate_mappings(ill, graph, prefix):
     """The relabel search's candidates for ``ill`` after the legal CNOTs
     ``prefix``, from the identity relabeling, as transpositions: control-side
     swaps (control with each neighbour of the target) first, then
-    target-side, each in ascending neighbour order."""
-    partners = _partners([0] * graph.num_qubits, prefix, 0, len(prefix))
-    return [QubitMapping.swap(moved, nbr) for moved, nbr in _candidates(
-        ill, graph, partners, _near_masks(graph), range(graph.num_qubits))]
+    target-side, each in ascending neighbour order.  Each candidate makes
+    every CNOT of ``prefix + [ill]`` legal, so it is the one terminal below
+    the root: the leaves that start past the last CNOT are the candidates,
+    in the order the search reaches them."""
+    cnots = [*prefix, ill]
+    circuit = ql.Circuit(graph.num_qubits, 0, tuple(ql.cx(c, t) for c, t in cnots))
+    leaves = queued_leaves(global_adjust, circuit, graph)
+    return [QubitMapping.swap(*(q for q, wire in enumerate(perm) if q != wire))
+            for perm, start in leaves if start == len(cnots)]
 
 
 def all_legalizing_transpositions(ill, graph, prefix):
