@@ -5,11 +5,13 @@ Three subcommands: ``transpile`` rewrites a QASM file for a layout,
 relabeling, and ``bench`` sweeps the benchmark grid into a CSV plus an
 aggregate JSON.
 
-Exit codes -- transpile: 1 parse/usage error, 2 disconnected layout,
-3 internal legality failure; verify: 1 not equivalent, 2 I/O or size
-error, a mapping that is malformed or moves a qubit outside the
-register, or a --tol outside 0 <= tol < 1; bench: 1 if any record failed
-verification, 2 usage error (a bad --tol included).
+Exit codes -- every command: 2 usage error, as argparse reports one;
+transpile: 1 an input it cannot read or a value it rejects (a bad layout
+size, a negative --global-limit), 3 internal legality failure, 4
+disconnected layout; verify: 1 not equivalent, 2 I/O or size error, a
+mapping that is malformed or moves a qubit outside the register, or a
+--tol outside 0 <= tol < 1; bench: 1 if any record failed verification,
+2 a bad --tol or layout.
 """
 from __future__ import annotations
 
@@ -63,7 +65,7 @@ def cmd_transpile(args: argparse.Namespace) -> int:
             result = transpile(circuit, graph, config)
     except DisconnectedGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 4
     except LegalityError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -8,7 +8,7 @@ oracle compares states, not samples.
 A circuit runs on a block of k column states held as two real planes, a
 float64 array ``(2, 2**n, k)`` of real and imaginary parts, in two steps:
 
-* *Fusion.*  One pass over the gates turns the circuit into a short list
+* *Fusion.*  One pass over each circuit's gates turns it into a short list
   of dense blocks, recording only integers.  Each qubit's single-qubit
   gates since its last CNOT form a run.  A CNOT opens a block on its pair
   or extends the pair's open block by one factor: the Kronecker product of
@@ -18,12 +18,15 @@ float64 array ``(2, 2**n, k)`` of real and imaginary parts, in two steps:
   pending on their qubits into a last factor.  Open blocks sit on disjoint
   qubits, so they commute, and the order in which they are emitted only
   has to respect each qubit's own gate order.  numpy then builds every
-  matrix in batches: the 2x2 of every gate from one evaluation of the u3
+  matrix of every circuit the call simulates in one batch -- both sides of
+  :func:`probe_fidelity` together, so the numpy calls' fixed cost is paid
+  once per call: the 2x2 of every gate from one evaluation of the u3
   formula, every run's product and every block's product as a segmented
   batched product that loops over the position in the segment, every
   factor's Kronecker product in one ``einsum`` and its row swap in one
   fancy index, and every block's real form ``[[A, -B], [B, A]]`` of its
-  complex matrix ``A + iB``.
+  complex matrix ``A + iB``.  Each matrix is the same product of the same
+  factors as when its circuit is fused alone, so batching changes no bit.
 * *Kernels.*  The states' qubit axes are kept in a lazy order: they stay
   as the last kernel left them.  A kernel on m qubits needs them as the
   leading qubit axes, right after the plane axis; when they are not, one
@@ -125,53 +128,58 @@ def _real_forms(matrices: np.ndarray) -> np.ndarray:
                            np.concatenate((im, re), axis=2)), axis=1)
 
 
-def _fuse(gates: Sequence[Gate]) -> list[Block]:
-    """The gates as dense blocks (:data:`Block`), in an order that keeps
-    every qubit's gates in program order; a block on ``(x, y)`` has local
-    index ``2 * bit(x) + bit(y)``."""
+def _fuse(circuits: Sequence[Sequence[Gate]]) -> list[list[Block]]:
+    """Each gate list of ``circuits`` as dense blocks (:data:`Block`), in an
+    order that keeps every qubit's gates in program order; a block on
+    ``(x, y)`` has local index ``2 * bit(x) + bit(y)``.  Each list gets one
+    integer pass, and every matrix of every list is built in one numpy
+    batch, so a list's blocks are the same as when it is fused alone."""
     angles: list[float] = []       # u3 angles of the single-qubit gates, flat
     runs: list[int] = []           # the run of each single-qubit gate
-    run: dict[int, int] = {}       # the open run of each qubit
     pairs: list[tuple[int, int]] = []  # the qubits of each pair block, by opening
-    pair: dict[int, int] = {}      # the open block of each of its two qubits
-    closed: list[int] = []         # pair blocks in emission order
     # four entries per pair factor: the runs it pops for its block's x and
     # y (-1: none), its row order in _CNOT_ROWS and its block
     factors: list[int] = []
+    ends: list[tuple[list[int], dict[int, int]]] = []  # per list: closed, run
     num_runs = 0
     cnot, prefix = GateKind.CNOT, _U3_PREFIX
-    pop = run.pop
+    for gates in circuits:
+        run: dict[int, int] = {}       # the open run of each qubit
+        pair: dict[int, int] = {}      # the open block of each of its two qubits
+        closed: list[int] = []         # pair blocks in emission order
+        pop = run.pop
 
-    def close(b: int) -> None:
-        x, y = pairs[b]
-        if x in run or y in run:  # the last factor: the runs left pending on the pair
-            factors.extend((pop(x, -1), pop(y, -1), 0, b))
-        closed.append(b)
-        del pair[x], pair[y]
-
-    for g in gates:
-        kind = g.kind
-        if kind is cnot:
-            c, t = g.qubits
-            b = pair.get(c)
-            if b is None or pair.get(t) != b:
-                for q in (c, t):
-                    if q in pair:
-                        close(pair[q])
-                b = pair[c] = pair[t] = len(pairs)
-                pairs.append((c, t))
+        def close(b: int) -> None:
             x, y = pairs[b]
-            factors.extend((pop(x, -1), pop(y, -1), 1 if c == x else 2, b))
-        elif kind in prefix:  # a single-qubit gate; measure and barrier are the identity
-            q = g.qubits[0]
-            r = run.get(q)
-            if r is None:
-                r = run[q] = num_runs
-                num_runs += 1
-            runs.append(r)
-            angles += prefix[kind] + g.params  # ir.u3_angles(g)
-    for b in dict.fromkeys(pair.values()):
-        close(b)
+            if x in run or y in run:  # the last factor: the runs left pending on the pair
+                factors.extend((pop(x, -1), pop(y, -1), 0, b))
+            closed.append(b)
+            del pair[x], pair[y]
+
+        for g in gates:
+            kind = g.kind
+            if kind is cnot:
+                c, t = g.qubits
+                b = pair.get(c)
+                if b is None or pair.get(t) != b:
+                    for q in (c, t):
+                        if q in pair:
+                            close(pair[q])
+                    b = pair[c] = pair[t] = len(pairs)
+                    pairs.append((c, t))
+                x, y = pairs[b]
+                factors.extend((pop(x, -1), pop(y, -1), 1 if c == x else 2, b))
+            elif kind in prefix:  # a single-qubit gate; measure and barrier are the identity
+                q = g.qubits[0]
+                r = run.get(q)
+                if r is None:
+                    r = run[q] = num_runs
+                    num_runs += 1
+                runs.append(r)
+                angles += prefix[kind] + g.params  # ir.u3_angles(g)
+        for b in dict.fromkeys(pair.values()):
+            close(b)
+        ends.append((closed, run))
 
     products = _segment_products(_single_matrices(angles), np.array(runs, dtype=np.intp),
                                  num_runs)
@@ -181,8 +189,9 @@ def _fuse(gates: Sequence[Gate]) -> list[Block]:
     kron = np.einsum("fab,fcd->facbd", products[fx], products[fy]).reshape(-1, 4, 4)
     kron = kron[np.arange(len(rows))[:, None], _CNOT_ROWS[rows]]
     blocks = _real_forms(_segment_products(kron, owner, len(pairs)))
-    singles = _real_forms(products[list(run.values())])
-    return [(pairs[b], blocks[b]) for b in closed] + [((q,), m) for q, m in zip(run, singles)]
+    singles = iter(_real_forms(products[[r for _, run in ends for r in run.values()]]))
+    return [[(pairs[b], blocks[b]) for b in closed] + [((q,), next(singles)) for q in run]
+            for closed, run in ends]
 
 
 def _arrange(src: np.ndarray, dst: np.ndarray, order: list[int], new: list[int]) -> None:
@@ -251,7 +260,8 @@ def simulate(circuit: Circuit, initial: int | np.ndarray = 0) -> np.ndarray:
         state = state / norm
     planes = _planes(state.reshape(dim, 1))
     natural = _natural(n)
-    out, spare, order = _run(_fuse(circuit.gates), planes, np.empty_like(planes), natural)
+    (blocks,) = _fuse([circuit.gates])
+    out, spare, order = _run(blocks, planes, np.empty_like(planes), natural)
     _arrange(out, spare, order, natural)
     return spare[0, :, 0] + 1j * spare[1, :, 0]
 
@@ -259,9 +269,10 @@ def simulate(circuit: Circuit, initial: int | np.ndarray = 0) -> np.ndarray:
 def _wires(mapping: QubitMapping, num_qubits: int) -> list[int]:
     """The wire ``mapping`` moves each qubit of the register to; a mapping
     that moves one outside 0..num_qubits-1 is a ValueError."""
-    wires = [mapping(q) for q in range(num_qubits)]
+    moves = mapping.as_dict()
+    wires = [moves.get(q, q) for q in range(num_qubits)]
     if not all(0 <= w < num_qubits for w in wires):
-        raise ValueError(f"mapping {mapping.as_dict()} moves a qubit outside "
+        raise ValueError(f"mapping {moves} moves a qubit outside "
                          f"0..{num_qubits - 1}")
     return wires
 
@@ -309,10 +320,10 @@ def probe_fidelity(original: Circuit, transpiled: Circuit,
     initial = _wires(_as_mapping(initial_map or {}), n)
     planes = _planes(_probe_block(n, seed))
     natural = _natural(n)
-    ref, free, ref_order = _run(_fuse(original.gates), planes.copy(),
-                                np.empty_like(planes), natural)
+    ref_blocks, out_blocks = _fuse([original.gates, transpiled.gates])
+    ref, free, ref_order = _run(ref_blocks, planes.copy(), np.empty_like(planes), natural)
     # the transpiled side starts with probe qubit q on wire initial[q]
-    out, free, out_order = _run(_fuse(transpiled.gates), planes, free,
+    out, free, out_order = _run(out_blocks, planes, free,
                                 [initial[q] for q in natural])
     # and the reference side ends with its qubit q read as wire final[q]
     qubit = {w: q for q, w in enumerate(final)}

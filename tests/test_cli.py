@@ -103,7 +103,7 @@ class TestTranspileCommand:
                      "--coupling", "layout:linear:5",
                      "--out", str(workdir / "x.qasm")]) == 1
 
-    def test_disconnected_layout_exits_2(self, workdir):
+    def test_disconnected_layout_exits_4(self, workdir):
         graph = workdir / "broken.json"
         graph.write_text('{"n": 4, "directed": false, "edges": [[0,1],[2,3]]}')
         assert main(["transpile", "--qasm", str(workdir / "in.qasm"),
@@ -113,7 +113,22 @@ class TestTranspileCommand:
         ok.write_text("OPENQASM 2.0;\nqreg q[4];\ncx q[0],q[3];\n")
         assert main(["transpile", "--qasm", str(ok),
                      "--coupling", str(graph),
-                     "--out", str(workdir / "x.qasm")]) == 2
+                     "--out", str(workdir / "x.qasm")]) == 4
+
+    def test_disconnected_layout_and_usage_error_exit_differently(self, workdir, capsys):
+        # one input, a 3-vertex graph with one edge: a bad flag is argparse's
+        # exit 2, the disconnected layout is not
+        (workdir / "t.qasm").write_text("OPENQASM 2.0;\nqreg q[3];\ncx q[0],q[2];\n")
+        graph = workdir / "split.json"
+        graph.write_text('{"n": 3, "edges": [[0,1]]}')
+        argv = ["transpile", "--qasm", str(workdir / "t.qasm"), "--coupling", str(graph),
+                "--out", str(workdir / "x.qasm")]
+        with pytest.raises(SystemExit) as usage:
+            main(argv + ["--lookahead=1_0"])
+        disconnected = main(argv)
+        assert (usage.value.code, disconnected) == (2, 4)
+        assert "coupling graph is not connected" in capsys.readouterr().err
+        assert not (workdir / "x.qasm").exists()
 
     def test_lookahead_above_bound_exits_1(self, workdir, capsys):
         assert main(["transpile", "--qasm", str(workdir / "in.qasm"),

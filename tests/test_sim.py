@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import qlayout as ql
 from qlayout.coupling import CouplingGraph, make_layout
 from qlayout.ir import GateKind, QubitMapping, single_qubit_matrix
-from qlayout import routing
+from qlayout import routing, sim
 from qlayout.routing import MAX_ORACLE_ILLEGAL, brute_force_route_cost
 from qlayout.sim import _fuse, _probe_block, probe_fidelity, simulate
 
@@ -68,6 +68,26 @@ def fusion_circuits(draw):
         gates[at:at] = [ql.cx(*(pair[::-1] if flip else pair))
                         for pair, flip in zip(chain, flips)]
     return circuit.with_gates(gates)
+
+
+#: circuits at the edges of fusion, on different widths
+EDGE_CIRCUITS = {
+    "empty": ql.Circuit(3),
+    "measure and barrier only": ql.Circuit(3, 2, (ql.measure(0, 1), ql.barrier(0, 1, 2),
+                                                  ql.measure(2, 0))),
+    "single-qubit gates only": ql.Circuit(3, 0, (ql.h(2), ql.u1(0.3, 0), ql.u3(0.1, 0.2, 0.4, 2),
+                                                 ql.u2(0.5, 0.6, 1))),
+    "one qubit": ql.Circuit(1, 1, (ql.u2(0.2, 0.9, 0), ql.measure(0, 0), ql.h(0),
+                                   ql.u1(0.7, 0))),
+    "one qubit, empty": ql.Circuit(1),
+    "CNOTs only": ql.Circuit(4, 0, (ql.cx(0, 1), ql.cx(1, 0), ql.cx(1, 2), ql.cx(3, 0),
+                                    ql.cx(0, 1))),
+    "a run still open at the end": ql.Circuit(3, 0, (ql.h(0), ql.cx(0, 1), ql.u1(0.7, 1),
+                                                     ql.cx(1, 2), ql.u2(0.2, 0.9, 0),
+                                                     ql.u3(0.3, 0.5, 0.7, 2))),
+    "six qubits": ql.Circuit(6, 0, (ql.cx(5, 0), ql.h(3), ql.cx(3, 4), ql.u1(0.2, 5),
+                                    ql.cx(0, 4), ql.cx(2, 1))),
+}
 
 
 class TestSimulate:
@@ -150,14 +170,7 @@ class TestSimulate:
         for b in range(8):
             assert np.max(np.abs(simulate(circuit, b) - unitary[:, b])) <= 1e-12
 
-    @pytest.mark.parametrize("circuit", [
-        ql.Circuit(3),
-        ql.Circuit(3, 2, (ql.measure(0, 1), ql.barrier(0, 1, 2), ql.measure(2, 0))),
-        ql.Circuit(3, 0, (ql.h(2), ql.u1(0.3, 0), ql.u3(0.1, 0.2, 0.4, 2), ql.u2(0.5, 0.6, 1))),
-        ql.Circuit(1, 1, (ql.u2(0.2, 0.9, 0), ql.measure(0, 0), ql.h(0), ql.u1(0.7, 0))),
-        ql.Circuit(1),
-    ], ids=["empty", "measure and barrier only", "single-qubit gates only",
-            "one qubit", "one qubit, empty"])
+    @pytest.mark.parametrize("circuit", EDGE_CIRCUITS.values(), ids=EDGE_CIRCUITS)
     def test_edge_circuits_match_the_reference(self, circuit):
         unitary = reference_unitary(circuit)
         dim = 1 << circuit.num_qubits
@@ -171,7 +184,68 @@ class TestSimulate:
         # one layer on two qubits: 3 CNOTs and 8 u3s, all on the one pair
         circuit = ql.gen_random_circuit(2, 1, 11)
         assert ql.gate_counts(circuit) == (3, 8)
-        assert [set(qubits) for qubits, _ in _fuse(circuit.gates)] == [{0, 1}]
+        assert [set(qubits) for qubits, _ in _fuse([circuit.gates])[0]] == [{0, 1}]
+
+
+def assert_fused_as_alone(gate_lists):
+    """One ``_fuse`` call over ``gate_lists`` gives, for each list, what
+    fusing that list alone gives: the same qubits, block order and matrix
+    bytes."""
+    together = _fuse(gate_lists)
+    assert len(together) == len(gate_lists)
+    for gates, blocks in zip(gate_lists, together):
+        (alone,) = _fuse([gates])
+        assert [qubits for qubits, _ in blocks] == [qubits for qubits, _ in alone]
+        assert ([(m.shape, m.tobytes()) for _, m in blocks]
+                == [(m.shape, m.tobytes()) for _, m in alone])
+
+
+class TestBatchedFusion:
+    def test_no_lists(self):
+        assert _fuse([]) == []
+
+    @pytest.mark.parametrize("first", EDGE_CIRCUITS, ids=str)
+    @pytest.mark.parametrize("second", EDGE_CIRCUITS, ids=str)
+    def test_edge_circuit_pairs(self, first, second):
+        assert_fused_as_alone([EDGE_CIRCUITS[first].gates, EDGE_CIRCUITS[second].gates])
+
+    def test_every_edge_circuit_in_one_call(self):
+        assert_fused_as_alone([c.gates for c in EDGE_CIRCUITS.values()])
+
+    def test_open_run_and_cnots_only_shapes(self):
+        # the open runs end the list, after the pair blocks, on their own qubits
+        open_run, cnots = _fuse([EDGE_CIRCUITS["a run still open at the end"].gates,
+                                 EDGE_CIRCUITS["CNOTs only"].gates])
+        assert [len(qubits) for qubits, _ in open_run] == [2, 2, 1]
+        assert all(len(qubits) == 2 for qubits, _ in cnots)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(circuits(max_qubits=6, max_gates=25), fusion_circuits()),
+                    min_size=1, max_size=4))
+    def test_random_circuits(self, batch):
+        assert_fused_as_alone([c.gates for c in batch])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_and_random_unitary_circuits(self, seed):
+        rng = np.random.default_rng(seed)
+        batch = [random_unitary_circuit(rng, int(rng.integers(2, 7)), int(rng.integers(0, 60)))
+                 for _ in range(3)]
+        batch += [ql.gen_random_circuit(n, seed + 1, 100 * seed + n) for n in (2, 5, 8)]
+        assert_fused_as_alone([c.gates for c in batch])
+
+    @settings(max_examples=60, deadline=None)
+    @given(fusion_circuits(), st.sampled_from(["linear", "circle", "central", "neighbour"]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_probe_fidelity_of_one_batch_is_that_of_each_side_alone(self, original, layout,
+                                                                    seed):
+        # fusion_circuits are at most 5 qubits wide, the narrower side padded
+        result = ql.transpile(original, make_layout(layout, 5))
+        args = (original, result.circuit, result.final_mapping)
+        kwargs = {"initial_map": result.initial_mapping, "seed": seed}
+        batched = probe_fidelity(*args, **kwargs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_fuse", lambda lists: [_fuse([gates])[0] for gates in lists])
+            assert probe_fidelity(*args, **kwargs) == batched
 
 
 class TestRelabeling:
