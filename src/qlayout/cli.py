@@ -23,7 +23,7 @@ from pathlib import Path
 from .bench import records_to_csv, result_to_json, run_benchmark
 from .coupling import DisconnectedGraphError, _unique_keys, load_coupling
 from .relabel import SearchLimits
-from .ir import QubitMapping
+from .ir import QubitMapping, _is_digits
 from .pipeline import PipelineConfig, transpile, transpile_baseline
 from .qasm import QasmError, emit_qasm, parse_qasm
 from .routing import DEFAULT_LOOKAHEAD, LegalityError
@@ -39,7 +39,7 @@ def _mapping_from_json(obj: object) -> QubitMapping:
     ASCII decimal digits, as the QASM reader reads an index, each qubit
     once; anything else is a ValueError."""
     if not (isinstance(obj, dict) and all(type(v) is int for v in obj.values())
-            and all(k.isascii() and k.isdigit() for k in obj)
+            and all(map(_is_digits, obj))
             and len({int(k) for k in obj}) == len(obj)):
         raise ValueError(f"a mapping must be a JSON object of integers, keyed by distinct "
                          f"qubit indices in decimal digits, got {obj!r}")
@@ -112,7 +112,7 @@ def _integer(text: str) -> int:
     """An integer in ASCII decimal digits, after an optional minus sign, as
     the QASM reader reads an index; anything else is a usage error."""
     digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
+    if not _is_digits(digits):
         raise argparse.ArgumentTypeError(f"expected an integer in decimal digits, got {text!r}")
     return int(text)
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ir import MAX_REGISTER, _int_arg
+from .ir import MAX_REGISTER, _int_arg, _is_digits
 
 
 class DisconnectedGraphError(ValueError):
@@ -174,13 +174,17 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
 def coupling_from_json(text: str) -> CouplingGraph:
     """A graph from ``{"n": int, "edges": [[int, int], ...], "directed": bool}``;
     ``directed`` defaults to false.  Values are not coerced: a float, a
-    string or a boolean where an integer belongs is an error, and so is a
-    key named twice."""
+    string or a boolean where an integer belongs is an error, and so are a
+    key named twice and any other key (a misspelled ``directed`` would
+    otherwise leave a directed chip undirected)."""
     data = json.loads(text, object_pairs_hook=_unique_keys)
     try:
         n, edges, directed = data["n"], data["edges"], data.get("directed", False)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed coupling graph JSON: {exc}") from exc
+    unknown = data.keys() - {"n", "edges", "directed"}
+    if unknown:
+        raise ValueError(f"malformed coupling graph JSON: unknown key(s) {sorted(unknown)}")
     if not (type(n) is int and type(directed) is bool and type(edges) is list
             and all(type(e) is list and len(e) == 2 and all(type(q) is int for q in e)
                     for e in edges)):
@@ -196,7 +200,7 @@ def load_coupling(spec: str | Path) -> CouplingGraph:
     text = str(spec)
     if text.startswith("layout:"):
         parts = text.split(":")
-        if len(parts) != 3 or not (parts[2].isascii() and parts[2].isdigit()):
+        if len(parts) != 3 or not _is_digits(parts[2]):
             raise ValueError(f"expected layout:NAME:N, N in decimal digits, got {text!r}")
         return make_layout(parts[1], int(parts[2]))
     return coupling_from_json(Path(spec).read_text())

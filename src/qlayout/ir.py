@@ -17,7 +17,9 @@ Every integer field -- a register size, a qubit, a clbit, a mapped qubit,
 and a coupling graph's size and edge endpoints -- is read by one rule,
 :func:`_int_arg`: a Python or numpy integer is stored as ``int``, and
 anything else (a float, a bool, a string) is a ``ValueError`` naming the
-field, never truncated.
+field, never truncated.  Every integer read from text -- a QASM index or
+register size, a layout size, a CLI integer, a mapping key -- is spelled
+by one rule too, :func:`_is_digits`: ASCII decimal digits.
 The QASM reader makes the same checks on its input and builds its gates
 and circuit without a second pass.  A rewrite inside the program (relabeling
 through a permutation, a SWAP triple on a graph edge, a reversed CNOT, a
@@ -72,6 +74,14 @@ def _int_arg(value: object, name: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _is_digits(text: str) -> bool:
+    """Whether ``text`` is one or more ASCII decimal digits, ``0`` to ``9``:
+    the one spelling of every integer the program reads from text (a QASM
+    index or size, a layout size, a CLI integer, a mapping key).
+    ``str.isdigit`` alone also takes the digits of other scripts."""
+    return text.isascii() and text.isdigit()
 
 
 _PARAM_COUNT = {

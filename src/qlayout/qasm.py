@@ -22,7 +22,9 @@ everything a checked ``Gate`` and ``Circuit`` would (operand and angle
 counts, finite angles, distinct operands, indices within the declared
 registers) and so build gates and circuit unchecked; a statement that
 matches the pattern but fails a check goes to the grammar, which reports
-the error.
+the error.  Both ways read numbers, indices and sizes in the ASCII digits
+``0``-``9`` only, as OpenQASM 2.0 writes them: a digit of another script is
+a character that starts no token.
 
 Malformed input, including an angle that is infinite or NaN or that nests
 more than ``MAX_NESTING`` parentheses and unary signs, and a register
@@ -42,7 +44,7 @@ import math
 import re
 import sys
 
-from .ir import _PARAM_COUNT, MAX_REGISTER, SINGLE_QUBIT_KINDS, Circuit, Gate, GateKind
+from .ir import _PARAM_COUNT, MAX_REGISTER, SINGLE_QUBIT_KINDS, Circuit, Gate, GateKind, _is_digits
 
 #: gate statements by name: the unitary kinds, spelled as ``emit_qasm`` prints them
 _GATE_KINDS = {k.value: k for k in SINGLE_QUBIT_KINDS | {GateKind.CNOT}}
@@ -63,9 +65,12 @@ class QasmError(ValueError):
 # A token is one match of the group; a comment matches outside it and comes
 # back as "".  Whitespace matches nothing, so the scan steps over it, and ``\S``
 # makes any character that starts no token a one-character token of its own.
+# Digits are ASCII, as the patterns below read them, so a digit of another
+# script is such a character; ``\S`` stays Unicode, so that a no-break space
+# is whitespace here as it is to the patterns' ``\s``.
 _TOKEN_RE = re.compile(
     r"""//[^\n]*
-      | ( \d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?
+      | ( (?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?
         | [A-Za-z_][A-Za-z0-9_.]*
         | "[^"\n]*"
         | ->
@@ -80,7 +85,7 @@ _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 def _is_stray(tok: str) -> bool:
     """A character that starts no token: what the ``\\S`` alternative caught."""
-    return len(tok) == 1 and not (tok in _NAME_START or tok in "()[],;*/+-" or tok.isdecimal())
+    return len(tok) == 1 and not (tok in _NAME_START or tok in "()[],;*/+-" or _is_digits(tok))
 
 
 class _Reject(Exception):
@@ -235,36 +240,29 @@ def _expect(toks: list[str], i: int, want: str) -> int:
 # expression := term (('+'|'-') term)*
 # term       := factor (('*'|'/') factor)*
 # factor     := ['-'|'+'] (number | 'pi' | '(' expression ')')
+# One loop reads both levels, left to right: ``value`` is the term being
+# multiplied out, and the "+" or "-" that starts the next term adds it to
+# ``total``, the sum of the terms before it.  A "-" negates the term it
+# starts, as ``a - b`` is ``a + (-b)`` in floating point, and ``total``
+# starts at -0.0, which added to any double gives that double (0.0 would
+# turn an angle of -0.0 into 0.0).
 # ``depth`` counts the parentheses and unary signs around the current token.
 def _expression(toks: list[str], i: int, depth: int = 0) -> tuple[float, int]:
-    value, i = _term(toks, i, depth)
-    while True:
-        op = toks[i]
-        if op == "+":
-            rhs, i = _term(toks, i + 1, depth)
-            value += rhs
-        elif op == "-":
-            rhs, i = _term(toks, i + 1, depth)
-            value -= rhs
-        else:
-            return value, i
-
-
-def _term(toks: list[str], i: int, depth: int) -> tuple[float, int]:
+    total = -0.0
     value, i = _factor(toks, i, depth)
-    while True:
-        op = toks[i]
+    while (op := toks[i]) in ("+", "-", "*", "/"):
+        rhs, j = _factor(toks, i + 1, depth)
         if op == "*":
-            rhs, i = _factor(toks, i + 1, depth)
             value *= rhs
-        elif op == "/":
-            divisor, j = _factor(toks, i + 1, depth)
-            if divisor == 0:
-                raise _Reject(i + 1, "division by zero in angle")
-            value /= divisor
-            i = j
+        elif op != "/":
+            total += value
+            value = -rhs if op == "-" else rhs
+        elif rhs == 0:
+            raise _Reject(i + 1, "division by zero in angle")
         else:
-            return value, i
+            value /= rhs
+        i = j
+    return total + value, i
 
 
 def _factor(toks: list[str], i: int, depth: int) -> tuple[float, int]:
@@ -279,54 +277,48 @@ def _factor(toks: list[str], i: int, depth: int) -> tuple[float, int]:
         return (-value if tok == "-" else value), i
     if not tok:
         raise _Reject(i, "unexpected end of angle expression")
-    if tok[0].isdecimal() or tok[0] == "." and tok != ".":  # a lone "." is a stray
+    if _is_digits(tok[0]) or tok[0] == "." and tok != ".":  # a lone "." is a stray
         return float(tok), i + 1
     if tok == "pi":
         return math.pi, i + 1
     raise _Reject(i, f"expected a number or 'pi', found {tok!r}")
 
 
-def _index(toks: list[str], i: int, name: str, size: int) -> int:
-    """The integer at ``toks[i]``, closed by ``]``, below ``size``."""
+def _operand(toks: list[str], i: int, reg: tuple[str, int] | None, kind: str) -> int:
+    """The operand ``name[index]`` at ``toks[i:i + 4]``, in ``reg``, a
+    ``kind`` ("quantum" or "classical") register."""
+    if reg is None or toks[i] != reg[0]:
+        raise _unexpected(toks, i, f"unknown {kind} register {toks[i]!r}")
+    i = _expect(toks, i + 1, "[")
     idx = toks[i]
-    if "." in idx or not idx[:1].isdecimal():
+    if "." in idx or not _is_digits(idx[:1]):
         raise _unexpected(toks, i, "register index must be an integer")
     _expect(toks, i + 1, "]")
-    if not idx.isdecimal():  # an exponent (1e3); checked here, a missing "]" comes first
+    if not _is_digits(idx):  # an exponent (1e3); checked here, a missing "]" comes first
         raise _Reject(i, "register index must be an integer")
     k = _integer(idx)
-    if k is None or k >= size:
-        raise _Reject(i, f"index {idx if k is None else k} out of range for {name}[{size}]")
+    if k is None or k >= reg[1]:
+        raise _Reject(i, f"index {idx if k is None else k} out of range for {reg[0]}[{reg[1]}]")
     return k
 
 
 def _integer(digits: str) -> int | None:
-    """``int(digits)`` for a string of decimal digits, or ``None`` when it has
-    more significant digits than ``int`` reads (``sys.get_int_max_str_digits()``,
-    a count that takes in leading zeros, so they are dropped first)."""
-    try:
-        return int(digits)
-    except ValueError:
-        pass
-    digits = digits[next((k for k, d in enumerate(digits) if int(d)), len(digits) - 1):]
-    return int(digits) if len(digits) <= sys.get_int_max_str_digits() else None
-
-
-def _qubit(toks: list[str], i: int, qreg: tuple[str, int] | None) -> int:
-    """The operand ``name[index]`` at ``toks[i:i + 4]``."""
-    if qreg is None or toks[i] != qreg[0]:
-        raise _unexpected(toks, i, f"unknown quantum register {toks[i]!r}")
-    return _index(toks, _expect(toks, i + 1, "["), *qreg)
+    """``int(digits)`` for a string of ASCII decimal digits, or ``None`` when
+    it has more significant digits than ``int`` reads
+    (``sys.get_int_max_str_digits()``, 0 for no bound, a count that takes in
+    leading zeros, so they are dropped first)."""
+    digits = digits.lstrip("0") or "0"
+    bound = sys.get_int_max_str_digits()
+    return int(digits) if not bound or len(digits) <= bound else None
 
 
 def _qubits(toks: list[str], i: int, qreg: tuple[str, int] | None) -> tuple[list[int], int]:
     """A comma-separated list of operands."""
-    out = [_qubit(toks, i, qreg)]
-    i += 4
-    while toks[i] == ",":
-        out.append(_qubit(toks, i + 1, qreg))
+    out = [_operand(toks, i, qreg, "quantum")]
+    while toks[i + 4] == ",":
         i += 5
-    return out, i
+        out.append(_operand(toks, i, qreg, "quantum"))
+    return out, i + 4
 
 
 def _version(toks: list[str], regs: dict[str, tuple]) -> None:
@@ -345,12 +337,13 @@ def _statement(toks: list[str], regs: dict[str, tuple]) -> Gate | None:
     kind = _GATE_KINDS.get(tok)
     if kind is not None:
         params: list[float] = []
+        starts: list[int] = []  # the token each angle starts at
         i = 1
         n_angles = _PARAM_COUNT[kind]
         if n_angles:
-            value, i = _expression(toks, _expect(toks, i, "("))
-            params.append(value)
-            while toks[i] == ",":
+            i = _expect(toks, i, "(") - 1  # each angle follows the "(" or a ","
+            while not starts or toks[i] == ",":
+                starts.append(i + 1)
                 value, i = _expression(toks, i + 1)
                 params.append(value)
             i = _expect(toks, i, ")")
@@ -365,21 +358,15 @@ def _statement(toks: list[str], regs: dict[str, tuple]) -> Gate | None:
                 raise _Reject(0, "cx control and target must differ")
         elif len(operands) != 1:
             raise _Reject(0, f"{tok} takes one qubit")
-        if not all(map(math.isfinite, params)):
-            i = 2  # walk the angles again to the first non-finite one
-            for value in params:
-                if not math.isfinite(value):
-                    raise _Reject(i, f"non-finite angle in {tok} gate")
-                i = _expression(toks, i)[1] + 1
+        for start, value in zip(starts, params):
+            if not math.isfinite(value):
+                raise _Reject(start, f"non-finite angle in {tok} gate")
         return Gate._unchecked(kind, tuple(operands), tuple(params))
     if tok == "measure":
-        q = _qubit(toks, 1, qreg)
-        i = _expect(toks, 5, "->")
-        creg = regs.get("creg")
-        if creg is None or toks[i] != creg[0]:
-            raise _unexpected(toks, i, f"unknown classical register {toks[i]!r}")
-        c = _index(toks, _expect(toks, i + 1, "["), *creg)
-        _expect(toks, i + 4, ";")
+        q = _operand(toks, 1, qreg, "quantum")
+        _expect(toks, 5, "->")
+        c = _operand(toks, 6, regs.get("creg"), "classical")
+        _expect(toks, 10, ";")
         return Gate._unchecked(GateKind.MEASURE, (q,), (), c)
     if tok == "barrier":
         if qreg is None:
@@ -401,12 +388,12 @@ def _statement(toks: list[str], regs: dict[str, tuple]) -> Gate | None:
             raise _unexpected(toks, 1, "expected a register name")
         _expect(toks, 2, "[")
         size = toks[3]
-        if "." in size or not size[:1].isdecimal():
+        if "." in size or not _is_digits(size[:1]):
             raise _unexpected(toks, 3, "register size must be an integer")
         _expect(toks, _expect(toks, 4, "]"), ";")
         if tok in regs:
             raise _Reject(0, f"only one {tok} is supported")
-        if not size.isdecimal():  # an exponent (1e3), checked after the statement's form
+        if not _is_digits(size):  # an exponent (1e3), checked after the statement's form
             raise _Reject(3, "register size must be an integer")
         n = _integer(size)
         if n is None or n > MAX_REGISTER:

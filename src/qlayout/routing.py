@@ -51,9 +51,10 @@ it is the oracle the lookahead router is certified against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .coupling import CouplingGraph, DisconnectedGraphError
-from .ir import Circuit, Gate, GateKind, QubitMapping
+from .ir import Circuit, Gate, GateKind, QubitMapping, _as_mapping
 from .search import SWAP_COST, Leaves, first_illegal, residual_intermediates
 
 #: extra accounting cost when the displaced endpoint is the control
@@ -204,13 +205,15 @@ def fit_to_graph(circuit: Circuit, graph: CouplingGraph) -> Circuit:
 
 def route_circuit(circuit: Circuit, graph: CouplingGraph,
                   lookahead: int = DEFAULT_LOOKAHEAD, *,
-                  initial_mapping: QubitMapping = QubitMapping()) -> RouteResult:
+                  initial_mapping: QubitMapping | Mapping[int, int] = QubitMapping(),
+                  ) -> RouteResult:
     """Insert one SWAP chain before each CNOT that is illegal on the
     undirected view; a chain that leaves the pair apart is a
     :class:`LegalityError`.
 
-    Qubit q starts on wire ``initial_mapping(q)`` (default: the identity;
-    a placement that moves a qubit off the graph is a ``ValueError``).  Each
+    Qubit q starts on wire ``initial_mapping(q)``, a :class:`QubitMapping`
+    or a ``{from: to}`` dict (default: the identity; a placement that moves
+    a qubit off the graph is a ``ValueError``).  Each
     repair relabels the rest of the program, the triggering CNOT included,
     through one running wire permutation, and each output gate is built
     once, when it is emitted (a gate the permutation leaves in place is
@@ -224,7 +227,7 @@ def route_circuit(circuit: Circuit, graph: CouplingGraph,
     circuit = fit_to_graph(circuit, graph)
     if not graph.is_connected:
         raise DisconnectedGraphError("coupling graph is not connected")
-    placed = initial_mapping.as_dict()
+    placed = _as_mapping(initial_mapping).as_dict()
     wire = [placed.get(q, q) for q in range(graph.num_qubits)]
     if not all(0 <= w < len(wire) for w in wire):
         raise ValueError(f"initial mapping moves a qubit off the graph's {len(wire)} wires")

@@ -66,6 +66,14 @@ class TestTranspileCommand:
         assert "repeats a key" in capsys.readouterr().err
         assert not (workdir / "x.qasm").exists()
 
+    def test_graph_file_with_an_unknown_key_exits_1(self, workdir, capsys):
+        misspelled = workdir / "misspelled.json"
+        misspelled.write_text('{"n": 5, "edges": [[0,1],[1,2],[2,3],[3,4]], "directd": true}')
+        assert main(["transpile", "--qasm", str(workdir / "in.qasm"),
+                     "--coupling", str(misspelled), "--out", str(workdir / "x.qasm")]) == 1
+        assert "unknown key(s) ['directd']" in capsys.readouterr().err
+        assert not (workdir / "x.qasm").exists()
+
     def test_graph_wider_than_a_register_exits_1(self, workdir, capsys):
         wide = workdir / "wide.json"
         wide.write_text(f'{{"n": {MAX_REGISTER + 1}, "edges": [[0, 1]]}}')

@@ -1,5 +1,6 @@
 """Layout generators, adjacency/legality queries, shortest paths vs BFS."""
 import itertools
+import re
 import json
 import tracemalloc
 from collections import deque
@@ -356,4 +357,15 @@ class TestConstruction:
     def test_a_repeated_key_is_an_error(self, text):
         # json.loads alone keeps the last value of a repeated key
         with pytest.raises(ValueError, match="repeats a key"):
+            ql.coupling_from_json(text)
+
+    @pytest.mark.parametrize("text,keys", [
+        ('{"n": 3, "edges": [[0,1],[1,2]], "directd": true}', "['directd']"),
+        ('{"n": 3, "edges": [[0,1]], "Directed": true, "name": "chip"}', "['Directed', 'name']"),
+        ('{"n": 3, "edges": [[0,1]], "directed": false, "": 0}', "['']"),
+    ])
+    def test_an_unknown_key_is_an_error(self, text, keys):
+        # dropped without a word, a misspelled "directed" would route a
+        # directed chip as undirected
+        with pytest.raises(ValueError, match=re.escape(f"unknown key(s) {keys}")):
             ql.coupling_from_json(text)

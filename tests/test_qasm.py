@@ -1,4 +1,5 @@
 """Parser/emitter contract: grammar subset, errors, exact round trips."""
+import ast
 import math
 import random
 import re
@@ -7,6 +8,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlayout as ql
 from qlayout import qasm
@@ -17,6 +19,46 @@ from test_qasm_errors import _mutate_once
 
 
 HEADER = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n"
+
+# Every spelling of a number that the tokenizer reads and Python reads as a
+# float.  A bare integer is left out: Python keeps it an int, whose -0 is 0
+# and whose arithmetic is exact where a double's rounds.
+NUMBER_TEXTS = st.from_regex(r"(?:[0-9]{1,3}\.[0-9]{0,3}|\.[0-9]{1,3})(?:[eE][+-]?[0-9]{1,3})?"
+                             r"|[0-9]{1,3}[eE][+-]?[0-9]{1,3}", fullmatch=True)
+
+
+@st.composite
+def angle_texts(draw, depth=0):
+    """An angle over numbers, ``pi``, unary signs, parentheses and ``+ - * /``
+    that nests at most ``MAX_NESTING`` deep; ``depth`` is the nesting around it."""
+    form = draw(st.sampled_from("nnpu(bb" if depth < MAX_NESTING else "nnpbb"))
+    if form == "n":
+        return draw(NUMBER_TEXTS)
+    if form == "p":
+        return "pi"
+    if form == "u":
+        return draw(st.sampled_from("+-")) + draw(angle_texts(depth + 1))
+    if form == "(":
+        return "(" + draw(angle_texts(depth + 1)) + ")"
+    op = draw(st.sampled_from(["+", "-", "*", "/", " + ", " - ", " * ", " / "]))
+    return draw(angle_texts(depth)) + op + draw(angle_texts(depth))
+
+
+def first_zero_divisor(angle):
+    """The offset in ``angle`` of the divisor of the first division by zero
+    that Python's evaluation meets: it evaluates the operands of a division,
+    left before right, before it divides."""
+    def walk(node):
+        for child in ast.iter_child_nodes(node):
+            found = walk(child)
+            if found is not None:
+                return found
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and eval(ast.get_source_segment(angle, node.right), {"pi": math.pi}) == 0):
+            after = angle[angle.index("/", node.left.end_col_offset) + 1:]
+            return len(angle) - len(after.lstrip())
+        return None
+    return walk(ast.parse(angle, mode="eval"))
 
 
 class TestParse:
@@ -63,12 +105,41 @@ class TestParse:
         ("u2(1e999,1e999)", 4),
         ("u3(0,pi,-0*1e999)", 9),
         ("u3(1,2,1e999/1e999)", 8),
+        ("u3(0, 1e308*10, 0)", 7),
+        ("u3(0, 1, (1e308)*10)", 10),
     ])
     def test_non_finite_angle_carries_position(self, gate, column):
         # the error names the first non-finite angle's first token
         with pytest.raises(QasmError, match="non-finite angle in u[123] gate") as err:
             ql.parse_qasm(HEADER + f"{gate} q[0];")
         assert (err.value.line, err.value.column) == (4, column)
+
+    @settings(max_examples=400, deadline=None)
+    @given(angle=angle_texts())
+    def test_angles_are_read_as_python_evaluates_them(self, angle):
+        # register r: the grammar reads the gate, whatever the angle's spelling
+        text = f"OPENQASM 2.0;\nqreg r[1];\nu1({angle}) r[0];\n"
+        try:
+            expected = eval(angle, {"pi": math.pi})
+        except ZeroDivisionError:
+            with pytest.raises(QasmError, match="division by zero in angle") as err:
+                ql.parse_qasm(text)
+            assert (err.value.line, err.value.column) == (3, 4 + first_zero_divisor(angle))
+            return
+        if not math.isfinite(expected):
+            with pytest.raises(QasmError, match="non-finite angle in u1 gate") as err:
+                ql.parse_qasm(text)
+            assert (err.value.line, err.value.column) == (3, 4)
+            return
+        assert ql.parse_qasm(text).gates[0].params[0].hex() == expected.hex()
+
+    @pytest.mark.parametrize("angle,value", [
+        ("-0.0", -0.0), ("-0.0-0.0", -0.0), ("0.0-0.0", 0.0), ("-0.0*1.", -0.0),
+        ("1.-2.-3.", -4.0), ("8./4./2.", 1.0), ("1.+2.*3.-4./2.", 5.0),
+    ])
+    def test_operators_combine_left_to_right_before_sums(self, angle, value):
+        params = ql.parse_qasm(f"OPENQASM 2.0; qreg r[1]; u1({angle}) r[0];").gates[0].params
+        assert params[0].hex() == value.hex()
 
     def test_division_by_zero_in_angle_carries_position(self):
         with pytest.raises(QasmError) as err:
@@ -149,15 +220,33 @@ class TestParse:
             assert (err.value.line, err.value.column) == (4, 5)
         assert ql.parse_qasm(HEADER + "h q[" + "0" * 5000 + "1];").gates == (ql.h(1),)
 
-    def test_unicode_digits_are_read_as_int_reads_them(self):
-        # the tokenizer's \\d takes any decimal digit, and int() reads it
-        assert ql.parse_qasm(HEADER + "h q[\u0660\u0661];").gates == (ql.h(1),)
-        c = ql.parse_qasm("OPENQASM 2.0; qreg q[" + "\u0660" * 5 + "\u0662];")
-        assert c == ql.Circuit(2)
-        with pytest.raises(QasmError, match=r"index 5 out of range for q\[2\]") as err:
-            ql.parse_qasm(HEADER + "h q[\u0665];")
-        assert (err.value.line, err.value.column) == (4, 5)
-        text = HEADER + "h q[" + "\u0660" * 5000 + "\u0661];"
+    @pytest.mark.parametrize("text,line,column", [
+        (HEADER + "h q[\u0660\u0661];", 4, 5),  # Arabic-Indic zero and one
+        ("OPENQASM 2.0;\nqreg q[\u0663];", 2, 8),
+        (HEADER + "u1(\u0661.5) q[0];", 4, 4),
+        (HEADER + "h q[\uff11];", 4, 5),  # fullwidth one
+        ("OPENQASM 2.0;\nqreg r[\u0663];", 2, 8),  # a name the pattern does not read
+    ])
+    def test_digits_of_other_scripts_are_characters_that_start_no_token(self, text, line,
+                                                                        column):
+        # OpenQASM 2.0 writes numbers in ASCII digits, and so do both readers
+        with pytest.raises(QasmError, match="unexpected character") as err:
+            ql.parse_qasm(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_leading_zeros_are_read_as_int_reads_them(self):
+        # register r sends every statement to the grammar
+        c = ql.parse_qasm("OPENQASM 2.0; qreg r[" + "0" * 5 + "2]; h r[01];")
+        assert c == ql.Circuit(2, 0, (ql.h(1),))
+        with pytest.raises(QasmError, match=r"index 5 out of range for r\[2\]") as err:
+            ql.parse_qasm("OPENQASM 2.0;\nqreg r[2];\nh r[005];")
+        assert (err.value.line, err.value.column) == (3, 5)
+        text = "OPENQASM 2.0; qreg r[2]; h r[" + "0" * 5000 + "1];"
+        assert ql.parse_qasm(text).gates == (ql.h(1),)
+
+    def test_a_no_break_space_separates_tokens(self):
+        # the tokenizer's \S stays Unicode, as the pattern's \s is
+        text = "OPENQASM 2.0;\u00a0qreg\u00a0r[2];\u00a0h\u00a0r[1];"
         assert ql.parse_qasm(text).gates == (ql.h(1),)
 
     def test_register_at_the_bound_is_read(self):

@@ -219,13 +219,13 @@ class TestRouteCircuit:
 
 
 class TestInitialMapping:
-    def test_placement_that_legalizes_needs_no_swap(self):
+    @pytest.mark.parametrize("placement", [QubitMapping.swap(1, 2), {1: 2, 2: 1}])
+    def test_placement_that_legalizes_needs_no_swap(self, placement):
         # qubit 2 starts on wire 1, next to qubit 0, and ends there
-        placement = QubitMapping.swap(1, 2)
         result = route_circuit(ql.Circuit(3, 0, (ql.cx(0, 2),)), CHAIN3,
                                initial_mapping=placement)
         assert result.circuit.gates == (ql.cx(0, 1),)
-        assert result.final_mapping == placement
+        assert result.final_mapping == QubitMapping.swap(1, 2)
         assert result.search_cost == result.swaps_emitted == 0
 
     @settings(deadline=None)
@@ -245,10 +245,13 @@ class TestInitialMapping:
         assert placed.search_cost == relabeled.search_cost
         assert placed.swaps_emitted == relabeled.swaps_emitted
         assert placed.final_mapping == placement.then(relabeled.final_mapping)
+        # a {from: to} dict places the qubits as its QubitMapping does
+        assert route_circuit(circ, g, lookahead, initial_mapping=placement.as_dict()) == placed
         off = QubitMapping.swap(data.draw(st.integers(min_value=0, max_value=n - 1)),
                                 data.draw(st.integers(min_value=n, max_value=n + 3)))
-        with pytest.raises(ValueError, match=f"moves a qubit off the graph's {n} wires"):
-            route_circuit(circ, g, lookahead, initial_mapping=off)
+        for given_off in (off, off.as_dict()):
+            with pytest.raises(ValueError, match=f"moves a qubit off the graph's {n} wires"):
+                route_circuit(circ, g, lookahead, initial_mapping=given_off)
 
 
 class TestLookaheadVersusOracle:
